@@ -106,30 +106,74 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
     raise ValueError(f"unknown embedding format {format!r}; expected one of {EMBEDDING_FORMATS}")
 
 
-def _check_row(path, lineno: int, item_id: str, values: list[float], seen: dict):
-    if not item_id:
-        raise FormatError(path, lineno, "empty id")
-    if item_id in seen:
-        raise FormatError(path, lineno, f"duplicate id {item_id!r} (first seen on line {seen[item_id]})")
-    seen[item_id] = lineno
-    for v in values:
-        if not math.isfinite(v):
-            raise FormatError(path, lineno, f"non-finite value in vector for id {item_id!r}")
-    if math.sqrt(math.fsum(float(np.float32(v)) ** 2 for v in values)) < MIN_VECTOR_NORM:
-        raise FormatError(path, lineno, f"zero-norm vector for id {item_id!r}")
+_OUT_OF_RANGE = "value outside the float32 range"
 
 
-def _parse_float(path, lineno: int, token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise FormatError(path, lineno, f"unparseable number {token!r}") from None
+class _Rows:
+    """Rows parsed so far, with their line numbers.
+
+    Ids and structure are checked per row as it is read; finiteness and
+    zero norm are checked over all rows at once by vectors(). Every error
+    raised through error() first runs vectors() on the rows before it, so
+    the first error in file order wins, as if each row had been checked
+    completely when it was read.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.ids: list[str] = []
+        self.rows: list[list[float]] = []
+        self.lines: list[int] = []
+        self.seen: dict[str, int] = {}
+
+    def error(self, lineno: int, message: str) -> FormatError:
+        self.vectors()
+        return FormatError(self.path, lineno, message)
+
+    def parse(self, lineno: int, tokens: list[str]) -> list[float]:
+        try:
+            return list(map(float, tokens))
+        except ValueError:
+            for token in tokens:
+                try:
+                    float(token)
+                except ValueError:
+                    raise self.error(lineno, f"unparseable number {token!r}") from None
+            raise
+
+    def add(self, lineno: int, item_id: str, values: list[float]) -> None:
+        if not item_id:
+            raise self.error(lineno, "empty id")
+        if item_id in self.seen:
+            raise self.error(lineno, f"duplicate id {item_id!r} (first seen on line {self.seen[item_id]})")
+        self.seen[item_id] = lineno
+        self.ids.append(item_id)
+        self.rows.append(values)
+        self.lines.append(lineno)
+
+    def vectors(self) -> np.ndarray:
+        """All rows as one float32 array; raises for the first bad row."""
+        if not self.rows:
+            return np.empty((0, 0), dtype=np.float32)
+        with np.errstate(over="ignore"):
+            vectors = np.array(self.rows, dtype=np.float32)
+        finite = np.isfinite(vectors).all(axis=1)
+        wide = vectors.astype(np.float64)
+        squares = np.einsum("ij,ij->i", wide, wide)
+        # The square of a float32 is exact in float64, so these sums are
+        # within a relative d * 2**-53 of the exact ones; only rows within
+        # a factor 2 of the bound need the exact sum to be decided.
+        for i in np.flatnonzero(~finite | (squares < (2.0 * MIN_VECTOR_NORM) ** 2)).tolist():
+            if not finite[i]:
+                what = "non-finite value" if not all(map(math.isfinite, self.rows[i])) else _OUT_OF_RANGE
+                raise FormatError(self.path, self.lines[i], f"{what} in vector for id {self.ids[i]!r}")
+            if math.sqrt(math.fsum(v * v for v in vectors[i].tolist())) < MIN_VECTOR_NORM:
+                raise FormatError(self.path, self.lines[i], f"zero-norm vector for id {self.ids[i]!r}")
+        return vectors
 
 
 def _load_word2vec_text(path) -> EmbeddingSet:
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    seen: dict[str, int] = {}
+    rows = _Rows(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
@@ -146,24 +190,19 @@ def _load_word2vec_text(path) -> EmbeddingSet:
                 continue
             tokens = line.split()
             if len(tokens) != dim + 1:
-                raise FormatError(
-                    path, lineno,
+                raise rows.error(
+                    lineno,
                     f"dimension mismatch: header declares {dim} values, row has {len(tokens) - 1}",
                 )
-            item_id = tokens[0]
-            values = [_parse_float(path, lineno, t) for t in tokens[1:]]
-            _check_row(path, lineno, item_id, values, seen)
-            ids.append(item_id)
-            rows.append(values)
-    if len(ids) != count:
-        raise FormatError(path, len(ids) + 1, f"header declares {count} rows, file has {len(ids)}")
-    return EmbeddingSet(ids=ids, vectors=np.array(rows, dtype=np.float32))
+            rows.add(lineno, tokens[0], rows.parse(lineno, tokens[1:]))
+    vectors = rows.vectors()
+    if len(rows.ids) != count:
+        raise FormatError(path, len(rows.ids) + 1, f"header declares {count} rows, file has {len(rows.ids)}")
+    return EmbeddingSet(ids=rows.ids, vectors=vectors)
 
 
 def _load_csv(path) -> EmbeddingSet:
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    seen: dict[str, int] = {}
+    rows = _Rows(path)
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -171,29 +210,24 @@ def _load_csv(path) -> EmbeddingSet:
                 continue
             fields = line.rstrip("\r\n").split(",")
             if len(fields) < 2:
-                raise FormatError(path, lineno, "expected an id followed by vector values")
+                raise rows.error(lineno, "expected an id followed by vector values")
             if dim is None:
                 dim = len(fields) - 1
             elif len(fields) - 1 != dim:
-                raise FormatError(
-                    path, lineno,
+                raise rows.error(
+                    lineno,
                     f"dimension mismatch: first row has {dim} values, this row has {len(fields) - 1}",
                 )
-            item_id = fields[0].strip()
-            values = [_parse_float(path, lineno, t) for t in fields[1:]]
-            _check_row(path, lineno, item_id, values, seen)
-            ids.append(item_id)
-            rows.append(values)
-    if not ids:
+            values = rows.parse(lineno, fields[1:])
+            rows.add(lineno, fields[0].strip(), values)
+    if not rows.ids:
         raise FormatError(path, 1, "no embedding rows found")
-    return EmbeddingSet(ids=ids, vectors=np.array(rows, dtype=np.float32))
+    return EmbeddingSet(ids=rows.ids, vectors=rows.vectors())
 
 
 def _load_jsonl(path) -> EmbeddingSet:
-    ids: list[str] = []
-    rows: list[list[float]] = []
+    rows = _Rows(path)
     labels: dict[str, str] = {}
-    seen: dict[str, int] = {}
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -202,38 +236,38 @@ def _load_jsonl(path) -> EmbeddingSet:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise FormatError(path, lineno, f"invalid JSON: {exc.msg}") from None
+                raise rows.error(lineno, f"invalid JSON: {exc.msg}") from None
             if not isinstance(record, dict):
-                raise FormatError(path, lineno, "record is not a JSON object")
+                raise rows.error(lineno, "record is not a JSON object")
             item_id = record.get("id")
             if not isinstance(item_id, str):
-                raise FormatError(path, lineno, 'missing or non-string "id"')
+                raise rows.error(lineno, 'missing or non-string "id"')
             vector = record.get("vector")
             if not isinstance(vector, list) or not vector:
-                raise FormatError(path, lineno, 'missing or empty "vector"')
-            values = []
-            for v in vector:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise FormatError(path, lineno, f"non-numeric vector entry for id {item_id!r}")
-                values.append(float(v))
+                raise rows.error(lineno, 'missing or empty "vector"')
+            # JSON numbers decode to int or float; bool is rejected as non-numeric
+            if not set(map(type, vector)) <= {int, float}:
+                raise rows.error(lineno, f"non-numeric vector entry for id {item_id!r}")
+            try:
+                values = list(map(float, vector))
+            except OverflowError:
+                raise rows.error(lineno, f"{_OUT_OF_RANGE} in vector for id {item_id!r}") from None
             if dim is None:
                 dim = len(values)
             elif len(values) != dim:
-                raise FormatError(
-                    path, lineno,
+                raise rows.error(
+                    lineno,
                     f"dimension mismatch: first record has {dim} values, this one has {len(values)}",
                 )
-            _check_row(path, lineno, item_id, values, seen)
+            rows.add(lineno, item_id, values)
             label = record.get("label")
             if label is not None:
                 if not isinstance(label, str) or not label:
-                    raise FormatError(path, lineno, f"label for id {item_id!r} must be a non-empty string")
+                    raise rows.error(lineno, f"label for id {item_id!r} must be a non-empty string")
                 labels[item_id] = label
-            ids.append(item_id)
-            rows.append(values)
-    if not ids:
+    if not rows.ids:
         raise FormatError(path, 1, "no embedding records found")
-    return EmbeddingSet(ids=ids, vectors=np.array(rows, dtype=np.float32), labels=labels or None)
+    return EmbeddingSet(ids=rows.ids, vectors=rows.vectors(), labels=labels or None)
 
 
 def load_labels(path, has_header: bool = False) -> dict[str, str]:

@@ -23,6 +23,19 @@ MAX_EDGE_WEIGHT = 1e9
 # Rows are processed in fixed-size blocks; the worker count decides who
 # computes a block, never its shape, so results are thread-count invariant.
 _BLOCK_ROWS = 256
+# Each block is multiplied by column windows of _COL_TILE columns (a
+# multiple of _BLOCK_ROWS), never by all n columns. How BLAS rounds an entry
+# depends on the shape of the product it is part of: the trailing columns
+# of a product take other kernels (OpenBLAS: the last n mod 8), and small
+# products take another kernel or fewer threads, which group rows
+# differently. So windows start on the _BLOCK_ROWS grid, the last one ends
+# at n, and every window has at least _BLOCK_ROWS x _COL_TILE entries (a
+# short last block gets proportionally wider windows). Every entry is then
+# rounded as in the full-row product unit[i0:i1] @ unit.T, and a tile holds
+# fewer than 4 x _BLOCK_ROWS x (_COL_TILE + _BLOCK_ROWS) floats for any n.
+_COL_TILE = 1024
+# Edge lines are formatted and written this many at a time.
+_WRITE_LINES = 8192
 
 
 def _check_theta(theta: float) -> float:
@@ -115,13 +128,12 @@ def edge_weight(cs: float, theta: float) -> float:
     cs = min(1.0, max(-1.0, float(cs)))
     if cs < theta:
         return 0.0
-    if cs >= SIMILARITY_CAP:
-        return MAX_EDGE_WEIGHT
-    return 1.0 / (1.0 - cs)
+    return float(_edge_weights(np.array([cs]))[0])
 
 
 def _edge_weights(cs: np.ndarray) -> np.ndarray:
-    # vectorized body of edge_weight for values already >= theta
+    # weights of similarities already >= theta; the floor only acts at or
+    # above SIMILARITY_CAP, where the weight is replaced by the cap anyway
     den = np.maximum(1.0 - cs, 1e-9)
     w = 1.0 / den
     w[cs >= SIMILARITY_CAP] = MAX_EDGE_WEIGHT
@@ -132,9 +144,13 @@ def build_graph(emb: EmbeddingSet, theta: float, threads: int = 1) -> Similarity
     """Connect every pair with cosine similarity >= theta.
 
     Exact O(n^2 d) pairwise computation over unit-normalized float64
-    copies of the stored vectors, blocked by row range. threads > 1
-    distributes blocks over a thread pool; 0 means one worker per CPU.
-    The result is identical for every thread count.
+    copies of the stored vectors. Rows are taken in blocks of _BLOCK_ROWS,
+    and each block is multiplied only by the columns at or after its
+    first row, in windows of about _COL_TILE columns, so only the upper
+    triangle is thresholded and the peak similarity memory is set by the
+    tile size, not by n. threads > 1 distributes blocks over a thread
+    pool; 0 means one worker per CPU. The result is identical for every
+    thread count.
     """
     theta = _check_theta(theta)
     n = len(emb)
@@ -144,17 +160,35 @@ def build_graph(emb: EmbeddingSet, theta: float, threads: int = 1) -> Similarity
         raise ValueError("zero-norm vector cannot be placed in a similarity graph")
     unit /= norms[:, None]
 
-    col_ids = np.arange(n)
-
     def upper_block(i0: int):
-        # strictly upper-triangular edges of rows [i0, i0 + _BLOCK_ROWS)
+        # edges (row, col, weight) with row in [i0, i0 + _BLOCK_ROWS) and col > row,
+        # in row-major order, so the edge arrays keep one order for any tiling
         i1 = min(i0 + _BLOCK_ROWS, n)
-        sims = unit[i0:i1] @ unit.T
-        np.clip(sims, -1.0, 1.0, out=sims)
-        mask = sims >= theta
-        mask &= col_ids[None, :] > np.arange(i0, i1)[:, None]
-        r, c = np.nonzero(mask)
-        return r + i0, c, _edge_weights(sims[r, c])
+        width = _COL_TILE * -(-_BLOCK_ROWS // (i1 - i0))
+        # start of the last window; the columns before j0 that it covers belong
+        # to an earlier window or to the lower triangle and are skipped
+        last = max(0, n - width) // _BLOCK_ROWS * _BLOCK_ROWS
+        rows, cols, sims = [], [], []
+        j0 = i0
+        while j0 < n:
+            # the last window also takes a remainder narrower than width
+            c0, c1 = min(j0, last), (j0 + width if j0 + 2 * width <= n else n)
+            tile = np.matmul(unit[i0:i1], unit[c0:c1].T)[:, j0 - c0:]
+            # no clipping into [-1, 1]: theta >= 0, and every cs above 1
+            # gets MAX_EDGE_WEIGHT from _edge_weights as 1 itself would
+            hit = tile >= theta
+            if j0 == i0:
+                # the square on the diagonal holds col <= row pairs
+                hit[:, :i1 - i0] = np.triu(hit[:, :i1 - i0], 1)
+            r, c = np.divmod(np.flatnonzero(hit), hit.shape[1])
+            rows.append(r)
+            cols.append(c + j0)
+            sims.append(tile[r, c])
+            del tile, hit  # one tile alive at a time
+            j0 = c1
+        r = np.concatenate(rows)
+        order = np.argsort(r, kind="stable")
+        return r[order] + i0, np.concatenate(cols)[order], _edge_weights(np.concatenate(sims)[order])
 
     starts = range(0, n, _BLOCK_ROWS)
     if threads == 1:
@@ -233,9 +267,13 @@ def write_edges_tsv(g: SimilarityGraph, ids: list[str], path) -> None:
     """
     if len(ids) != g.n:
         raise ValueError("id list does not match graph size")
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    upper = g.indices > rows
+    src, dst, w = rows[upper], g.indices[upper], g.weights[upper]
     with open(path, "w", encoding="utf-8") as fh:
-        for a in range(g.n):
-            nbrs, ws = g.row(a)
-            for b, weight in zip(nbrs.tolist(), ws.tolist()):
-                if b > a:
-                    fh.write(f"{ids[a]}\t{ids[b]}\t{weight:.12g}\n")
+        for lo in range(0, src.size, _WRITE_LINES):
+            hi = lo + _WRITE_LINES
+            fh.write("".join(
+                f"{ids[a]}\t{ids[b]}\t{weight:.12g}\n"
+                for a, b, weight in zip(src[lo:hi].tolist(), dst[lo:hi].tolist(), w[lo:hi].tolist())
+            ))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,106 @@ class TestEmbeddingSetInvariants:
     def test_vectors_stored_float32(self):
         emb = EmbeddingSet(ids=["a"], vectors=np.array([[1.0, 2.0]]))
         assert emb.vectors.dtype == np.float32
+
+
+def render(fmt, rows):
+    """File text for rows of (id, [value tokens]) in one embedding format.
+
+    Returns (text, offset): the row at index k sits on line k + 1 + offset.
+    """
+    if fmt == "word2vec_text":
+        lines = [f"{len(rows)} {len(rows[0][1])}"] + [" ".join([i, *vals]) for i, vals in rows]
+        return "\n".join(lines) + "\n", 1
+    if fmt == "csv":
+        return "".join(",".join([i, *vals]) + "\n" for i, vals in rows), 0
+    return "".join('{"id": "%s", "vector": [%s]}\n' % (i, ", ".join(vals)) for i, vals in rows), 0
+
+
+FORMATS = ("word2vec_text", "csv", "jsonl")
+NAN = {"word2vec_text": "nan", "csv": "nan", "jsonl": "NaN"}
+
+
+def write_rows(tmp_path, fmt, rows):
+    text, offset = render(fmt, rows)
+    path = tmp_path / f"emb.{fmt}"
+    path.write_text(text, encoding="utf-8")
+    return str(path), offset
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+class TestFirstErrorInFileOrder:
+    """Values are checked over the whole array at once; errors still come out in file order."""
+
+    def test_non_finite_value_beats_later_dimension_mismatch(self, tmp_path, fmt):
+        rows = [(f"r{k}", ["1.0", "0.5"]) for k in range(6)]
+        rows[2] = ("r2", ["1.0", NAN[fmt]])
+        rows[5] = ("r5", ["1.0", "0.5", "0.25"])
+        path, offset = write_rows(tmp_path, fmt, rows)
+        with pytest.raises(FormatError, match=rf"line {3 + offset}: non-finite value in vector for id 'r2'"):
+            load_embeddings(path, fmt)
+
+    def test_non_finite_value_beats_later_duplicate_id(self, tmp_path, fmt):
+        inf = "Infinity" if fmt == "jsonl" else "inf"
+        rows = [("a", ["1.0", inf]), ("b", ["1.0", "0.0"]), ("a", ["0.0", "1.0"])]
+        path, offset = write_rows(tmp_path, fmt, rows)
+        with pytest.raises(FormatError, match=rf"line {1 + offset}: non-finite"):
+            load_embeddings(path, fmt)
+
+    def test_duplicate_id_beats_bad_value_on_same_line(self, tmp_path, fmt):
+        rows = [("a", ["1.0", "0.0"]), ("a", [NAN[fmt], "0.0"])]
+        path, offset = write_rows(tmp_path, fmt, rows)
+        with pytest.raises(FormatError, match=rf"line {2 + offset}: duplicate id 'a' \(first seen on line {1 + offset}\)"):
+            load_embeddings(path, fmt)
+
+    def test_zero_norm_row_names_its_id(self, tmp_path, fmt):
+        rows = [("a", ["1.0", "0.0"]), ("zero", ["0.0", "-0.0"]), ("b", ["1.0", "0.0", "2.0"])]
+        path, offset = write_rows(tmp_path, fmt, rows)
+        with pytest.raises(FormatError, match=rf"line {2 + offset}: zero-norm vector for id 'zero'"):
+            load_embeddings(path, fmt)
+
+    def test_norm_bound_decided_exactly(self, tmp_path, fmt):
+        # four components of 6e-13 have norm 1.2e-12; float32(1e-12) is just
+        # under 1e-12. Both sit inside the band the exact sum re-checks.
+        rows = [("a", ["1.0", "0.0", "0.0", "0.0"]), ("tiny", ["6e-13"] * 4)]
+        path, _ = write_rows(tmp_path, fmt, rows)
+        assert load_embeddings(path, fmt).ids == ["a", "tiny"]
+        rows = [("a", ["1.0", "0.0", "0.0", "0.0"]), ("under", ["1e-12", "0.0", "0.0", "0.0"])]
+        path, offset = write_rows(tmp_path, fmt, rows)
+        with pytest.raises(FormatError, match=rf"line {2 + offset}: zero-norm vector for id 'under'"):
+            load_embeddings(path, fmt)
+
+    def test_float32_overflow_is_a_format_error(self, tmp_path, fmt):
+        # 1e39 is finite as a float64 but not as a float32
+        rows = [("a", ["1.0", "0.0"]), ("big", ["1e39", "1.0"]), ("c", ["0.0", "1.0"])]
+        path, offset = write_rows(tmp_path, fmt, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=rf"line {2 + offset}: value outside the float32 range in vector for id 'big'"):
+                load_embeddings(path, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])  # a word2vec row splits on whitespace, so has an id
+def test_empty_id_beats_bad_value_on_same_line(tmp_path, fmt):
+    rows = [("a", ["1.0", "0.0"]), ("", ["0.0", NAN[fmt]])]
+    path, offset = write_rows(tmp_path, fmt, rows)
+    with pytest.raises(FormatError, match=rf"line {2 + offset}: empty id"):
+        load_embeddings(path, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["word2vec_text", "csv"])  # JSON numbers are parsed by the JSON decoder
+def test_unparseable_number_loses_to_earlier_bad_value(tmp_path, fmt):
+    rows = [("a", [NAN[fmt], "0.0"]), ("b", ["one", "0.0"])]
+    path, offset = write_rows(tmp_path, fmt, rows)
+    with pytest.raises(FormatError, match=rf"line {1 + offset}: non-finite"):
+        load_embeddings(path, fmt)
+    rows = [("a", ["1.0", "0.0"]), ("b", ["1.0", "one"])]
+    path, offset = write_rows(tmp_path, fmt, rows)
+    with pytest.raises(FormatError, match=rf"line {2 + offset}: unparseable number 'one'"):
+        load_embeddings(path, fmt)
+
+
+def test_jsonl_integer_beyond_float_range(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n{"id": "big", "vector": [1%s, 0]}\n' % ("0" * 400), encoding="utf-8")
+    with pytest.raises(FormatError, match="line 2: value outside the float32 range in vector for id 'big'"):
+        load_embeddings(str(path), "jsonl")

@@ -220,3 +220,124 @@ class TestEdgeTsv:
         assert float(w) == pytest.approx(graph_edges(g)[(0, 1)], rel=1e-11)
         # 12 significant digits
         assert len(w.replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+
+def full_row_graph(emb, theta):
+    """The graph built from whole-row products unit[i0:i1] @ unit.T, one 256-row block at a time."""
+    from vec2gc.simgraph import _assemble, _edge_weights
+
+    unit = emb.vectors.astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    n = unit.shape[0]
+    src, dst, w = [], [], []
+    for i0 in range(0, n, 256):
+        i1 = min(i0 + 256, n)
+        sims = np.clip(unit[i0:i1] @ unit.T, -1.0, 1.0)
+        mask = (sims >= theta) & (np.arange(n)[None, :] > np.arange(i0, i1)[:, None])
+        r, c = np.nonzero(mask)
+        src.append(r + i0)
+        dst.append(c)
+        w.append(_edge_weights(sims[r, c]))
+    return _assemble(n, np.concatenate(src), np.concatenate(dst), np.concatenate(w), theta)
+
+
+class TestTiledKernel:
+    """build_graph multiplies row blocks by column windows; the tiling must not show."""
+
+    @staticmethod
+    def assert_same_graph(a, b):
+        for field in ("indptr", "indices", "weights", "degrees"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert a.total_weight == b.total_weight
+
+    def test_bit_identical_to_full_row_products(self):
+        # n past one window, not a multiple of 256 or 8, and short last blocks
+        rng = np.random.default_rng(20)
+        for n, d, theta in [(1300, 16, 0.5), (2085, 8, 0.3), (2565, 64, 0.3), (4621, 16, 0.45)]:
+            emb = random_embeddings(rng, n, d)
+            ref = full_row_graph(emb, theta)
+            assert ref.edge_count > 0
+            self.assert_same_graph(build_graph(emb, theta), ref)
+            self.assert_same_graph(build_graph(emb, theta, threads=2), ref)
+
+    def test_small_tiles_match_default_tiles_and_oracle(self, monkeypatch):
+        # 8 x 16 tiles, n a multiple of neither, so blocks and windows end
+        # mid-tile. BLAS rounds such small products in other kernels and
+        # without threads, which can move a weight by an ulp, so weights are
+        # compared to 1e-12 here; the edge structure must match exactly.
+        import vec2gc.simgraph as simgraph
+
+        rng = np.random.default_rng(21)
+        for n, d, theta in [(37, 64, 0.1), (203, 16, 0.3), (517, 64, 0.2)]:
+            emb = random_embeddings(rng, n, d)
+            default = build_graph(emb, theta)
+            with monkeypatch.context() as m:
+                m.setattr(simgraph, "_BLOCK_ROWS", 8)
+                m.setattr(simgraph, "_COL_TILE", 16)
+                tiled = build_graph(emb, theta)
+                tiled_threads = build_graph(emb, theta, threads=2)
+            self.assert_same_graph(tiled_threads, tiled)
+            assert np.array_equal(tiled.indptr, default.indptr)
+            assert np.array_equal(tiled.indices, default.indices)
+            assert np.allclose(tiled.weights, default.weights, rtol=1e-12, atol=0.0)
+            ref = reference_graph_edges(emb.vectors, theta)
+            got = graph_edges(tiled)
+            assert got.keys() == ref.keys()
+            for pair, w in ref.items():
+                assert got[pair] == pytest.approx(w, rel=1e-12)
+
+    def test_tile_shapes_do_not_grow_with_n(self, monkeypatch):
+        import vec2gc.simgraph as simgraph
+
+        shapes = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b):
+            shapes.append((a.shape[0], b.shape[1]))
+            return matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        rng = np.random.default_rng(23)
+        for block_rows, col_tile, sizes in [(8, 16, (40, 203, 1001)), (256, 1024, (700, 3001))]:
+            monkeypatch.setattr(simgraph, "_BLOCK_ROWS", block_rows)
+            monkeypatch.setattr(simgraph, "_COL_TILE", col_tile)
+            for n in sizes:
+                shapes.clear()
+                g = build_graph(random_embeddings(rng, n, 4), 0.99)
+                assert g.n == n and shapes
+                assert max(r for r, _ in shapes) <= block_rows
+                assert max(r * c for r, c in shapes) < 4 * block_rows * (col_tile + block_rows)
+
+
+class TestEdgeWeightVectorAgreement:
+    def test_scalar_is_the_vector_mapping(self):
+        from vec2gc.simgraph import SIMILARITY_CAP, _edge_weights
+
+        below_cap = float(np.nextafter(SIMILARITY_CAP, 0.0))
+        cs = np.array([0.3, 0.5, 0.9, 0.95, 0.999999, below_cap, SIMILARITY_CAP, 1.0])
+        vector = _edge_weights(cs.copy())
+        for c, w in zip(cs.tolist(), vector.tolist()):
+            assert edge_weight(c, 0.3) == w
+        # the 1e-9 floor never acts below the cap
+        assert edge_weight(below_cap, 0.3) == 1.0 / (1.0 - below_cap)
+        assert edge_weight(SIMILARITY_CAP, 0.3) == 1e9
+
+
+class TestEdgeTsvChunks:
+    def test_chunked_writer_matches_per_edge_loop(self, tmp_path, monkeypatch):
+        import vec2gc.simgraph as simgraph
+
+        rng = np.random.default_rng(24)
+        emb = random_embeddings(rng, 60, 6)
+        g = build_graph(emb, 0.3)
+        expected = []
+        for a in range(g.n):
+            nbrs, ws = g.row(a)
+            for b, weight in zip(nbrs.tolist(), ws.tolist()):
+                if b > a:
+                    expected.append(f"{emb.ids[a]}\t{emb.ids[b]}\t{weight:.12g}\n")
+        assert len(expected) > 7
+        monkeypatch.setattr(simgraph, "_WRITE_LINES", 7)
+        path = tmp_path / "edges.tsv"
+        write_edges_tsv(g, emb.ids, path)
+        assert path.read_bytes() == "".join(expected).encode("utf-8")
