@@ -130,11 +130,7 @@ def cmd_cluster(args) -> int:
     print(f"seed: {config.seed}" + (" (generated)" if config.seed_generated else ""))
     emb = _load_input(config.input, config.format)
     g = build_graph(emb, config.theta, threads=config.threads)
-    louvain_config = LouvainConfig(
-        gain_epsilon=config.gain_epsilon,
-        max_sweeps=config.max_sweeps,
-        threads=config.threads if config.threads > 0 else (os.cpu_count() or 1),
-    )
+    louvain_config = LouvainConfig(gain_epsilon=config.gain_epsilon, max_sweeps=config.max_sweeps)
     tree, bucket = vec2gc_cluster(
         g,
         config.mod_threshold,
@@ -192,7 +188,10 @@ def cmd_evaluate(args) -> int:
             raise ValueError(f"{args.tree}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     labels = load_labels(args.labels, has_header=args.labels_header)
     thresholds = _parse_thresholds(args.purity_thresholds)
-    clusters, noise = leaf_clusters_from_document(doc)
+    try:
+        clusters, noise = leaf_clusters_from_document(doc)
+    except ValueError as exc:
+        raise ValueError(f"{args.tree}: {exc}") from None
     report = purity_report(clusters, labels, thresholds=thresholds, noise_size=len(noise))
     if report.unlabeled_members or report.clusters_without_labels:
         print(
@@ -256,7 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, help="random seed; generated and printed when omitted")
     cluster.add_argument("--gain-epsilon", type=float, default=1e-9, help="smallest modularity gain that still counts as a move")
     cluster.add_argument("--max-sweeps", type=int, default=100, help="move sweeps per optimizer level")
-    cluster.add_argument("--threads", type=int, default=1, help="worker threads (0 = one per CPU); 1 is the canonical reproducible mode")
+    cluster.add_argument(
+        "--threads", type=int, default=1,
+        help="threads of the similarity-graph kernel (0 = one per CPU); the tree is the same at every value and CPU count",
+    )
     cluster.add_argument("--output", help="tree JSON path (default tree.json)")
     cluster.add_argument("--manifest", help="manifest path (default: output with .manifest.json suffix)")
     cluster.add_argument("--from-manifest", help="rerun the exact configuration recorded in a manifest")

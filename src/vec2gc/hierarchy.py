@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .community import LouvainConfig, louvain, members_by_community
+from .community import LouvainConfig, RestartPool, louvain, members_by_community
 from .simgraph import SimilarityGraph, induced_subgraph
 
 REASON_ISOLATED = "isolated"
@@ -79,7 +79,9 @@ def vec2gc_cluster(
 
     Returns the tree and the non-community bucket; together their leaf
     members partition the graph's nodes exactly. Deterministic for fixed
-    (graph, mod_threshold, max_size, seed, config.threads).
+    (graph, mod_threshold, max_size, seed, config). The run owns one
+    RestartPool, so the restarts of large optimizer calls may run in
+    worker processes; the tree is the same at every CPU count.
     """
     if not (0.0 <= float(mod_threshold) < 1.0):
         raise ValueError(f"mod_threshold out of [0, 1): got {mod_threshold!r}")
@@ -103,7 +105,7 @@ def vec2gc_cluster(
         return ClusterTree(), bucket
 
     def build(sub_g: SimilarityGraph, corpus_idx: np.ndarray, node_seed: int) -> _BuildNode | None:
-        part = louvain(sub_g, node_seed, config)
+        part = louvain(sub_g, node_seed, config, pool)
         if part.community_count == 1 or part.modularity < mod_threshold:
             return _BuildNode(members=sorted(corpus_idx.tolist()), children=[], split_modularity=None)
         children: list[_BuildNode] = []
@@ -124,7 +126,8 @@ def vec2gc_cluster(
         return _BuildNode(members=None, children=children, split_modularity=part.modularity)
 
     work = induced_subgraph(g, active) if active.size < g.n else g
-    root = build(work, active, seed)
+    with RestartPool() as pool:
+        root = build(work, active, seed)
     bucket.members.sort()
     if root is None:
         warnings.warn("every community fell below min_community_size; tree is empty")
@@ -232,26 +235,66 @@ def dumps_tree(
 
 
 def leaf_clusters_from_document(doc: dict) -> tuple[list[list[str]], list[str]]:
-    """Leaf member-id lists (depth-first child order) and bucket ids from a tree document."""
+    """Leaf member-id lists (depth-first child order) and bucket ids from a tree document.
+
+    The document is validated before it is walked: integer ids that are
+    unique, one root, children that exist and name their parent, no node
+    reached twice or left unreached, and string members. A violation is a
+    ValueError naming the node.
+    """
     if not isinstance(doc, dict):
         raise ValueError("tree document must be a JSON object")
     nodes = doc.get("nodes", [])
     if not isinstance(nodes, list):
         raise ValueError('tree document has no "nodes" list')
-    by_id = {}
-    roots = []
-    for node in nodes:
-        by_id[node["id"]] = node
-        if node.get("parent") is None:
-            roots.append(node["id"])
-    leaves: list[list[str]] = []
-    stack = list(reversed(roots))
-    while stack:
-        node = by_id[stack.pop()]
+    by_id: dict[int, dict] = {}
+    for position, node in enumerate(nodes):
+        if not isinstance(node, dict):
+            raise ValueError(f'entry {position} of "nodes" must be a JSON object')
+        node_id = node.get("id")
+        if type(node_id) is not int:
+            raise ValueError(f"tree node {node_id!r}: id must be an integer")
+        if node_id in by_id:
+            raise ValueError(f"tree node {node_id}: duplicate id")
+        by_id[node_id] = node
         children = node.get("children", [])
+        if not isinstance(children, list):
+            raise ValueError(f"tree node {node_id}: children must be a list")
+        _check_members(node.get("members"), f"tree node {node_id}")
+    roots = [node_id for node_id, node in by_id.items() if node.get("parent") is None]
+    if by_id and len(roots) != 1:
+        raise ValueError(f"tree document needs exactly one root node, found {roots or 'none'}")
+
+    leaves: list[list[str]] = []
+    reached: set[int] = set()
+    stack = roots
+    while stack:
+        node_id = stack.pop()
+        if node_id in reached:
+            raise ValueError(f"tree node {node_id}: reached twice")
+        reached.add(node_id)
+        node = by_id[node_id]
+        children = node.get("children", [])
+        for child in children:
+            if type(child) is not int or child not in by_id:
+                raise ValueError(f"tree node {node_id}: child {child!r} does not exist")
+            if by_id[child].get("parent") != node_id:
+                raise ValueError(f"tree node {child}: parent is not {node_id}, which lists it as a child")
         if children:
             stack.extend(reversed(children))
         else:
             leaves.append(list(node["members"]))
-    noise = list(doc.get("non_community", {}).get("members", []))
-    return leaves, noise
+    for node_id in by_id:
+        if node_id not in reached:
+            raise ValueError(f"tree node {node_id}: not reachable from the root")
+    bucket = doc.get("non_community", {})
+    if not isinstance(bucket, dict):
+        raise ValueError('tree document "non_community" must be a JSON object')
+    noise = bucket.get("members", [])
+    _check_members(noise, "non_community")
+    return leaves, list(noise)
+
+
+def _check_members(members, where: str) -> None:
+    if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+        raise ValueError(f"{where}: members must be a list of strings")

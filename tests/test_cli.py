@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from oracles import planted_groups
-from vec2gc import save_embeddings_jsonl
+from vec2gc import EmbeddingSet, community, save_embeddings_jsonl
 from vec2gc.cli import main
 
 
@@ -110,6 +111,42 @@ class TestClusterCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestClusterWorkers:
+    @pytest.fixture
+    def noise_file(self, tmp_path):
+        rng = np.random.default_rng(23)
+        emb = EmbeddingSet(
+            ids=[f"n{i}" for i in range(300)],
+            vectors=rng.standard_normal((300, 6)).astype(np.float32),
+        )
+        path = tmp_path / "noise.jsonl"
+        save_embeddings_jsonl(emb, path)
+        return str(path)
+
+    def cluster_bytes(self, tmp_path, path, name, extra=()):
+        out = tmp_path / f"{name}.json"
+        argv = ["cluster", "--input", path, "--format", "jsonl", "--theta", "0.6", "--max-size", "20"]
+        assert main(argv + ["--seed", "8", "--output", str(out), *extra]) == 0
+        return out.read_bytes()
+
+    def test_same_bytes_at_every_worker_count(self, tmp_path, noise_file, monkeypatch):
+        monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+        expected = self.cluster_bytes(tmp_path, noise_file, "in-process")
+        monkeypatch.setattr(community, "POOL_MIN_WORK", 0)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(community, "_available_cpus", lambda: workers)
+            assert self.cluster_bytes(tmp_path, noise_file, f"workers{workers}") == expected
+
+    def test_threads_manifest_reruns_to_the_canonical_tree(self, tmp_path, noise_file):
+        expected = self.cluster_bytes(tmp_path, noise_file, "one")
+        assert self.cluster_bytes(tmp_path, noise_file, "two", ["--threads", "2"]) == expected
+        manifest = tmp_path / "two.manifest.json"
+        assert json.loads(manifest.read_text())["parameters"]["threads"] == 2
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
+        assert rerun.read_bytes() == expected
+
+
 class TestGraphCommand:
     def test_exports_tsv(self, tmp_path, planted_files):
         _, emb_path, _ = planted_files
@@ -159,6 +196,45 @@ class TestEvaluateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            (
+                [
+                    {"id": 0, "parent": None, "children": [1], "members": ["a"]},
+                    {"id": 1, "parent": 0, "children": [0], "members": ["a"]},
+                ],
+                "tree node 0",
+            ),
+            ([{"id": 0, "parent": None, "children": [7], "members": ["a"]}], "tree node 0: child 7"),
+            (
+                [
+                    {"id": 0, "parent": None, "children": [1], "members": ["a"]},
+                    {"id": 1, "parent": 0, "children": [], "members": ["a"]},
+                    {"id": 1, "parent": 0, "children": [], "members": ["a"]},
+                ],
+                "tree node 1: duplicate id",
+            ),
+            (
+                [
+                    {"id": 0, "parent": None, "children": [1, 2], "members": ["a", "b"]},
+                    {"id": 1, "parent": 0, "children": [], "members": ["a"]},
+                    {"id": 2, "parent": 1, "children": [], "members": ["b"]},
+                ],
+                "tree node 2",
+            ),
+        ],
+        ids=["cycle", "dangling-child", "duplicate-id", "parent-mismatch"],
+    )
+    def test_inconsistent_tree_fails_naming_the_node(self, tmp_path, planted_files, capsys, nodes, message):
+        _, _, labels_path = planted_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"nodes": nodes, "non_community": {"members": []}}), encoding="utf-8")
+        code = main(["evaluate", "--tree", str(bad), "--labels", labels_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
 
     def test_empty_labels_fail(self, tmp_path, planted_files, capsys):
         _, emb_path, _ = planted_files

@@ -1,3 +1,7 @@
+import heapq
+import math
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from oracles import (
 )
 from vec2gc import (
     LouvainConfig,
+    Partition,
     SimilarityGraph,
     aggregate_graph,
     build_graph,
@@ -18,6 +23,7 @@ from vec2gc import (
     modularity,
     move_gain,
 )
+from vec2gc import community
 
 TRIANGLES = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
 K4 = [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)]
@@ -95,6 +101,21 @@ class TestMoveGain:
         g = SimilarityGraph.from_edge_list(6, TRIANGLES)
         assert move_gain(g, [0, 0, 0, 1, 1, 1], 2, 0) == 0.0
 
+    def test_aggregated_graph_with_self_loops(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            n = int(rng.integers(6, 16))
+            g = random_weighted_graph(rng, n, p=0.5)
+            agg = aggregate_graph(g, np.unique(rng.integers(0, n // 2, size=n), return_inverse=True)[1])
+            assert np.any(agg.indices == np.repeat(np.arange(agg.n), np.diff(agg.indptr)))
+            assignment = np.unique(rng.integers(0, max(2, agg.n // 2), size=agg.n), return_inverse=True)[1]
+            node = int(rng.integers(agg.n))
+            target = int(rng.integers(assignment.max() + 1))
+            moved = assignment.copy()
+            moved[node] = target
+            expected = modularity(agg, np.unique(moved, return_inverse=True)[1]) - modularity(agg, assignment)
+            assert move_gain(agg, assignment, node, target) == pytest.approx(expected, abs=1e-9)
+
 
 class TestLouvain:
     def test_separates_disjoint_triangles(self):
@@ -123,21 +144,6 @@ class TestLouvain:
         b = louvain(g, seed=123)
         assert np.array_equal(a.assignment, b.assignment)
         assert a.modularity == b.modularity
-
-    def test_deterministic_for_fixed_thread_count(self):
-        rng = np.random.default_rng(6)
-        g = random_weighted_graph(rng, 60, p=0.15)
-        config = LouvainConfig(threads=3)
-        a = louvain(g, seed=9, config=config)
-        b = louvain(g, seed=9, config=config)
-        assert np.array_equal(a.assignment, b.assignment)
-
-    def test_parallel_mode_reaches_comparable_quality(self):
-        rng = np.random.default_rng(7)
-        g = random_weighted_graph(rng, 60, p=0.15)
-        q1 = louvain(g, seed=11, config=LouvainConfig(threads=1)).modularity
-        q4 = louvain(g, seed=11, config=LouvainConfig(threads=4)).modularity
-        assert q4 >= 0.95 * q1
 
     def test_partition_invariants(self):
         rng = np.random.default_rng(8)
@@ -179,6 +185,116 @@ class TestLouvain:
         g = build_graph(emb, 0.5)
         with pytest.raises(ValueError, match="at least one edge"):
             louvain(g, seed=0)
+
+
+def sorted_candidates_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free):
+    """The sweep as first written: candidates scanned in ascending id order."""
+    moves = 0
+    for a in order:
+        if ptr[a] == ptr[a + 1]:
+            continue
+        c = comm[a]
+        sigma[c] -= k[a]
+        size[c] -= 1
+        acc = {}
+        for idx in range(ptr[a], ptr[a + 1]):
+            b = nbr[idx]
+            if b != a:
+                acc[comm[b]] = acc.get(comm[b], 0.0) + wt[idx]
+        base = acc.get(c, 0.0) - sigma[c] * k[a] / two_m
+        target, gain = c, base
+        for d in sorted(acc):
+            if d != c and acc[d] - sigma[d] * k[a] / two_m > gain:
+                target, gain = d, acc[d] - sigma[d] * k[a] / two_m
+        if size[c] > 0 and 0.0 > gain:
+            target, gain = -1, 0.0
+        if (gain - base) > eps and target != c:
+            if target == -1:
+                target = heapq.heappop(free)
+            comm[a] = target
+            sigma[target] += k[a]
+            size[target] += 1
+            if size[c] == 0:
+                heapq.heappush(free, c)
+            moves += 1
+        else:
+            sigma[c] += k[a]
+            size[c] += 1
+    return moves
+
+
+class TestMovePhase:
+    def test_degree_total_adds_left_to_right(self):
+        # sum() compensates rounding from Python 3.12 on and gives 1.0 here
+        k, two_m = community._node_degrees(list(range(11)), [0.1] * 10)
+        assert k == [0.1] * 10
+        assert two_m == 0.9999999999999999
+        assert math.fsum(k) == 1.0
+
+    def test_sweep_matches_sorted_candidate_reference(self, monkeypatch):
+        # integer weights make equal gains common, so the tie rule is exercised
+        rng = np.random.default_rng(13)
+        graphs = [random_weighted_graph(rng, int(rng.integers(8, 60)), p=0.3, wmin=1.0, wmax=1.0) for _ in range(12)]
+        graphs += [random_weighted_graph(rng, int(rng.integers(8, 60)), p=0.3) for _ in range(6)]
+        config = LouvainConfig(restarts=4)
+        fast = [louvain(g, seed=i, config=config) for i, g in enumerate(graphs)]
+        monkeypatch.setattr(community, "_sequential_sweep", sorted_candidates_sweep)
+        for i, g in enumerate(graphs):
+            ref = louvain(g, seed=i, config=config)
+            assert np.array_equal(fast[i].assignment, ref.assignment)
+            assert fast[i].modularity == ref.modularity
+
+
+def force_pool(monkeypatch, workers):
+    monkeypatch.setattr(community, "_available_cpus", lambda: workers)
+    monkeypatch.setattr(community, "POOL_MIN_WORK", 0)
+
+
+class TestRestartPool:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pooled_partition_is_bit_identical(self, monkeypatch, workers):
+        rng = np.random.default_rng(14)
+        graphs = [random_weighted_graph(rng, int(rng.integers(20, 80)), p=0.15) for _ in range(4)]
+        expected = [louvain(g, seed=21 + i) for i, g in enumerate(graphs)]
+        force_pool(monkeypatch, workers)
+        with community.RestartPool() as pool:
+            for i, g in enumerate(graphs):
+                part = louvain(g, seed=21 + i, pool=pool)
+                assert np.array_equal(part.assignment, expected[i].assignment)
+                assert part.community_count == expected[i].community_count
+                assert part.modularity == expected[i].modularity
+            assert (pool._pool is not None) == (workers > 1)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_restart_ties_go_to_the_earliest_chunk(self, monkeypatch, workers):
+        # every restart scores 0 or 1, so later chunks tie the best of earlier ones
+        def coin_pass(g, rng, config, init):
+            assignment, count = community._dense_relabel(rng.integers(0, 3, size=g.n).tolist())
+            return Partition(assignment, count, float(rng.integers(0, 2)))
+
+        monkeypatch.setattr(community, "_louvain_pass", coin_pass)
+        g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
+        config = LouvainConfig()
+        runs = [community._restart(g, 5, config, r) for r in range(config.restarts)]
+        best = max(p.modularity for p in runs)
+        winners = [r for r, p in enumerate(runs) if p.modularity == best]
+        first_chunk_end = config.restarts // workers
+        assert winners[0] < first_chunk_end and winners[-1] >= first_chunk_end
+        force_pool(monkeypatch, workers)
+        with community.RestartPool() as pool:
+            part = louvain(g, seed=5, config=config, pool=pool)
+            assert pool._pool is not None
+        assert np.array_equal(part.assignment, runs[winners[0]].assignment)
+        assert part.modularity == best
+
+    def test_small_calls_stay_in_process(self, monkeypatch):
+        monkeypatch.setattr(community, "_available_cpus", lambda: 2)
+        g = random_weighted_graph(np.random.default_rng(16), 20, p=0.3)
+        with community.RestartPool() as pool:
+            louvain(g, seed=1, pool=pool)
+            assert pool._pool is None
+            assert multiprocessing.active_children() == []
 
 
 class TestAggregation:

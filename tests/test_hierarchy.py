@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from vec2gc import (
     tree_document,
     vec2gc_cluster,
 )
+from vec2gc import community, hierarchy
 
 
 def cluster_planted(sizes, theta=0.5, mod_threshold=0.3, max_size=500, seed=99, **kwargs):
@@ -151,6 +153,65 @@ class TestVec2gcCluster:
             vec2gc_cluster(g, 0.3, 10, seed=0, min_community_size=0)
 
 
+def noise_tree_text(seed=17):
+    """Tree bytes of a 300-item noise corpus; the root call and 7 sub-calls run Louvain."""
+    rng = np.random.default_rng(seed)
+    emb = EmbeddingSet(
+        ids=[f"n{i}" for i in range(300)],
+        vectors=rng.standard_normal((300, 6)).astype(np.float32),
+    )
+    g = build_graph(emb, 0.6)
+    tree, bucket = vec2gc_cluster(g, 0.2, 20, seed=seed)
+    return dumps_tree(tree, bucket, emb.ids, theta=0.6, mod_threshold=0.2, max_size=20, seed=seed)
+
+
+class TestRestartWorkers:
+    def force_pool(self, monkeypatch, on):
+        monkeypatch.setattr(community, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(community, "POOL_MIN_WORK", 0 if on else float("inf"))
+
+    def test_pool_on_and_off_write_equal_bytes(self, monkeypatch):
+        self.force_pool(monkeypatch, on=False)
+        off = noise_tree_text()
+        self.force_pool(monkeypatch, on=True)
+        opened = []
+        original = hierarchy.louvain
+
+        def watch(*args, **kwargs):
+            part = original(*args, **kwargs)
+            opened.append(bool(multiprocessing.active_children()))
+            return part
+
+        monkeypatch.setattr(hierarchy, "louvain", watch)
+        assert noise_tree_text() == off
+        assert len(opened) > 1 and all(opened)
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_caller_runs_in_process(self, monkeypatch):
+        self.force_pool(monkeypatch, on=False)
+        expected = noise_tree_text()
+        self.force_pool(monkeypatch, on=True)
+        # pool workers are daemonic, and a daemonic process may not fork workers
+        with multiprocessing.get_context("fork").Pool(1) as outer:
+            result = outer.apply_async(noise_tree_text)
+            assert result.get(timeout=120) == expected
+
+    def test_no_worker_outlives_an_error(self, monkeypatch):
+        self.force_pool(monkeypatch, on=True)
+        seen = []
+
+        def fail(*args, **kwargs):
+            seen.extend(multiprocessing.active_children())
+            raise RuntimeError("stop after the root call")
+
+        monkeypatch.setattr(hierarchy, "induced_subgraph", fail)
+        with pytest.raises(RuntimeError, match="stop after the root call"):
+            noise_tree_text()
+        assert seen
+        assert multiprocessing.active_children() == []
+        assert not any(p.is_alive() for p in seen)
+
+
 class TestFlatClusters:
     def test_leaf_order_is_depth_first(self):
         emb, g, tree, bucket = cluster_planted([20, 20], intra_cs=0.95, max_size=50)
@@ -193,6 +254,15 @@ class TestSerialization:
     def test_malformed_document_rejected(self):
         with pytest.raises(ValueError, match="nodes"):
             leaf_clusters_from_document({"nodes": "nope"})
+
+    def test_members_must_be_strings(self):
+        leaf = {"id": 0, "parent": None, "children": [], "members": ["a"]}
+        with pytest.raises(ValueError, match="tree node 0: members"):
+            leaf_clusters_from_document({"nodes": [dict(leaf, members=[1])]})
+        with pytest.raises(ValueError, match="non_community: members"):
+            leaf_clusters_from_document({"nodes": [leaf], "non_community": {"members": [None]}})
+        with pytest.raises(ValueError, match="non_community"):
+            leaf_clusters_from_document({"nodes": [leaf], "non_community": []})
 
 
 class TestDeriveSeed:
