@@ -26,7 +26,6 @@ from .simgraph import (
 from .community import (
     LouvainConfig,
     Partition,
-    WeightedGraph,
     aggregate_graph,
     louvain,
     members_by_community,
@@ -74,7 +73,6 @@ __all__ = [
     "write_edges_tsv",
     "LouvainConfig",
     "Partition",
-    "WeightedGraph",
     "aggregate_graph",
     "louvain",
     "members_by_community",

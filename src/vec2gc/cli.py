@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -40,7 +40,6 @@ class RunConfig:
     seed: int
     gain_epsilon: float
     max_sweeps: int
-    threads: int
     output: str
     seed_generated: bool = False
 
@@ -56,7 +55,6 @@ class RunConfig:
             "seed": self.seed,
             "gain_epsilon": self.gain_epsilon,
             "max_sweeps": self.max_sweeps,
-            "threads": self.threads,
             "output": self.output,
         }
 
@@ -85,9 +83,55 @@ def _write_json(path, document) -> None:
         fh.write(json.dumps(document, indent=2) + "\n")
 
 
+# What a manifest parameter of each RunConfig annotation must be; a bool is
+# not a number here, although JSON's true is an int to Python.
+_PARAMETER_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+}
+
+
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
+def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
+    """The run configuration a manifest records, and its input checksum."""
+    manifest = _read_json(path)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("parameters"), dict):
+        raise ValueError(f"{path}: a manifest is a JSON object whose 'parameters' field is an object")
+    params = dict(manifest["parameters"])
+    # recorded by versions whose graph kernel had a thread pool; it never changed the output
+    params.pop("threads", None)
+    values = {}
+    for field in fields(RunConfig):
+        if field.name == "seed_generated":  # recorded beside the parameters
+            continue
+        if field.name not in params:
+            raise ValueError(f"{path}: parameters lack the field '{field.name}'")
+        value = params.pop(field.name)
+        kind, accepts = _PARAMETER_TYPES[field.type]
+        if not accepts(value):
+            raise ValueError(f"{path}: parameter '{field.name}' must be {kind}, got {json.dumps(value)}")
+        values[field.name] = float(value) if field.type == "float" else value
+    if params:
+        raise ValueError(f"{path}: unknown parameter '{sorted(params)[0]}'")
+    if values["format"] not in FORMAT_ALIASES:
+        raise ValueError(
+            f"{path}: parameter 'format' must be one of {', '.join(sorted(FORMAT_ALIASES))}, got {values['format']!r}"
+        )
+    return RunConfig(**values), manifest.get("input_sha256")
+
+
 def cmd_graph(args) -> int:
     emb = _load_input(args.input, args.format)
-    g = build_graph(emb, args.theta, threads=args.threads)
+    g = build_graph(emb, args.theta)
     write_edges_tsv(g, emb.ids, args.output)
     print(f"wrote {g.edge_count} edges over {g.n} nodes to {args.output}")
     return 0
@@ -95,16 +139,9 @@ def cmd_graph(args) -> int:
 
 def cmd_cluster(args) -> int:
     if args.from_manifest:
-        with open(args.from_manifest, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        params = manifest["parameters"]
-        try:
-            config = RunConfig(**params)
-        except TypeError as exc:
-            raise ValueError(f"manifest parameters are incomplete: {exc}") from None
+        config, recorded = _load_manifest(args.from_manifest)
         if args.output:
             config.output = args.output
-        recorded = manifest.get("input_sha256")
         if recorded and _sha256(config.input) != recorded:
             raise ValueError(f"input file {config.input} does not match the manifest checksum")
     else:
@@ -122,14 +159,13 @@ def cmd_cluster(args) -> int:
             seed=seed,
             gain_epsilon=args.gain_epsilon,
             max_sweeps=args.max_sweeps,
-            threads=args.threads,
             output=args.output or "tree.json",
             seed_generated=generated,
         )
 
     print(f"seed: {config.seed}" + (" (generated)" if config.seed_generated else ""))
     emb = _load_input(config.input, config.format)
-    g = build_graph(emb, config.theta, threads=config.threads)
+    g = build_graph(emb, config.theta)
     louvain_config = LouvainConfig(gain_epsilon=config.gain_epsilon, max_sweeps=config.max_sweeps)
     tree, bucket = vec2gc_cluster(
         g,
@@ -181,11 +217,7 @@ def _parse_thresholds(text: str) -> list[float]:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.tree, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.tree}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    doc = _read_json(args.tree)
     labels = load_labels(args.labels, has_header=args.labels_header)
     thresholds = _parse_thresholds(args.purity_thresholds)
     try:
@@ -238,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     graph = sub.add_parser("graph", help="export the thresholded similarity graph as TSV edges")
     add_input_args(graph)
     graph.add_argument("--theta", type=float, required=True, help="cosine similarity threshold in [0, 1)")
-    graph.add_argument("--threads", type=int, default=1, help="worker threads (0 = one per CPU)")
     graph.add_argument("--output", required=True, help="edge TSV path")
     graph.set_defaults(func=cmd_graph)
 
@@ -255,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, help="random seed; generated and printed when omitted")
     cluster.add_argument("--gain-epsilon", type=float, default=1e-9, help="smallest modularity gain that still counts as a move")
     cluster.add_argument("--max-sweeps", type=int, default=100, help="move sweeps per optimizer level")
-    cluster.add_argument(
-        "--threads", type=int, default=1,
-        help="threads of the similarity-graph kernel (0 = one per CPU); the tree is the same at every value and CPU count",
-    )
     cluster.add_argument("--output", help="tree JSON path (default tree.json)")
     cluster.add_argument("--manifest", help="manifest path (default: output with .manifest.json suffix)")
     cluster.add_argument("--from-manifest", help="rerun the exact configuration recorded in a manifest")
@@ -290,7 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 2 here means an internal error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simgraph import SimilarityGraph
+
 
 @dataclass(frozen=True)
 class LouvainConfig:
@@ -34,23 +36,6 @@ class LouvainConfig:
     max_sweeps: int = 100
     max_levels: int = 50
     restarts: int = 16
-
-
-@dataclass
-class WeightedGraph:
-    """CSR graph as produced by aggregation; may carry self-loops.
-
-    A self-loop is stored at its full adjacency-matrix value (twice the
-    loop mass), so degrees stay equal to row sums and total_weight to
-    degrees.sum() / 2, matching the plain-graph conventions.
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-    degrees: np.ndarray
-    total_weight: float
 
 
 @dataclass
@@ -122,7 +107,7 @@ def move_gain(g, assignment, node: int, target: int) -> float:
     return 2.0 * ((k_in_tgt - sigma_tgt * k_a / two_m) - (k_in_cur - sigma_cur * k_a / two_m)) / two_m
 
 
-def aggregate_graph(g, assignment) -> WeightedGraph:
+def aggregate_graph(g: SimilarityGraph, assignment) -> SimilarityGraph:
     """Collapse communities into super-nodes; intra weight becomes loop mass.
 
     The induced identity partition on the result has the same modularity
@@ -130,17 +115,12 @@ def aggregate_graph(g, assignment) -> WeightedGraph:
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     n_comm = int(assignment.max()) + 1
-    indptr, indices, weights = _aggregate_csr(g.indptr, g.indices, g.weights, assignment, n_comm)
-    rows = np.repeat(np.arange(n_comm), np.diff(indptr))
-    degrees = np.bincount(rows, weights=weights, minlength=n_comm)
-    return WeightedGraph(
-        n=n_comm,
-        indptr=indptr,
-        indices=indices,
-        weights=weights,
-        degrees=degrees,
-        total_weight=float(degrees.sum()) / 2.0,
-    )
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    key = assignment[rows] * n_comm + assignment[g.indices]
+    order = np.argsort(key, kind="stable")
+    uniq, starts = np.unique(key[order], return_index=True)
+    sums = np.add.reduceat(g.weights[order], starts)
+    return SimilarityGraph.from_csr(n_comm, uniq // n_comm, uniq % n_comm, sums)
 
 
 def louvain(g, seed: int = 0, config: LouvainConfig | None = None, pool: RestartPool | None = None) -> Partition:
@@ -271,26 +251,26 @@ def _restart(g, seed: int, config: LouvainConfig, restart: int) -> Partition:
 
 
 def _louvain_pass(g, rng, config: LouvainConfig, init) -> Partition:
-    indptr, indices, weights = g.indptr, g.indices, g.weights
+    level = g
     node_map = np.arange(g.n)
     if init is not None:
-        comm, _ = _move_phase(indptr, indices, weights, rng, config, init=init)
+        comm, _ = _move_phase(g, rng, config, init=init)
         node_map, n_comm = _dense_relabel(comm)
         if n_comm < g.n:
-            indptr, indices, weights = _aggregate_csr(g.indptr, g.indices, g.weights, node_map, n_comm)
+            level = aggregate_graph(g, node_map)
     for _ in range(config.max_levels):
-        comm, moved = _move_phase(indptr, indices, weights, rng, config)
+        comm, moved = _move_phase(level, rng, config)
         if not moved:
             break
         dense, n_comm = _dense_relabel(comm)
         node_map = dense[node_map]
-        if n_comm == len(indptr) - 1:
+        if n_comm == level.n:
             break
-        indptr, indices, weights = _aggregate_csr(indptr, indices, weights, dense, n_comm)
+        level = aggregate_graph(level, dense)
 
     # Refinement against the original graph: aggregation only guarantees
     # super-node optimality, single nodes may still have good moves left.
-    final_comm, _ = _move_phase(g.indptr, g.indices, g.weights, rng, config, init=node_map)
+    final_comm, _ = _move_phase(g, rng, config, init=node_map)
     assignment, count = _dense_relabel(final_comm)
     return Partition(assignment=assignment, community_count=count, modularity=modularity(g, assignment))
 
@@ -301,22 +281,6 @@ def _dense_relabel(comm) -> tuple[np.ndarray, int]:
     for i, c in enumerate(comm):
         out[i] = mapping.setdefault(int(c), len(mapping))
     return out, len(mapping)
-
-
-def _aggregate_csr(indptr, indices, weights, dense, n_comm):
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    key = dense[rows] * n_comm + dense[indices]
-    order = np.argsort(key, kind="stable")
-    keys = key[order]
-    uniq, starts = np.unique(keys, return_index=True)
-    sums = np.add.reduceat(weights[order], starts)
-    rr = uniq // n_comm
-    cc = uniq % n_comm
-    counts = np.bincount(rr, minlength=n_comm)
-    new_indptr = np.zeros(n_comm + 1, dtype=np.int64)
-    np.cumsum(counts, out=new_indptr[1:])
-    return new_indptr, cc.astype(np.int64), sums
 
 
 def _node_degrees(ptr, wt) -> tuple[list[float], float]:
@@ -336,16 +300,16 @@ def _node_degrees(ptr, wt) -> tuple[list[float], float]:
     return k, two_m
 
 
-def _move_phase(indptr, indices, weights, rng, config, init=None):
+def _move_phase(g, rng, config, init=None):
     """Single-node move sweeps until no move beats gain_epsilon.
 
     Returns (community list, whether anything moved). Plain-Python lists
     throughout: the loop is branch-heavy and element access dominates.
     """
-    n = len(indptr) - 1
-    ptr = indptr.tolist()
-    nbr = indices.tolist()
-    wt = weights.tolist()
+    n = g.n
+    ptr = g.indptr.tolist()
+    nbr = g.indices.tolist()
+    wt = g.weights.tolist()
     k, two_m = _node_degrees(ptr, wt)
     eps = config.gain_epsilon * two_m / 2.0
 

@@ -9,8 +9,6 @@ more tightly than pairs just above the threshold. Similarities within
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +18,6 @@ from .embedding_io import MIN_VECTOR_NORM, EmbeddingSet
 SIMILARITY_CAP = 1.0 - 1e-9
 MAX_EDGE_WEIGHT = 1e9
 
-# Rows are processed in fixed-size blocks; the worker count decides who
-# computes a block, never its shape, so results are thread-count invariant.
 _BLOCK_ROWS = 256
 # Each block is multiplied by column windows of _COL_TILE columns (a
 # multiple of _BLOCK_ROWS), never by all n columns. How BLAS rounds an entry
@@ -51,10 +47,14 @@ def _check_theta(theta: float) -> float:
 class SimilarityGraph:
     """Symmetric weighted graph in compressed sparse row form.
 
-    degrees[a] is the weighted degree k_a (sum of row a); total_weight is
-    m, each undirected edge counted once. Neighbor lists are sorted by
-    index and never contain self-loops. Instances are immutable by
-    convention and safe to share across threads.
+    The one graph type of the package: thresholded similarity graphs,
+    their induced subgraphs and the super-node graphs of aggregation.
+    Neighbor lists are sorted by index. degrees[a] is the weighted degree
+    k_a, the sum of row a; total_weight is m = degrees.sum() / 2. A
+    similarity graph has no self-loops; an aggregated graph stores a loop
+    at its full adjacency-matrix value (twice the loop mass), so degrees
+    stay equal to row sums. theta is the construction threshold, None for
+    aggregated graphs. Instances are immutable by convention.
     """
 
     n: int
@@ -63,7 +63,7 @@ class SimilarityGraph:
     weights: np.ndarray
     degrees: np.ndarray
     total_weight: float
-    theta: float
+    theta: float | None = None
 
     @property
     def edge_count(self) -> int:
@@ -73,6 +73,27 @@ class SimilarityGraph:
         """Neighbor indices and weights of node a (array views, do not mutate)."""
         lo, hi = self.indptr[a], self.indptr[a + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
+
+    @classmethod
+    def from_csr(cls, n: int, rows, cols, weights, theta: float | None = None) -> "SimilarityGraph":
+        """Graph from its CSR entries, sorted by row and then by column.
+
+        Each undirected edge appears in both directions. np.bincount adds
+        each row's weights left to right in entry order; modularity values
+        depend on those degree bits, so the order must not change.
+        """
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        degrees = np.bincount(rows, weights=weights, minlength=n)
+        return cls(
+            n=n,
+            indptr=indptr,
+            indices=np.asarray(cols, dtype=np.int64),
+            weights=weights,
+            degrees=degrees,
+            total_weight=float(degrees.sum()) / 2.0,
+            theta=theta,
+        )
 
     @classmethod
     def from_edge_list(cls, n: int, edges, theta: float = 0.0) -> "SimilarityGraph":
@@ -140,7 +161,7 @@ def _edge_weights(cs: np.ndarray) -> np.ndarray:
     return w
 
 
-def build_graph(emb: EmbeddingSet, theta: float, threads: int = 1) -> SimilarityGraph:
+def build_graph(emb: EmbeddingSet, theta: float) -> SimilarityGraph:
     """Connect every pair with cosine similarity >= theta.
 
     Exact O(n^2 d) pairwise computation over unit-normalized float64
@@ -148,9 +169,8 @@ def build_graph(emb: EmbeddingSet, theta: float, threads: int = 1) -> Similarity
     and each block is multiplied only by the columns at or after its
     first row, in windows of about _COL_TILE columns, so only the upper
     triangle is thresholded and the peak similarity memory is set by the
-    tile size, not by n. threads > 1 distributes blocks over a thread
-    pool; 0 means one worker per CPU. The result is identical for every
-    thread count.
+    tile size, not by n. The only parallelism is the BLAS library's own
+    threads inside each product.
     """
     theta = _check_theta(theta)
     n = len(emb)
@@ -160,15 +180,14 @@ def build_graph(emb: EmbeddingSet, theta: float, threads: int = 1) -> Similarity
         raise ValueError("zero-norm vector cannot be placed in a similarity graph")
     unit /= norms[:, None]
 
-    def upper_block(i0: int):
-        # edges (row, col, weight) with row in [i0, i0 + _BLOCK_ROWS) and col > row,
-        # in row-major order, so the edge arrays keep one order for any tiling
+    # edges (row, col, similarity) with col > row, in any order: _assemble sorts them
+    rows, cols, sims = [], [], []
+    for i0 in range(0, n, _BLOCK_ROWS):
         i1 = min(i0 + _BLOCK_ROWS, n)
         width = _COL_TILE * -(-_BLOCK_ROWS // (i1 - i0))
         # start of the last window; the columns before j0 that it covers belong
         # to an earlier window or to the lower triangle and are skipped
         last = max(0, n - width) // _BLOCK_ROWS * _BLOCK_ROWS
-        rows, cols, sims = [], [], []
         j0 = i0
         while j0 < n:
             # the last window also takes a remainder narrower than width
@@ -181,51 +200,20 @@ def build_graph(emb: EmbeddingSet, theta: float, threads: int = 1) -> Similarity
                 # the square on the diagonal holds col <= row pairs
                 hit[:, :i1 - i0] = np.triu(hit[:, :i1 - i0], 1)
             r, c = np.divmod(np.flatnonzero(hit), hit.shape[1])
-            rows.append(r)
+            rows.append(r + i0)
             cols.append(c + j0)
             sims.append(tile[r, c])
             del tile, hit  # one tile alive at a time
             j0 = c1
-        r = np.concatenate(rows)
-        order = np.argsort(r, kind="stable")
-        return r[order] + i0, np.concatenate(cols)[order], _edge_weights(np.concatenate(sims)[order])
-
-    starts = range(0, n, _BLOCK_ROWS)
-    if threads == 1:
-        parts = [upper_block(i0) for i0 in starts]
-    else:
-        workers = threads if threads > 0 else (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(upper_block, starts))
-
-    src = np.concatenate([p[0] for p in parts])
-    dst = np.concatenate([p[1] for p in parts])
-    w = np.concatenate([p[2] for p in parts])
-    return _assemble(n, src, dst, w, theta)
+    return _assemble(n, np.concatenate(rows), np.concatenate(cols), _edge_weights(np.concatenate(sims)), theta)
 
 
 def _assemble(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, theta: float) -> SimilarityGraph:
     # mirror the one-per-edge arrays into a symmetric CSR
     rows = np.concatenate([src, dst])
     cols = np.concatenate([dst, src])
-    ww = np.concatenate([w, w])
     order = np.lexsort((cols, rows))
-    rows = rows[order]
-    indices = cols[order]
-    weights = ww[order]
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    degrees = np.bincount(rows, weights=weights, minlength=n)
-    return SimilarityGraph(
-        n=n,
-        indptr=indptr,
-        indices=indices.astype(np.int64),
-        weights=weights,
-        degrees=degrees,
-        total_weight=float(w.sum()),
-        theta=theta,
-    )
+    return SimilarityGraph.from_csr(n, rows[order], cols[order], np.concatenate([w, w])[order], theta)
 
 
 def induced_subgraph(g: SimilarityGraph, nodes) -> SimilarityGraph:
@@ -241,22 +229,8 @@ def induced_subgraph(g: SimilarityGraph, nodes) -> SimilarityGraph:
     newid[nodes] = np.arange(nodes.size)
     rows_all = np.repeat(np.arange(g.n), np.diff(g.indptr))
     mask = (newid[rows_all] >= 0) & (newid[g.indices] >= 0)
-    rows = newid[rows_all[mask]]
-    cols = newid[g.indices[mask]]
-    ww = g.weights[mask]
-    m = nodes.size
-    counts = np.bincount(rows, minlength=m)
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return SimilarityGraph(
-        n=m,
-        indptr=indptr,
-        indices=cols,
-        weights=ww,
-        degrees=np.bincount(rows, weights=ww, minlength=m),
-        total_weight=float(ww.sum()) / 2.0,
-        theta=g.theta,
-    )
+    # newid keeps node order, so the kept entries stay sorted by row and column
+    return SimilarityGraph.from_csr(nodes.size, newid[rows_all[mask]], newid[g.indices[mask]], g.weights[mask], g.theta)
 
 
 def write_edges_tsv(g: SimilarityGraph, ids: list[str], path) -> None:

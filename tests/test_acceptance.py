@@ -152,7 +152,7 @@ def test_criterion_06_non_community_behavior():
     ok(6, "isolated vectors bucket exactly; leaves + bucket partition 1000 random inputs")
 
 
-def test_criterion_07_graph_oracle_across_thread_counts():
+def test_criterion_07_graph_oracle():
     rng = np.random.default_rng(777)
     for n, d, theta in [(3, 4, 0.0), (17, 6, 0.2), (64, 12, 0.4), (128, 16, 0.5), (200, 24, 0.3)]:
         emb = EmbeddingSet(
@@ -160,12 +160,11 @@ def test_criterion_07_graph_oracle_across_thread_counts():
             vectors=rng.standard_normal((n, d)).astype(np.float32),
         )
         ref = reference_graph_edges(emb.vectors, theta)
-        for threads in (1, 2, 4, 0):
-            got = graph_edges(build_graph(emb, theta, threads=threads))
-            assert got.keys() == ref.keys()
-            for pair, w in ref.items():
-                assert got[pair] == pytest.approx(w, rel=1e-12)
-    ok(7, "build_graph matches the naive O(n^2) reference at every thread count")
+        got = graph_edges(build_graph(emb, theta))
+        assert got.keys() == ref.keys()
+        for pair, w in ref.items():
+            assert got[pair] == pytest.approx(w, rel=1e-12)
+    ok(7, "build_graph matches the naive O(n^2) reference")
 
 
 def test_criterion_08_determinism_on_5k_input(tmp_path):
@@ -186,14 +185,13 @@ def test_criterion_08_determinism_on_5k_input(tmp_path):
                 "--format", "jsonl",
                 "--theta", "0.5",
                 "--seed", "31337",
-                "--threads", "1",
                 "--output", str(out),
             ]
         )
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    ok(8, "fixed seed + --threads 1 gives byte-identical tree JSON on a 5k-node input")
+    ok(8, "a fixed seed gives byte-identical tree JSON on a 5k-node input")
 
 
 def test_criterion_09_baseline_comparison():

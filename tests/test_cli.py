@@ -138,13 +138,104 @@ class TestClusterWorkers:
             assert self.cluster_bytes(tmp_path, noise_file, f"workers{workers}") == expected
 
     def test_threads_manifest_reruns_to_the_canonical_tree(self, tmp_path, noise_file):
-        expected = self.cluster_bytes(tmp_path, noise_file, "one")
-        assert self.cluster_bytes(tmp_path, noise_file, "two", ["--threads", "2"]) == expected
-        manifest = tmp_path / "two.manifest.json"
-        assert json.loads(manifest.read_text())["parameters"]["threads"] == 2
+        # earlier versions recorded the graph kernel's thread count
+        expected = self.cluster_bytes(tmp_path, noise_file, "canonical")
+        legacy = tmp_path / "legacy.manifest.json"
+        legacy.write_text(json.dumps({
+            "tool": "vec2gc",
+            "version": "0.1.0",
+            "command": "cluster",
+            "parameters": {
+                "input": noise_file, "format": "jsonl", "labels": None, "theta": 0.6,
+                "mod_threshold": 0.3, "max_size": 20, "min_community_size": 2, "seed": 8,
+                "gain_epsilon": 1e-9, "max_sweeps": 100, "threads": 2, "output": str(tmp_path / "old.json"),
+            },
+            "input_sha256": None,
+            "labels_sha256": None,
+            "seed_generated": False,
+        }))
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(legacy), "--output", str(rerun)]) == 0
+        assert rerun.read_bytes() == expected
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["graph", "--input", "e.jsonl", "--output", "x.tsv"], "the following arguments are required: --theta"),
+            (["cluster", "--input", "e.jsonl", "--theta", "0.5", "--max-size", "abc"], "invalid int value"),
+            (["cluster", "--input", "e.jsonl", "--theta", "0.5", "--threads", "2"], "unrecognized arguments"),
+        ],
+        ids=["missing-argument", "bad-int", "removed-threads"],
+    )
+    def test_usage_errors_exit_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["cluster", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+
+
+class TestManifestValidation:
+    @pytest.fixture
+    def manifest(self, tmp_path, planted_files):
+        _, emb_path, _ = planted_files
+        assert run_cluster(tmp_path, emb_path)[0] == 0
+        return tmp_path / "tree.manifest.json"
+
+    def rerun_error(self, manifest, capsys) -> str:
+        capsys.readouterr()
+        assert main(["cluster", "--from-manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err
+        return err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_size", None, "parameter 'max_size' must be an integer, got null"),
+            ("max_sweeps", "5", "parameter 'max_sweeps' must be an integer, got \"5\""),
+            ("seed", True, "parameter 'seed' must be an integer, got true"),
+            ("theta", "0.5", "parameter 'theta' must be a number"),
+            ("labels", 3, "parameter 'labels' must be a string or null"),
+            ("input", None, "parameter 'input' must be a string"),
+            ("format", "xml", "parameter 'format' must be one of csv, jsonl, word2vec, got 'xml'"),
+            ("colour", "red", "unknown parameter 'colour'"),
+        ],
+    )
+    def test_bad_parameter_names_the_field(self, manifest, capsys, field, value, message):
+        doc = json.loads(manifest.read_text())
+        doc["parameters"][field] = value
+        manifest.write_text(json.dumps(doc))
+        assert message in self.rerun_error(manifest, capsys)
+
+    def test_missing_parameter_names_the_field(self, manifest, capsys):
+        doc = json.loads(manifest.read_text())
+        del doc["parameters"]["max_sweeps"]
+        manifest.write_text(json.dumps(doc))
+        assert "parameters lack the field 'max_sweeps'" in self.rerun_error(manifest, capsys)
+
+    @pytest.mark.parametrize("doc", [[1, 2], {"tool": "vec2gc"}, {"parameters": [1]}], ids=["list", "no-parameters", "list-parameters"])
+    def test_manifest_and_parameters_must_be_objects(self, manifest, capsys, doc):
+        manifest.write_text(json.dumps(doc))
+        assert "'parameters' field is an object" in self.rerun_error(manifest, capsys)
+
+    def test_invalid_json_names_the_file(self, manifest, capsys):
+        manifest.write_text('{"parameters": {,}}')
+        assert "invalid JSON at line 1, column 17" in self.rerun_error(manifest, capsys)
+
+    def test_integer_number_fields_rerun_as_floats(self, tmp_path, planted_files, manifest):
+        _, emb_path, _ = planted_files
+        direct = tmp_path / "direct.json"
+        run_cluster(tmp_path, emb_path, ["--mod-threshold", "0", "--output", str(direct)])
+        doc = json.loads(manifest.read_text())
+        doc["parameters"]["mod_threshold"] = 0
+        manifest.write_text(json.dumps(doc))
         rerun = tmp_path / "rerun.json"
         assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
-        assert rerun.read_bytes() == expected
+        assert rerun.read_bytes() == direct.read_bytes()
 
 
 class TestGraphCommand:

@@ -18,6 +18,7 @@ from vec2gc import (
     aggregate_graph,
     build_graph,
     EmbeddingSet,
+    induced_subgraph,
     louvain,
     members_by_community,
     modularity,
@@ -313,6 +314,38 @@ class TestAggregation:
         agg = aggregate_graph(g, [0, 0, 0, 1, 1, 1])
         assert agg.total_weight == pytest.approx(g.total_weight, rel=1e-12)
         assert agg.n == 2
+
+
+class TestOneGraphType:
+    def test_aggregated_graph_is_a_similarity_graph_without_theta(self):
+        g = SimilarityGraph.from_edge_list(6, TRIANGLES + [(2, 3, 0.5)])
+        agg = aggregate_graph(g, [0, 0, 0, 1, 1, 1])
+        assert isinstance(agg, SimilarityGraph) and agg.theta is None
+        # each triangle's loop is stored at twice its mass of 3
+        for a, other in ((0, 1), (1, 0)):
+            nbrs, ws = agg.row(a)
+            assert sorted(zip(nbrs.tolist(), ws.tolist())) == sorted([(a, 6.0), (other, 0.5)])
+
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(17)
+        emb = EmbeddingSet(ids=[f"v{i}" for i in range(300)], vectors=rng.standard_normal((300, 4)).astype(np.float32))
+        for _ in range(6):
+            # rows longer than 8 entries, where numpy's pairwise sum regroups
+            g = random_weighted_graph(rng, int(rng.integers(30, 60)), p=0.6, wmin=0.1, wmax=7.0)
+            yield g
+            yield induced_subgraph(g, np.flatnonzero(rng.random(g.n) < 0.7))
+            yield aggregate_graph(g, np.unique(rng.integers(0, g.n // 4, size=g.n), return_inverse=True)[1])
+        yield build_graph(emb, 0.6)
+
+    def test_degrees_are_left_to_right_row_sums(self):
+        for g in self.graphs():
+            k, _ = community._node_degrees(g.indptr.tolist(), g.weights.tolist())
+            assert g.degrees.tolist() == k
+
+    def test_total_weight_is_half_the_degree_sum(self):
+        for g in self.graphs():
+            assert g.total_weight == float(g.degrees.sum()) / 2.0 > 0.0
 
 
 class TestMembersByCommunity:

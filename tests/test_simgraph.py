@@ -125,16 +125,6 @@ class TestBuildGraph:
             for pair, w in ref.items():
                 assert got[pair] == pytest.approx(w, rel=1e-12)
 
-    def test_thread_counts_give_identical_graphs(self):
-        rng = np.random.default_rng(5)
-        emb = random_embeddings(rng, 300, 10)
-        base = build_graph(emb, 0.4, threads=1)
-        for threads in (2, 4, 0):
-            other = build_graph(emb, 0.4, threads=threads)
-            assert np.array_equal(base.indptr, other.indptr)
-            assert np.array_equal(base.indices, other.indices)
-            assert np.array_equal(base.weights, other.weights)
-
     def test_power_of_two_scaling_is_bit_exact(self):
         rng = np.random.default_rng(6)
         emb = random_embeddings(rng, 60, 8)
@@ -258,7 +248,6 @@ class TestTiledKernel:
             ref = full_row_graph(emb, theta)
             assert ref.edge_count > 0
             self.assert_same_graph(build_graph(emb, theta), ref)
-            self.assert_same_graph(build_graph(emb, theta, threads=2), ref)
 
     def test_small_tiles_match_default_tiles_and_oracle(self, monkeypatch):
         # 8 x 16 tiles, n a multiple of neither, so blocks and windows end
@@ -275,8 +264,6 @@ class TestTiledKernel:
                 m.setattr(simgraph, "_BLOCK_ROWS", 8)
                 m.setattr(simgraph, "_COL_TILE", 16)
                 tiled = build_graph(emb, theta)
-                tiled_threads = build_graph(emb, theta, threads=2)
-            self.assert_same_graph(tiled_threads, tiled)
             assert np.array_equal(tiled.indptr, default.indptr)
             assert np.array_equal(tiled.indices, default.indices)
             assert np.allclose(tiled.weights, default.weights, rtol=1e-12, atol=0.0)
