@@ -16,8 +16,10 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .community import LouvainConfig
+from .community import LouvainConfig, _available_cpus
 from .embedding_io import load_embeddings, load_labels
 from .evaluation import format_report_table, kmedoids, purity_report, report_to_json_dict
 from .hierarchy import dumps_tree, leaf_clusters_from_document, vec2gc_cluster
@@ -72,6 +74,23 @@ def _resolve_seed(seed: int | None) -> tuple[int, bool]:
         return int(seed), False
     generated = int.from_bytes(os.urandom(8), "little")
     return generated, True
+
+
+def _environment() -> dict:
+    """What the last bits of the graph weights, and so the tree, depend on.
+
+    BLAS picks its kernels and thread split by build and core count. A
+    rerun from the manifest does not read this; it records the run.
+    """
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpus": _available_cpus(),
+    }
 
 
 def _load_input(path: str, format_alias: str):
@@ -163,10 +182,13 @@ def cmd_cluster(args) -> int:
             seed_generated=generated,
         )
 
+    try:
+        louvain_config = LouvainConfig(gain_epsilon=config.gain_epsilon, max_sweeps=config.max_sweeps)
+    except ValueError as exc:
+        raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest else str(exc)) from None
     print(f"seed: {config.seed}" + (" (generated)" if config.seed_generated else ""))
     emb = _load_input(config.input, config.format)
     g = build_graph(emb, config.theta)
-    louvain_config = LouvainConfig(gain_epsilon=config.gain_epsilon, max_sweeps=config.max_sweeps)
     tree, bucket = vec2gc_cluster(
         g,
         config.mod_threshold,
@@ -196,6 +218,7 @@ def cmd_cluster(args) -> int:
         "input_sha256": _sha256(config.input),
         "labels_sha256": _sha256(config.labels) if config.labels else None,
         "seed_generated": config.seed_generated,
+        "environment": _environment(),
     }
     _write_json(manifest_path, manifest)
     leaves = sum(1 for node in tree.nodes if node.is_leaf)

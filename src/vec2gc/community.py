@@ -12,6 +12,7 @@ can run on the worker processes of a RestartPool.
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from dataclasses import dataclass
 
@@ -36,6 +37,14 @@ class LouvainConfig:
     max_sweeps: int = 100
     max_levels: int = 50
     restarts: int = 16
+
+    def __post_init__(self):
+        # nan or inf would make every gain test false and so end every
+        # move phase unmoved; the stay certificate also needs a finite eps
+        if not (math.isfinite(self.gain_epsilon) and self.gain_epsilon >= 0.0):
+            raise ValueError(f"gain_epsilon must be a finite number >= 0, got {self.gain_epsilon!r}")
+        if self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps!r}")
 
 
 @dataclass
@@ -146,14 +155,16 @@ def louvain(g, seed: int = 0, config: LouvainConfig | None = None, pool: Restart
 _SEED_MASK = (1 << 64) - 1
 
 # Smallest work (CSR entries x restarts) of a call that runs on worker
-# processes. Measured on 2 CPUs, Python 3.11, medians of 5 to 7 runs: the
-# first pool of a process costs about 30 ms to open and close (13 ms to
-# import multiprocessing, 13 ms to fork two workers from a 75 MB process
-# and run a first task, 4 ms to close). Once open, two workers save 0.7 to
-# 3.1 us per unit on calls of 47k to 51k units (sub-calls of the
-# nested-deep benchmark corpus, the root call of dedup-wide), after
-# pickling the graph and the result. A call at the threshold therefore
-# saves at least about what the first fork costs.
+# processes. Measured on 2 CPUs, Python 3.11, medians of 9 runs in two
+# rounds: the first pool of a process costs 25 to 35 ms (9 to 11 ms to
+# import multiprocessing, 15 to 24 ms to fork two workers, run a first
+# task and close them). Once open, two workers save 0.3 to 0.8 us per unit
+# (median 0.65) on calls of 37k to 57k units, the sub-calls of the
+# nested-deep benchmark corpus, and 1.8 us on dedup-wide's root call (48k
+# units), after pickling the graph and the result. The break-even, about
+# 30 ms / 0.65 us = 46k units, lies inside the 30k to 70k that the spread
+# of these numbers allows, as 40k did with the uncertified sweep (0.5 to
+# 1.6 us per unit, median 1.05, on the same calls).
 POOL_MIN_WORK = 40_000
 
 
@@ -228,7 +239,8 @@ def _ignore_sigint() -> None:
 
 def _restart_chunk(g, seed: int, config: LouvainConfig, start: int, stop: int) -> Partition:
     """Best partition of restarts start..stop-1."""
-    return _earliest_best(_restart(g, seed, config, r) for r in range(start, stop))
+    sweep_graph = _SweepGraph(g)
+    return _earliest_best(_restart(sweep_graph, seed, config, r) for r in range(start, stop))
 
 
 def _earliest_best(parts) -> Partition:
@@ -240,24 +252,25 @@ def _earliest_best(parts) -> Partition:
     return best
 
 
-def _restart(g, seed: int, config: LouvainConfig, restart: int) -> Partition:
+def _restart(sg: _SweepGraph, seed: int, config: LouvainConfig, restart: int) -> Partition:
     rng = np.random.default_rng((int(seed) & _SEED_MASK, restart))
     if restart == 0:
         init = None
     else:
-        groups = int(rng.integers(2, g.n + 1)) if g.n > 1 else 1
-        init, _ = _dense_relabel(rng.integers(0, groups, size=g.n).tolist())
-    return _louvain_pass(g, rng, config, init)
+        groups = int(rng.integers(2, sg.n + 1)) if sg.n > 1 else 1
+        init, _ = _dense_relabel(rng.integers(0, groups, size=sg.n).tolist())
+    return _louvain_pass(sg, rng, config, init)
 
 
-def _louvain_pass(g, rng, config: LouvainConfig, init) -> Partition:
-    level = g
+def _louvain_pass(sg: _SweepGraph, rng, config: LouvainConfig, init) -> Partition:
+    g = sg.g
+    level = sg
     node_map = np.arange(g.n)
     if init is not None:
-        comm, _ = _move_phase(g, rng, config, init=init)
+        comm, _ = _move_phase(sg, rng, config, init=init)
         node_map, n_comm = _dense_relabel(comm)
         if n_comm < g.n:
-            level = aggregate_graph(g, node_map)
+            level = _SweepGraph(aggregate_graph(g, node_map))
     for _ in range(config.max_levels):
         comm, moved = _move_phase(level, rng, config)
         if not moved:
@@ -266,11 +279,13 @@ def _louvain_pass(g, rng, config: LouvainConfig, init) -> Partition:
         node_map = dense[node_map]
         if n_comm == level.n:
             break
-        level = aggregate_graph(level, dense)
+        level = _SweepGraph(aggregate_graph(level.g, dense))
 
     # Refinement against the original graph: aggregation only guarantees
     # super-node optimality, single nodes may still have good moves left.
-    final_comm, _ = _move_phase(g, rng, config, init=node_map)
+    # Its partition comes from the levels above and is usually stable
+    # already, so its first sweep is certified too.
+    final_comm, _ = _move_phase(sg, rng, config, init=node_map, certify_first=True)
     assignment, count = _dense_relabel(final_comm)
     return Partition(assignment=assignment, community_count=count, modularity=modularity(g, assignment))
 
@@ -283,35 +298,143 @@ def _dense_relabel(comm) -> tuple[np.ndarray, int]:
     return out, len(mapping)
 
 
-def _node_degrees(ptr, wt) -> tuple[list[float], float]:
-    """Row sums and their total, each added strictly left to right.
+def _left_to_right_total(values) -> float:
+    """Sum added strictly left to right.
 
     Not sum(): from Python 3.12 it compensates rounding, which would make
-    gains, and so trees, depend on the Python version.
+    gains, and so trees, depend on the Python version. Nor ndarray.sum(),
+    which adds pairwise; add.accumulate adds in order.
     """
-    k = []
-    two_m = 0.0
-    for a in range(len(ptr) - 1):
-        total = 0.0
-        for idx in range(ptr[a], ptr[a + 1]):
-            total += wt[idx]
-        k.append(total)
-        two_m += total
-    return k, two_m
+    return float(np.add.accumulate(np.asarray(values, dtype=np.float64))[-1])
 
 
-def _move_phase(g, rng, config, init=None):
+_U = 2.0**-53  # unit roundoff of float64
+
+
+class _SweepGraph:
+    """What the move sweeps of one graph read, built once per graph.
+
+    A restart chunk builds it once for its input graph, whose first and
+    final move phase every restart runs, and once per aggregated level.
+    Plain lists for the Python sweep, where element access dominates: the
+    CSR arrays, the degrees k (each row summed left to right, see
+    SimilarityGraph.from_csr) and their left-to-right total two_m. numpy
+    arrays for the stay certificate (see _slack): the entries without
+    self-loops, and per-node rounding margins.
+    """
+
+    def __init__(self, g: SimilarityGraph):
+        self.g = g
+        self.n = n = g.n
+        self.ptr = g.indptr.tolist()
+        self.nbr = g.indices.tolist()
+        self.wt = g.weights.tolist()
+        self.k = g.degrees.tolist()
+        self.two_m = _left_to_right_total(g.degrees)
+        lengths = np.diff(g.indptr)
+        rows = np.repeat(np.arange(n), lengths)
+        loop_free = rows != g.indices
+        self.rows = rows[loop_free]
+        self.cols = g.indices[loop_free]
+        self.weights = g.weights[loop_free]
+        self.margin = (5.0 * lengths + (3.0 * n + 32.0)) * _U * g.degrees
+        # Largest ratio between the two stored directions of an edge:
+        # aggregation sums them in different orders, a similarity graph
+        # stores both at the same bits (ratio 1).
+        transposed = np.lexsort((rows, g.indices))
+        spread = float(np.max(g.weights / g.weights[transposed]))
+        self.scale = 2.0 * _up(_up(1.0 + 2.0 * (n + 4) * _U) * _up(spread))
+
+
+def _up(x):
+    return np.nextafter(x, np.inf)
+
+
+def _down(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _slack(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> list[float]:
+    """How far below eps each node's best move provably stays, per unit of the skip test.
+
+    Node a of community c stays in a sweep unless max(g_d, 0) - base > eps,
+    where acc_d is a's weight to community d without its self-loop, base =
+    acc_c - (sigma_c - k_a) * k_a / 2m and g_d = acc_d - sigma_d * k_a / 2m
+    for each adjacent community d != c; 0 is the stand-alone option. At
+    the start of the sweep this computes Q_a = max(best g_d, 0) - base
+    with the sweep's own operations: np.bincount adds each (node,
+    community) group in CSR order, and sigma was summed in node order.
+    The 0 also covers every community not adjacent then, whose g_d is
+    -sigma_d * k_a / 2m <= 0 because sigma is a fresh sum of degrees.
+
+    Earlier nodes of the same sweep change these numbers. In exact
+    arithmetic, a neighbour of weight w that moves changes acc of two
+    communities by w, which raises max(g_d, 0) - base by at most 2w, and a
+    node of degree k that moves changes two sigmas by k, which raises it by
+    at most 2k * k_a / 2m. So a stays when
+
+        eps - Q_a - margin_a >= 2 * (used_a + D * k_a / 2m)
+
+    with used_a the weight of a's neighbours that moved earlier in the
+    sweep, D the degree sum of all earlier moves, and margin_a a bound on
+    every rounding. With u = 2^-53, L_a the length of a's row, and (n +
+    L_a) * u < 2^-20 (no quantity here is near underflow), the
+    magnitudes are |acc| <= 1.05 k_a, |sigma| <= 1.05 * 2m, and:
+
+    - each of the four acc sums (here and in the sweep, for c and for d)
+      is within 1.03 * L_a * u * k_a of its exact value;
+    - every earlier visit rounds at most two sigma updates (the stay step
+      sigma_c -= k; sigma_c += k, or a move's two updates), each by at
+      most 1.05 * u * 2m, so sigma_c and sigma_d drift from their exact
+      running values by at most 2.1 * n * u * 2m together, which moves
+      the comparison by at most 2.1 * n * u * k_a;
+    - the differences, products and quotients forming g_d, base and Q_a,
+      here and in the sweep, add at most 25 * u * k_a.
+
+    Their sum is below (4.2 L_a + 2.1 n + 25) u k_a; margin_a = (5 L_a +
+    3 n + 32) u k_a also covers the rounding of its own evaluation. The
+    sweep's last step, gain - base compared with eps, rounds
+    monotonically and needs none.
+
+    The sweep tests slack_a >= used_a + shift * k_a, where used_a sums
+    the weights of moved neighbours as stored in the movers' rows and
+    shift sums k / 2m over the moves. Those sums, the product and the
+    addition are at most n + 3 roundings of non-negative numbers, and a
+    stored weight is at most `spread` times its reverse entry, so the
+    exact right-hand side is at most scale / 2 times the computed one
+    (_SweepGraph.scale). slack_a = (eps - Q_a - margin_a) / scale, with
+    every operation rounded down, therefore makes a passing test imply
+    the inequality above.
+    """
+    n = sg.n
+    k = sg.g.degrees
+    neighbour_comm = comm[sg.cols]
+    own = neighbour_comm == comm[sg.rows]
+    # adding 0.0 for the other entries leaves every sum's bits as they are
+    acc_own = np.bincount(sg.rows, weights=sg.weights * own, minlength=n)
+    base = acc_own - (sigma[comm] - k) * k / sg.two_m
+    other = ~own
+    nodes = sg.rows[other]
+    groups, group_of = np.unique(nodes * n + neighbour_comm[other], return_inverse=True)
+    acc = np.bincount(group_of, weights=sg.weights[other], minlength=groups.size)
+    nodes, targets = np.divmod(groups, n)
+    best = np.zeros(n)
+    np.maximum.at(best, nodes, acc - sigma[targets] * k[nodes] / sg.two_m)
+    q = best - base
+    return _down(_down(_down(eps - q) - sg.margin) / sg.scale).tolist()
+
+
+def _move_phase(sg: _SweepGraph, rng, config: LouvainConfig, init=None, certify_first: bool = False):
     """Single-node move sweeps until no move beats gain_epsilon.
 
-    Returns (community list, whether anything moved). Plain-Python lists
-    throughout: the loop is branch-heavy and element access dominates.
+    Returns (community list, whether anything moved). Every sweep after
+    the first is certified: it skips the nodes that _slack proves stay.
+    A first sweep from singletons or from a random partition moves most
+    nodes, so certifying it would only cost; the caller certifies a
+    first sweep whose partition is likely stable already.
     """
-    n = g.n
-    ptr = g.indptr.tolist()
-    nbr = g.indices.tolist()
-    wt = g.weights.tolist()
-    k, two_m = _node_degrees(ptr, wt)
-    eps = config.gain_epsilon * two_m / 2.0
+    n = sg.n
+    eps = config.gain_epsilon * sg.two_m / 2.0
 
     comm = list(range(n)) if init is None else [int(c) for c in init]
     size = [0] * n
@@ -321,25 +444,37 @@ def _move_phase(g, rng, config, init=None):
     heapq.heapify(free)
 
     moved_any = False
-    for _ in range(config.max_sweeps):
-        sigma = [0.0] * n
-        for a in range(n):
-            sigma[comm[a]] += k[a]
+    for sweep in range(config.max_sweeps):
+        comm_array = np.array(comm, dtype=np.int64)
+        # bincount adds in node order, as a Python loop over the nodes would
+        sigma = np.bincount(comm_array, weights=sg.g.degrees, minlength=n)
         order = rng.permutation(n)
-        if _sequential_sweep(order.tolist(), ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free) == 0:
+        slack = _slack(sg, comm_array, sigma, eps) if sweep or certify_first else None
+        moves = _sequential_sweep(
+            order.tolist(), sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m, eps, comm, sigma.tolist(), size, free, slack
+        )
+        if moves == 0:
             break
         moved_any = True
     return comm, moved_any
 
 
-def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free):
+def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free, slack=None):
     """One pass of single-node moves in the given order; returns the move count.
 
     Each node leaves its community and takes the adjacent community of
     highest gain, ties to the smallest id; standing alone wins when every
     adjacent gain is negative and the old community keeps members. The
-    node moves only when that beats staying by more than eps.
+    node moves only when that beats staying by more than eps. With a
+    slack list (see _slack), a node whose slack covers what the moves
+    before it in this sweep can have changed is not evaluated: it stays,
+    and sigma takes the same stay step, so every result is bit-identical
+    to evaluating it. None evaluates every node.
     """
+    certify = slack is not None
+    if certify:
+        used = [0.0] * len(k)
+        shift = 0.0
     moves = 0
     for a in order:
         lo, hi = ptr[a], ptr[a + 1]
@@ -348,6 +483,9 @@ def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, fre
         c = comm[a]
         k_a = k[a]
         sigma[c] -= k_a
+        if certify and slack[a] >= used[a] + shift * k_a:
+            sigma[c] += k_a
+            continue
         size[c] -= 1
         acc: dict[int, float] = {}
         for b, w in zip(nbr[lo:hi], wt[lo:hi]):
@@ -374,6 +512,10 @@ def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, fre
             if size[c] == 0:
                 heapq.heappush(free, c)
             moves += 1
+            if certify:
+                shift += k_a / two_m
+                for b, w in zip(nbr[lo:hi], wt[lo:hi]):
+                    used[b] += w
         else:
             sigma[c] += k_a
             size[c] += 1

@@ -72,6 +72,17 @@ def best_partition_by_enumeration(adj: np.ndarray):
     return best_q, best
 
 
+def left_to_right_row_sums(ptr, wt) -> list[float]:
+    """Each CSR row's weights added strictly left to right, in plain Python."""
+    sums = []
+    for a in range(len(ptr) - 1):
+        total = 0.0
+        for idx in range(ptr[a], ptr[a + 1]):
+            total += wt[idx]
+        sums.append(total)
+    return sums
+
+
 def random_weighted_graph(rng, n, p=0.5, wmin=1.0, wmax=5.0) -> SimilarityGraph:
     edges = []
     for a in range(n):

@@ -103,6 +103,43 @@ class TestClusterCommand:
         assert code == 1
         assert "checksum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--gain-epsilon", "nan", "gain_epsilon must be a finite number >= 0, got nan"),
+            ("--gain-epsilon", "inf", "gain_epsilon must be a finite number >= 0, got inf"),
+            ("--gain-epsilon", "-1", "gain_epsilon must be a finite number >= 0, got -1.0"),
+            ("--max-sweeps", "0", "max_sweeps must be at least 1, got 0"),
+            ("--max-sweeps", "-3", "max_sweeps must be at least 1, got -3"),
+        ],
+    )
+    def test_out_of_range_optimizer_settings_exit_1(self, tmp_path, capsys, option, value, message):
+        # checked before the input is read: the input file does not exist
+        out = tmp_path / "tree.json"
+        argv = ["cluster", "--input", str(tmp_path / "nope.jsonl"), "--theta", "0.5", "--seed", "1"]
+        assert main(argv + ["--output", str(out), option, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_the_environment(self, tmp_path, planted_files):
+        _, emb_path, _ = planted_files
+        run_cluster(tmp_path, emb_path)
+        environment = json.loads((tmp_path / "tree.manifest.json").read_text())["environment"]
+        assert environment["numpy"] == np.__version__
+        assert set(environment["blas"]) == {"name", "version"}
+        assert environment["cpus"] == community._available_cpus() >= 1
+
+    def test_manifest_without_environment_reruns_to_the_same_bytes(self, tmp_path, planted_files):
+        _, emb_path, _ = planted_files
+        _, out = run_cluster(tmp_path, emb_path)
+        manifest = tmp_path / "tree.manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["environment"]
+        manifest.write_text(json.dumps(doc))
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
+        assert rerun.read_bytes() == out.read_bytes()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
             ["cluster", "--input", str(tmp_path / "nope.jsonl"), "--format", "jsonl", "--theta", "0.5"]
@@ -203,6 +240,11 @@ class TestManifestValidation:
             ("input", None, "parameter 'input' must be a string"),
             ("format", "xml", "parameter 'format' must be one of csv, jsonl, word2vec, got 'xml'"),
             ("colour", "red", "unknown parameter 'colour'"),
+            ("gain_epsilon", float("nan"), "parameter gain_epsilon must be a finite number >= 0, got nan"),
+            ("gain_epsilon", float("inf"), "parameter gain_epsilon must be a finite number >= 0, got inf"),
+            ("gain_epsilon", -1, "parameter gain_epsilon must be a finite number >= 0, got -1.0"),
+            ("max_sweeps", 0, "parameter max_sweeps must be at least 1, got 0"),
+            ("max_sweeps", -3, "parameter max_sweeps must be at least 1, got -3"),
         ],
     )
     def test_bad_parameter_names_the_field(self, manifest, capsys, field, value, message):

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     best_partition_by_enumeration,
     dense_from_graph,
+    left_to_right_row_sums,
     modularity_double_sum,
     random_weighted_graph,
 )
@@ -188,8 +189,11 @@ class TestLouvain:
             louvain(g, seed=0)
 
 
-def sorted_candidates_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free):
-    """The sweep as first written: candidates scanned in ascending id order."""
+def sorted_candidates_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free, slack=None):
+    """The sweep as first written: candidates scanned in ascending id order.
+
+    It evaluates every node, whatever slack the optimizer passes.
+    """
     moves = 0
     for a in order:
         if ptr[a] == ptr[a + 1]:
@@ -227,9 +231,9 @@ def sorted_candidates_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, siz
 class TestMovePhase:
     def test_degree_total_adds_left_to_right(self):
         # sum() compensates rounding from Python 3.12 on and gives 1.0 here
-        k, two_m = community._node_degrees(list(range(11)), [0.1] * 10)
+        k = left_to_right_row_sums(list(range(11)), [0.1] * 10)
         assert k == [0.1] * 10
-        assert two_m == 0.9999999999999999
+        assert community._left_to_right_total(k) == 0.9999999999999999
         assert math.fsum(k) == 1.0
 
     def test_sweep_matches_sorted_candidate_reference(self, monkeypatch):
@@ -244,6 +248,94 @@ class TestMovePhase:
             ref = louvain(g, seed=i, config=config)
             assert np.array_equal(fast[i].assignment, ref.assignment)
             assert fast[i].modularity == ref.modularity
+
+
+def certificate_graphs(rng, count):
+    """Float weights, integer weights (equal gains) and aggregated graphs with self-loops."""
+    for i in range(count):
+        n = int(rng.integers(6, 60))
+        p = float(rng.uniform(0.05, 0.5))
+        kind = i % 4
+        if kind == 0:
+            yield random_weighted_graph(rng, n, p=p)
+        elif kind == 1:
+            yield random_weighted_graph(rng, n, p=p, wmin=1.0, wmax=1.0)
+        else:
+            g = random_weighted_graph(rng, n, p=p, wmin=1.0, wmax=1.0 if kind == 2 else 7.0)
+            yield aggregate_graph(g, np.unique(rng.integers(0, max(2, n // 3), size=n), return_inverse=True)[1])
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestCertifiedSweep:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"gain_epsilon": float("nan")}, "gain_epsilon must be a finite number >= 0, got nan"),
+            ({"gain_epsilon": float("inf")}, "gain_epsilon must be a finite number >= 0, got inf"),
+            ({"gain_epsilon": -1.0}, "gain_epsilon must be a finite number >= 0, got -1.0"),
+            ({"max_sweeps": 0}, "max_sweeps must be at least 1, got 0"),
+            ({"max_sweeps": -3}, "max_sweeps must be at least 1, got -3"),
+        ],
+    )
+    def test_config_rejects_out_of_range_settings(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            LouvainConfig(**kwargs)
+
+    def test_config_accepts_zero_epsilon_and_one_sweep(self):
+        assert LouvainConfig(gain_epsilon=0.0, max_sweeps=1).max_sweeps == 1
+
+    @staticmethod
+    def sweep_states(monkeypatch, g, seed, config):
+        """Every sweep's starting state on the input graph during one louvain call."""
+        states = []
+        real = community._sequential_sweep
+
+        def recording_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free, slack=None):
+            if len(ptr) == g.n + 1:
+                states.append((eps, list(comm), list(sigma), list(size), list(free)))
+            return real(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free, slack)
+
+        monkeypatch.setattr(community, "_sequential_sweep", recording_sweep)
+        louvain(g, seed=seed, config=config)
+        monkeypatch.undo()
+        return states
+
+    def test_certified_sweep_leaves_the_plain_sweeps_state(self, monkeypatch):
+        # states taken mid-Louvain: converged ones (their sweep moves
+        # nothing) and near-converged ones (later sweeps of a phase)
+        rng = np.random.default_rng(18)
+        checked = skippable = 0
+        for i, g in enumerate(certificate_graphs(rng, 24)):
+            config = LouvainConfig(gain_epsilon=[0.0, 1e-9, 1e-3, 0.05][i % 4], restarts=3)
+            sg = community._SweepGraph(g)
+            for eps, comm, sigma, size, free in self.sweep_states(monkeypatch, g, i, config):
+                slack = community._slack(sg, np.array(comm), np.array(sigma), eps)
+                skippable += sum(s >= 0.0 for s in slack)
+                order = rng.permutation(g.n).tolist()
+                after = []
+                for passed in (slack, None):
+                    state = (list(comm), list(sigma), list(size), list(free))
+                    moves = community._sequential_sweep(order, sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m, eps, *state, passed)
+                    after.append((moves, state[0], bits(state[1]), state[2], state[3]))
+                assert after[0] == after[1]
+                checked += 1
+        assert checked > 200 and skippable > 1000
+
+    def test_partitions_are_bit_identical_to_evaluating_every_node(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        calls = []
+        for i, g in enumerate(certificate_graphs(rng, 1000)):
+            config = LouvainConfig(gain_epsilon=[0.0, 1e-9, 1e-3, 0.05][i % 4], restarts=int(rng.integers(1, 4)))
+            calls.append((g, int(rng.integers(2**63)), config))
+        certified = [louvain(g, seed=seed, config=config) for g, seed, config in calls]
+        monkeypatch.setattr(community, "_slack", lambda *args: None)
+        for (g, seed, config), part in zip(calls, certified):
+            plain = louvain(g, seed=seed, config=config)
+            assert np.array_equal(part.assignment, plain.assignment)
+            assert part.modularity == plain.modularity
 
 
 def force_pool(monkeypatch, workers):
@@ -270,14 +362,15 @@ class TestRestartPool:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_restart_ties_go_to_the_earliest_chunk(self, monkeypatch, workers):
         # every restart scores 0 or 1, so later chunks tie the best of earlier ones
-        def coin_pass(g, rng, config, init):
-            assignment, count = community._dense_relabel(rng.integers(0, 3, size=g.n).tolist())
+        def coin_pass(sweep_graph, rng, config, init):
+            assignment, count = community._dense_relabel(rng.integers(0, 3, size=sweep_graph.n).tolist())
             return Partition(assignment, count, float(rng.integers(0, 2)))
 
         monkeypatch.setattr(community, "_louvain_pass", coin_pass)
         g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
         config = LouvainConfig()
-        runs = [community._restart(g, 5, config, r) for r in range(config.restarts)]
+        sweep_graph = community._SweepGraph(g)
+        runs = [community._restart(sweep_graph, 5, config, r) for r in range(config.restarts)]
         best = max(p.modularity for p in runs)
         winners = [r for r, p in enumerate(runs) if p.modularity == best]
         first_chunk_end = config.restarts // workers
@@ -340,8 +433,7 @@ class TestOneGraphType:
 
     def test_degrees_are_left_to_right_row_sums(self):
         for g in self.graphs():
-            k, _ = community._node_degrees(g.indptr.tolist(), g.weights.tolist())
-            assert g.degrees.tolist() == k
+            assert g.degrees.tolist() == left_to_right_row_sums(g.indptr.tolist(), g.weights.tolist())
 
     def test_total_weight_is_half_the_degree_sum(self):
         for g in self.graphs():
