@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,47 +141,59 @@ def louvain(g, seed: int = 0, config: LouvainConfig | None = None, pool: Restart
     and restart ties to the earliest restart. With a pool, the restarts
     may run in worker processes, in contiguous chunks whose winners are
     compared in chunk order, so the result is the same at every worker
-    count.
+    count. A call that RestartPool.start submitted is collected here; any
+    other call starts itself as a level of one.
     """
     config = config or LouvainConfig()
     if g.total_weight <= 0.0:
         raise ValueError("community detection requires a graph with at least one edge")
     restarts = max(1, config.restarts)
-    winners = pool.run(g, seed, config, restarts) if pool is not None else None
-    if winners is None:
-        return _restart_chunk(g, seed, config, 0, restarts)
-    return _earliest_best(winners)
+    if pool is not None:
+        if not pool._started:
+            pool.start([(g, seed)], config)
+        if pool._started:
+            return _earliest_best(pool._collect(g, seed, config))
+    return _restart_chunk(g, seed, config, 0, restarts)
 
 
 _SEED_MASK = (1 << 64) - 1
 
-# Smallest work (CSR entries x restarts) of a call that runs on worker
-# processes. Measured on 2 CPUs, Python 3.11, medians of 9 runs in two
-# rounds: the first pool of a process costs 25 to 35 ms (9 to 11 ms to
-# import multiprocessing, 15 to 24 ms to fork two workers, run a first
-# task and close them). Once open, two workers save 0.3 to 0.8 us per unit
-# (median 0.65) on calls of 37k to 57k units, the sub-calls of the
-# nested-deep benchmark corpus, and 1.8 us on dedup-wide's root call (48k
-# units), after pickling the graph and the result. The break-even, about
-# 30 ms / 0.65 us = 46k units, lies inside the 30k to 70k that the spread
-# of these numbers allows, as 40k did with the uncertified sweep (0.5 to
-# 1.6 us per unit, median 1.05, on the same calls).
+# Smallest work (CSR entries x restarts, summed over the calls of one
+# level) that runs on worker processes. Measured on 2 CPUs, Python 3.11:
+# the first pool of a process costs 30 to 50 ms (median 33 of 9 runs) to
+# import multiprocessing, fork two workers, run a first task and close
+# them. Once open, two workers save, per unit and after pickling, 0.5 to
+# 0.9 us on single calls of 47k to 51k units (the nested-deep benchmark's
+# level-1 calls, medians of 5) and 1.35 us on dedup-wide's 48k-unit root
+# call, so single calls break even near 33 ms / 0.56 us = 59k units, with
+# 30k to 130k inside the spread. A level of many small calls saves more
+# per unit, 1.6 to 2.2 us (nested-deep's 46 level-2 calls, 193k units),
+# because their per-call setup runs in parallel too; it breaks even at 15k
+# to 32k. 40k stays: it lies inside the single-call range, and no level of
+# the benchmark corpora falls between 15k and 40k (their levels are below
+# 11k or above 190k, except dedup-wide's one 48k call).
 POOL_MIN_WORK = 40_000
 
 
 class RestartPool:
-    """Worker processes that run the restarts of louvain calls.
+    """Worker processes that run louvain calls and their restarts.
 
-    One pool serves the calls of one clustering run. Its workers are
-    forked on the first call whose work (CSR entries x restarts)
-    reaches POOL_MIN_WORK and are reused by later calls; close() ends
-    them. With one CPU, without the fork start method, or inside a
-    daemonic process, every call runs in-process instead.
+    One pool serves the calls of one clustering run, which starts each
+    level of its recursion at once: start() submits the level's calls in
+    contiguous restart chunks, a call's share of the chunks following its
+    share of the level's work, and louvain() then collects the calls in
+    the order they were started. So sibling calls run side by side, and a
+    large call's chunks run on every worker. Winners are compared in chunk
+    order, so the tree is the same at every worker count. The workers are
+    forked by the first level whose work reaches POOL_MIN_WORK, reused by
+    later levels, and ended by close(). With one CPU, without the fork
+    start method, or inside a daemonic process, every call runs in-process.
     """
 
     def __init__(self):
         self._pool = None
         self._workers: int | None = None  # decided on first use
+        self._started: deque = deque()  # (graph, seed, config, chunk results) in start order
 
     def __enter__(self) -> RestartPool:
         return self
@@ -188,18 +201,39 @@ class RestartPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def run(self, g, seed: int, config: LouvainConfig, restarts: int) -> list[Partition] | None:
-        """Winners of contiguous restart chunks in chunk order, or None to run in-process."""
-        if g.indices.size * restarts < POOL_MIN_WORK:
-            return None
+    def start(self, calls, config: LouvainConfig) -> None:
+        """Submit the (graph, seed) louvain calls of one level, unless they are too small.
+
+        Every submitted call must then be collected by louvain(graph,
+        seed, config, pool), in this order, before the next start.
+        """
+        if self._started:
+            raise RuntimeError("RestartPool.start: the calls of the previous level are not all collected")
+        restarts = max(1, config.restarts)
+        works = [g.indices.size * restarts for g, _ in calls]
+        level_work = sum(works)
+        if not level_work or level_work < POOL_MIN_WORK:
+            return
         if self._workers is None:
             self._open(restarts)
-        chunks = min(self._workers, restarts)
-        if self._pool is None or chunks < 2:
-            return None
-        cuts = [restarts * i // chunks for i in range(chunks + 1)]
-        tasks = [(g, seed, config, cuts[i], cuts[i + 1]) for i in range(chunks)]
-        return self._pool.starmap(_restart_chunk, tasks, chunksize=1)
+        if self._pool is None:
+            return
+        for (g, seed), work in zip(calls, works):
+            chunks = min(restarts, max(1, -(-self._workers * work // level_work)))
+            cuts = [restarts * i // chunks for i in range(chunks + 1)]
+            results = [
+                self._pool.apply_async(_restart_chunk, (g, seed, config, cuts[i], cuts[i + 1]))
+                for i in range(chunks)
+            ]
+            self._started.append((g, seed, config, results))
+
+    def _collect(self, g, seed: int, config: LouvainConfig) -> list[Partition]:
+        """Chunk winners, in chunk order, of the next started call, which must be this one."""
+        head_g, head_seed, head_config, results = self._started[0]
+        if head_g is not g or head_seed != seed or head_config != config:
+            raise RuntimeError("louvain: this call is not the next one that RestartPool.start submitted")
+        self._started.popleft()
+        return [result.get() for result in results]
 
     def _open(self, restarts: int) -> None:
         import multiprocessing  # here, so runs without a call this large never import it
@@ -218,6 +252,7 @@ class RestartPool:
 
     def close(self) -> None:
         """End the workers and wait for them; the pool then runs everything in-process."""
+        self._started.clear()
         if self._pool is not None:
             pool, self._pool = self._pool, None
             pool.terminate()
@@ -290,11 +325,10 @@ def _louvain_pass(sg: _SweepGraph, rng, config: LouvainConfig, init) -> Partitio
     return Partition(assignment=assignment, community_count=count, modularity=modularity(g, assignment))
 
 
-def _dense_relabel(comm) -> tuple[np.ndarray, int]:
-    out = np.empty(len(comm), dtype=np.int64)
+def _dense_relabel(comm: list[int]) -> tuple[np.ndarray, int]:
+    """Community ids renumbered 0, 1, ... by first occurrence."""
     mapping: dict[int, int] = {}
-    for i, c in enumerate(comm):
-        out[i] = mapping.setdefault(int(c), len(mapping))
+    out = np.array([mapping.setdefault(c, len(mapping)) for c in comm], dtype=np.int64)
     return out, len(mapping)
 
 

@@ -1,4 +1,4 @@
-"""Recursive community clustering into a tree plus a non-community bucket.
+"""Hierarchical community clustering into a tree plus a non-community bucket.
 
 Each (sub)graph is partitioned by the modularity optimizer. When the
 partition's modularity falls below mod_threshold, or only one community
@@ -79,9 +79,14 @@ def vec2gc_cluster(
 
     Returns the tree and the non-community bucket; together their leaf
     members partition the graph's nodes exactly. Deterministic for fixed
-    (graph, mod_threshold, max_size, seed, config). The run owns one
-    RestartPool, so the restarts of large optimizer calls may run in
-    worker processes; the tree is the same at every CPU count.
+    (graph, mod_threshold, max_size, seed, config).
+
+    The tree is built one level at a time. Each level's optimizer calls
+    are handed together to the run's RestartPool, so sibling calls, and
+    the restart chunks of large ones, may run side by side in worker
+    processes. Each result is placed by its node's slot and every child
+    seed comes from derive_seed, so the tree bytes do not depend on the
+    order in which calls finish, nor on the worker count.
     """
     if not (0.0 <= float(mod_threshold) < 1.0):
         raise ValueError(f"mod_threshold out of [0, 1): got {mod_threshold!r}")
@@ -104,68 +109,77 @@ def vec2gc_cluster(
         bucket.members.sort()
         return ClusterTree(), bucket
 
-    def build(sub_g: SimilarityGraph, corpus_idx: np.ndarray, node_seed: int) -> _BuildNode | None:
-        part = louvain(sub_g, node_seed, config, pool)
-        if part.community_count == 1 or part.modularity < mod_threshold:
-            return _BuildNode(members=sorted(corpus_idx.tolist()), children=[], split_modularity=None)
-        children: list[_BuildNode] = []
-        for ci, local in enumerate(members_by_community(part.assignment)):
-            corpus = corpus_idx[local]
-            if corpus.size < min_community_size:
-                for a in corpus.tolist():
-                    bucket.members.append(a)
-                    bucket.reasons[a] = REASON_SINGLETON
-            elif corpus.size <= max_size:
-                children.append(_BuildNode(sorted(corpus.tolist()), [], None))
-            else:
-                child = build(induced_subgraph(sub_g, local), corpus, derive_seed(node_seed, ci))
-                if child is not None:
-                    children.append(child)
-        if not children:
-            return None
-        return _BuildNode(members=None, children=children, split_modularity=part.modularity)
-
-    work = induced_subgraph(g, active) if active.size < g.n else g
+    root = _BuildNode(None, [], None)
+    split_nodes: list[_BuildNode] = []
+    level = [(induced_subgraph(g, active) if active.size < g.n else g, active, seed, root)]
     with RestartPool() as pool:
-        root = build(work, active, seed)
+        while level:
+            pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in level], config)
+            next_level = []
+            for sub_g, corpus_idx, node_seed, bnode in level:
+                part = louvain(sub_g, node_seed, config, pool)
+                if part.community_count == 1 or part.modularity < mod_threshold:
+                    bnode.members = sorted(corpus_idx.tolist())
+                    continue
+                bnode.split_modularity = part.modularity
+                split_nodes.append(bnode)
+                for ci, local in enumerate(members_by_community(part.assignment)):
+                    corpus = corpus_idx[local]
+                    if corpus.size < min_community_size:
+                        for a in corpus.tolist():
+                            bucket.members.append(a)
+                            bucket.reasons[a] = REASON_SINGLETON
+                    elif corpus.size <= max_size:
+                        bnode.children.append(_BuildNode(sorted(corpus.tolist()), [], None))
+                    else:
+                        child = _BuildNode(None, [], None)
+                        bnode.children.append(child)
+                        next_level.append((induced_subgraph(sub_g, local), corpus, derive_seed(node_seed, ci), child))
+            level = next_level
     bucket.members.sort()
-    if root is None:
+    _prune(split_nodes)
+    if root.members is None:
         warnings.warn("every community fell below min_community_size; tree is empty")
         return ClusterTree(), bucket
     return _flatten(root), bucket
 
 
-def _flatten(root: _BuildNode) -> ClusterTree:
-    _fill_members(root)
-    tree = ClusterTree(nodes=[], root=0)
+def _prune(split_nodes: list[_BuildNode]) -> None:
+    """Drop split nodes left without children and give the others their members.
 
-    def emit(bnode: _BuildNode, parent: int | None) -> int:
-        node_id = len(tree.nodes)
+    split_nodes lists every split node after its ancestors, so walking it
+    backwards settles each node's children before the node. A dropped
+    node keeps members None.
+    """
+    for bnode in reversed(split_nodes):
+        bnode.children = [child for child in bnode.children if child.members is not None]
+        if bnode.children:
+            merged: list[int] = []
+            for child in bnode.children:
+                merged.extend(child.members)
+            merged.sort()
+            bnode.members = merged
+
+
+def _flatten(root: _BuildNode) -> ClusterTree:
+    """Number the nodes in depth-first preorder, root first."""
+    tree = ClusterTree(nodes=[], root=0)
+    stack: list[tuple[_BuildNode, TreeNode | None]] = [(root, None)]
+    while stack:
+        bnode, parent = stack.pop()
         node = TreeNode(
-            id=node_id,
-            parent=parent,
+            id=len(tree.nodes),
+            parent=None if parent is None else parent.id,
             children=[],
             members=bnode.members,
             split_modularity=bnode.split_modularity,
             is_leaf=not bnode.children,
         )
         tree.nodes.append(node)
-        for child in bnode.children:
-            node.children.append(emit(child, node_id))
-        return node_id
-
-    emit(root, None)
+        if parent is not None:
+            parent.children.append(node.id)
+        stack.extend((child, node) for child in reversed(bnode.children))
     return tree
-
-
-def _fill_members(bnode: _BuildNode) -> list[int]:
-    if bnode.members is None:
-        merged: list[int] = []
-        for child in bnode.children:
-            merged.extend(_fill_members(child))
-        merged.sort()
-        bnode.members = merged
-    return bnode.members
 
 
 def flat_clusters(tree: ClusterTree) -> list[list[int]]:

@@ -9,7 +9,18 @@ import math
 
 import numpy as np
 
-from vec2gc import EmbeddingSet, SimilarityGraph
+from vec2gc import (
+    ClusterTree,
+    EmbeddingSet,
+    LouvainConfig,
+    NonCommunityBucket,
+    SimilarityGraph,
+    TreeNode,
+    derive_seed,
+    induced_subgraph,
+    louvain,
+    members_by_community,
+)
 
 
 def set_partitions(n):
@@ -220,3 +231,92 @@ def arc_and_blob(arc_points=60, blob_points=30):
     ids = [f"arc{i}" for i in range(arc_points)] + [f"blob{i}" for i in range(blob_points)]
     labels = {i: ("arc" if i.startswith("arc") else "blob") for i in ids}
     return EmbeddingSet(ids=ids, vectors=vectors, labels=labels), labels
+
+
+class _BuildNode:
+    def __init__(self, members, children, split_modularity):
+        self.members, self.children, self.split_modularity = members, children, split_modularity
+
+
+def reference_cluster(g, mod_threshold, max_size, seed, min_community_size=2, config=None):
+    """vec2gc_cluster as the depth-first recursive builder it replaced, without a pool.
+
+    Returns (tree, bucket, pruned) where pruned counts the recursed
+    (non-root) nodes that lost every child; an empty tree means the root
+    was pruned. The louvain and induced_subgraph it calls are this
+    module's names, so a test can count them.
+    """
+    config = config or LouvainConfig()
+    bucket = NonCommunityBucket()
+    degree_counts = np.diff(g.indptr)
+    for a in np.nonzero(degree_counts == 0)[0].tolist():
+        bucket.members.append(a)
+        bucket.reasons[a] = "isolated"
+    active = np.nonzero(degree_counts > 0)[0]
+    if active.size == 0:
+        return ClusterTree(), bucket, 0
+    pool = None
+    pruned = [0]
+
+    def build(sub_g, corpus_idx, node_seed):
+        part = louvain(sub_g, node_seed, config, pool)
+        if part.community_count == 1 or part.modularity < mod_threshold:
+            return _BuildNode(members=sorted(corpus_idx.tolist()), children=[], split_modularity=None)
+        children = []
+        for ci, local in enumerate(members_by_community(part.assignment)):
+            corpus = corpus_idx[local]
+            if corpus.size < min_community_size:
+                for a in corpus.tolist():
+                    bucket.members.append(a)
+                    bucket.reasons[a] = "singleton_community"
+            elif corpus.size <= max_size:
+                children.append(_BuildNode(sorted(corpus.tolist()), [], None))
+            else:
+                child = build(induced_subgraph(sub_g, local), corpus, derive_seed(node_seed, ci))
+                if child is not None:
+                    children.append(child)
+                else:
+                    pruned[0] += 1
+        if not children:
+            return None
+        return _BuildNode(members=None, children=children, split_modularity=part.modularity)
+
+    work = induced_subgraph(g, active) if active.size < g.n else g
+    root = build(work, active, seed)
+    bucket.members.sort()
+    if root is None:
+        return ClusterTree(), bucket, pruned[0]
+    return _reference_flatten(root), bucket, pruned[0]
+
+
+def _reference_flatten(root):
+    _reference_fill_members(root)
+    tree = ClusterTree(nodes=[], root=0)
+
+    def emit(bnode, parent):
+        node_id = len(tree.nodes)
+        node = TreeNode(
+            id=node_id,
+            parent=parent,
+            children=[],
+            members=bnode.members,
+            split_modularity=bnode.split_modularity,
+            is_leaf=not bnode.children,
+        )
+        tree.nodes.append(node)
+        for child in bnode.children:
+            node.children.append(emit(child, node_id))
+        return node_id
+
+    emit(root, None)
+    return tree
+
+
+def _reference_fill_members(bnode):
+    if bnode.members is None:
+        merged = []
+        for child in bnode.children:
+            merged.extend(_reference_fill_members(child))
+        merged.sort()
+        bnode.members = merged
+    return bnode.members

@@ -1,6 +1,7 @@
 import heapq
 import math
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -382,6 +383,66 @@ class TestRestartPool:
         assert np.array_equal(part.assignment, runs[winners[0]].assignment)
         assert part.modularity == best
 
+    def test_ties_go_to_the_earliest_chunk_when_it_finishes_last(self, monkeypatch):
+        # restart 0, in chunk 0, is held back, so chunk 1's tying winner arrives first
+        def coin_pass(sweep_graph, rng, config, init):
+            if init is None:
+                time.sleep(0.5)
+            return Partition(np.zeros(sweep_graph.n, dtype=np.int64), 1, 1.0)
+
+        monkeypatch.setattr(community, "_louvain_pass", coin_pass)
+        g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
+        force_pool(monkeypatch, 2)
+        with community.RestartPool() as pool:
+            pool.start([(g, 5)], LouvainConfig())
+            chunk_results = pool._started[0][3]
+            chunk_results[1].wait(timeout=60)
+            assert chunk_results[1].ready() and not chunk_results[0].ready()
+            part = louvain(g, seed=5, pool=pool)
+        assert part is chunk_results[0].get()
+
+    def test_a_level_splits_its_chunks_by_work(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        big = random_weighted_graph(rng, 60, p=0.5)
+        small = [random_weighted_graph(rng, 8, p=0.5) for _ in range(3)]
+        calls = [(small[0], 1), (big, 2), (small[1], 3), (small[2], 4)]
+        expected = [louvain(g, seed=s) for g, s in calls]
+        force_pool(monkeypatch, 3)
+        with community.RestartPool() as pool:
+            pool.start(calls, LouvainConfig())
+            assert [len(entry[3]) for entry in pool._started] == [1, 3, 1, 1]
+            for (g, s), want in zip(calls, expected):
+                part = louvain(g, seed=s, pool=pool)
+                assert np.array_equal(part.assignment, want.assignment) and part.modularity == want.modularity
+            assert not pool._started
+
+    def test_a_collect_out_of_start_order_raises(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        g1, g2 = random_weighted_graph(rng, 12), random_weighted_graph(rng, 12)
+        force_pool(monkeypatch, 2)
+        with community.RestartPool() as pool:
+            pool.start([(g1, 1), (g2, 2)], LouvainConfig())
+            with pytest.raises(RuntimeError, match="not the next one"):
+                louvain(g2, seed=2, pool=pool)
+            with pytest.raises(RuntimeError, match="not the next one"):
+                louvain(g1, seed=2, pool=pool)
+            with pytest.raises(RuntimeError, match="not the next one"):
+                louvain(g1, seed=1, config=LouvainConfig(restarts=3), pool=pool)
+            assert louvain(g1, seed=1, pool=pool).modularity == louvain(g1, seed=1).modularity
+            assert louvain(g2, seed=2, pool=pool).modularity == louvain(g2, seed=2).modularity
+        assert multiprocessing.active_children() == []
+
+    def test_a_start_with_uncollected_calls_raises(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        g1, g2 = random_weighted_graph(rng, 12), random_weighted_graph(rng, 12)
+        force_pool(monkeypatch, 2)
+        with community.RestartPool() as pool:
+            pool.start([(g1, 1), (g2, 2)], LouvainConfig())
+            louvain(g1, seed=1, pool=pool)
+            with pytest.raises(RuntimeError, match="not all collected"):
+                pool.start([(g1, 3)], LouvainConfig())
+        assert multiprocessing.active_children() == []
+
     def test_small_calls_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(community, "_available_cpus", lambda: 2)
         g = random_weighted_graph(np.random.default_rng(16), 20, p=0.3)
@@ -389,6 +450,20 @@ class TestRestartPool:
             louvain(g, seed=1, pool=pool)
             assert pool._pool is None
             assert multiprocessing.active_children() == []
+
+
+class TestDenseRelabel:
+    def test_equals_the_dict_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            comm = rng.integers(0, int(rng.integers(1, 60)), size=int(rng.integers(1, 200))).tolist()
+            mapping, expected = {}, []
+            for c in comm:
+                if c not in mapping:
+                    mapping[c] = len(mapping)
+                expected.append(mapping[c])
+            out, count = community._dense_relabel(comm)
+            assert out.dtype == np.int64 and out.tolist() == expected and count == len(mapping)
 
 
 class TestAggregation:

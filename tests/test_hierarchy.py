@@ -1,12 +1,20 @@
+import collections
+import functools
 import json
 import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import planted_groups, reference_graph_edges
+from oracles import planted_groups, reference_cluster, reference_graph_edges
+import oracles
 from vec2gc import (
     EmbeddingSet,
+    LouvainConfig,
+    Partition,
+    SimilarityGraph,
     build_graph,
     derive_seed,
     dumps_tree,
@@ -153,16 +161,24 @@ class TestVec2gcCluster:
             vec2gc_cluster(g, 0.3, 10, seed=0, min_community_size=0)
 
 
-def noise_tree_text(seed=17):
-    """Tree bytes of a 300-item noise corpus; the root call and 7 sub-calls run Louvain."""
+def noise_graph(seed=17):
     rng = np.random.default_rng(seed)
     emb = EmbeddingSet(
         ids=[f"n{i}" for i in range(300)],
         vectors=rng.standard_normal((300, 6)).astype(np.float32),
     )
-    g = build_graph(emb, 0.6)
-    tree, bucket = vec2gc_cluster(g, 0.2, 20, seed=seed)
-    return dumps_tree(tree, bucket, emb.ids, theta=0.6, mod_threshold=0.2, max_size=20, seed=seed)
+    return emb, build_graph(emb, 0.6)
+
+
+def noise_tree_text(seed=17, max_size=20):
+    """Tree bytes of a 300-item noise corpus.
+
+    At max_size 20 the root call and 7 sub-calls run Louvain; at 5 the
+    recursion has four levels of 1, 8, 26 and 6 calls.
+    """
+    emb, g = noise_graph(seed)
+    tree, bucket = vec2gc_cluster(g, 0.2, max_size, seed=seed)
+    return dumps_tree(tree, bucket, emb.ids, theta=0.6, mod_threshold=0.2, max_size=max_size, seed=seed)
 
 
 class TestRestartWorkers:
@@ -210,6 +226,133 @@ class TestRestartWorkers:
         assert seen
         assert multiprocessing.active_children() == []
         assert not any(p.is_alive() for p in seen)
+
+
+def planted_graph(rng) -> SimilarityGraph:
+    """Random two-level planted groups: dense sub-groups inside looser super-groups.
+
+    Sub-groups hold 1 to 2, 3, 6 or 12 nodes, so with min_community_size up
+    to 4 some splits send every community to the bucket.
+    """
+    biggest = int(rng.choice([2, 3, 6, 12]))
+    supers = [rng.integers(1, biggest + 1, size=int(rng.integers(2, 6))).tolist() for _ in range(int(rng.integers(1, 5)))]
+    edges = {}
+    owner = []  # (super, sub) per node
+    for si, subs in enumerate(supers):
+        for bi, size in enumerate(subs):
+            owner += [(si, bi)] * size
+    for a in range(len(owner)):
+        for b in range(a + 1, len(owner)):
+            if owner[a] == owner[b]:
+                p, lo, hi = 0.9, 3.0, 5.0
+            elif owner[a][0] == owner[b][0]:
+                p, lo, hi = 0.3, 0.3, 1.5
+            else:
+                p, lo, hi = 0.02, 0.05, 0.3
+            if rng.random() < p:
+                edges[(a, b)] = float(rng.uniform(lo, hi))
+    n = max(len(owner), 2)
+    edges = edges or {(0, 1): 1.0}
+    return SimilarityGraph.from_edge_list(n, [(a, b, w) for (a, b), w in edges.items()])
+
+
+def split_node_depths(doc) -> list[int]:
+    depth = {}
+    for node in doc["nodes"]:  # parents come before their children
+        depth[node["id"]] = 0 if node["parent"] is None else depth[node["parent"]] + 1
+    return [depth[node["id"]] for node in doc["nodes"] if node["children"]]
+
+
+class TestFrontier:
+    def test_trees_equal_the_recursive_builder(self, monkeypatch):
+        monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+        rng = np.random.default_rng(41)
+        pruned_nodes = empty_roots = recursed = 0
+        for _ in range(200):
+            g = planted_graph(rng)
+            # small max_size and min_community_size 4 are where split nodes lose every child
+            mod_threshold, max_size = float(rng.uniform(0.05, 0.5)), int(rng.choice([2, 3, 4, rng.integers(5, 21)]))
+            seed, min_size = int(rng.integers(2**63)), int(rng.choice([1, 2, 3, 4, 4, 4]))
+            config = LouvainConfig(restarts=int(rng.integers(1, 5)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tree, bucket = vec2gc_cluster(g, mod_threshold, max_size, seed, min_size, config)
+            ref_tree, ref_bucket, pruned = reference_cluster(g, mod_threshold, max_size, seed, min_size, config)
+            ids = [f"v{i}" for i in range(g.n)]
+            kwargs = dict(theta=0.5, mod_threshold=mod_threshold, max_size=max_size, seed=seed)
+            doc = tree_document(tree, bucket, ids, **kwargs)
+            assert doc == tree_document(ref_tree, ref_bucket, ids, **kwargs)
+            pruned_nodes += pruned
+            empty_roots += ref_tree.root is None
+            recursed += any(depth > 0 for depth in split_node_depths(doc))
+        # the cases the builder must get right all occur
+        assert pruned_nodes >= 5 and empty_roots >= 5 and recursed >= 20
+
+    def test_pooled_trees_are_byte_identical_at_every_worker_count(self, monkeypatch):
+        monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+        expected = noise_tree_text(max_size=5)
+        assert max(split_node_depths(json.loads(expected))) >= 2  # three levels of calls or more
+        monkeypatch.setattr(community, "POOL_MIN_WORK", 0)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(community, "_available_cpus", lambda: workers)
+            assert noise_tree_text(max_size=5) == expected
+        assert multiprocessing.active_children() == []
+
+    def test_one_parent_louvain_call_per_optimizer_call(self, monkeypatch):
+        # wrapped as perfbench/tracing.py wraps them: the module-level names hierarchy calls
+        def record(module, attr, calls, describe):
+            target = getattr(module, attr)
+
+            @functools.wraps(target)
+            def wrapper(*args, **kwargs):
+                result = target(*args, **kwargs)
+                calls.append((os.getpid(), describe(args, result)))
+                return result
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        def louvain_key(args, part):
+            return args[0].n, part.community_count, part.modularity
+
+        emb, g = noise_graph()
+        ref_louvain, ref_induced = [], []
+        record(oracles, "louvain", ref_louvain, louvain_key)
+        record(oracles, "induced_subgraph", ref_induced, lambda args, r: r.n)
+        reference_cluster(g, 0.2, 5, 17)
+        monkeypatch.setattr(community, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(community, "POOL_MIN_WORK", 0)
+        louvain_calls, induced_calls = [], []
+        record(hierarchy, "louvain", louvain_calls, louvain_key)
+        record(hierarchy, "induced_subgraph", induced_calls, lambda args, r: r.n)
+        vec2gc_cluster(g, 0.2, 5, 17)
+        assert {pid for pid, _ in louvain_calls + induced_calls} == {os.getpid()}
+        assert collections.Counter(k for _, k in louvain_calls) == collections.Counter(k for _, k in ref_louvain)
+        # one induced subgraph per recursed community; this graph has no isolated item to drop
+        assert np.all(np.diff(g.indptr) > 0)
+        assert len(induced_calls) == len(ref_induced) == len(louvain_calls) - 1
+        assert sorted(k for _, k in induced_calls) == sorted(k for _, k in ref_induced)
+
+    def test_a_5000_deep_chain_builds(self, monkeypatch):
+        # splitting one end node off a path graph per call; recursion would stop near depth 1,000
+        monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+
+        def split_off_one(sub_g, seed, config, pool):
+            assignment = np.ones(sub_g.n, dtype=np.int64)
+            assignment[0] = 0
+            return Partition(assignment, 2, 0.5)
+
+        monkeypatch.setattr(hierarchy, "louvain", split_off_one)
+        n = 5001
+        g = SimilarityGraph.from_edge_list(n, [(a, a + 1, 1.0) for a in range(n - 1)])
+        tree, bucket = vec2gc_cluster(g, 0.3, 1, seed=1, min_community_size=1)
+        depth = [0] * len(tree.nodes)
+        for node in tree.nodes[1:]:
+            depth[node.id] = depth[node.parent] + 1
+        assert max(depth) == 5000
+        leaves = flat_clusters(tree)
+        assert bucket.members == []
+        assert sorted(m for leaf in leaves for m in leaf) == list(range(n))
+        assert tree.nodes[tree.root].members == list(range(n))
 
 
 class TestFlatClusters:
