@@ -22,8 +22,8 @@ from . import __version__
 from .community import LouvainConfig, _available_cpus
 from .embedding_io import load_embeddings, load_labels
 from .evaluation import format_report_table, kmedoids, purity_report, report_to_json_dict
-from .hierarchy import dumps_tree, leaf_clusters_from_document, vec2gc_cluster
-from .simgraph import build_graph, write_edges_tsv
+from .hierarchy import _check_cluster_parameters, dumps_tree, leaf_clusters_from_document, vec2gc_cluster
+from .simgraph import _check_theta, build_graph, write_edges_tsv
 
 FORMAT_ALIASES = {"word2vec": "word2vec_text", "csv": "csv", "jsonl": "jsonl"}
 
@@ -46,19 +46,11 @@ class RunConfig:
     seed_generated: bool = False
 
     def parameters(self) -> dict:
-        return {
-            "input": self.input,
-            "format": self.format,
-            "labels": self.labels,
-            "theta": self.theta,
-            "mod_threshold": self.mod_threshold,
-            "max_size": self.max_size,
-            "min_community_size": self.min_community_size,
-            "seed": self.seed,
-            "gain_epsilon": self.gain_epsilon,
-            "max_sweeps": self.max_sweeps,
-            "output": self.output,
-        }
+        return {field.name: getattr(self, field.name) for field in _PARAMETERS}
+
+
+# The manifest's "parameters", in field order; seed_generated is recorded beside them.
+_PARAMETERS = [field for field in fields(RunConfig) if field.name != "seed_generated"]
 
 
 def _sha256(path) -> str:
@@ -129,9 +121,7 @@ def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
     # recorded by versions whose graph kernel had a thread pool; it never changed the output
     params.pop("threads", None)
     values = {}
-    for field in fields(RunConfig):
-        if field.name == "seed_generated":  # recorded beside the parameters
-            continue
+    for field in _PARAMETERS:
         if field.name not in params:
             raise ValueError(f"{path}: parameters lack the field '{field.name}'")
         value = params.pop(field.name)
@@ -161,31 +151,23 @@ def cmd_cluster(args) -> int:
         config, recorded = _load_manifest(args.from_manifest)
         if args.output:
             config.output = args.output
-        if recorded and _sha256(config.input) != recorded:
-            raise ValueError(f"input file {config.input} does not match the manifest checksum")
     else:
         if args.input is None or args.theta is None:
             raise ValueError("cluster requires --input and --theta (or --from-manifest)")
-        seed, generated = _resolve_seed(args.seed)
-        config = RunConfig(
-            input=args.input,
-            format=args.format,
-            labels=args.labels,
-            theta=args.theta,
-            mod_threshold=args.mod_threshold,
-            max_size=args.max_size,
-            min_community_size=args.min_community_size,
-            seed=seed,
-            gain_epsilon=args.gain_epsilon,
-            max_sweeps=args.max_sweeps,
-            output=args.output or "tree.json",
-            seed_generated=generated,
-        )
+        # the option dests are the field names
+        config = RunConfig(**{field.name: getattr(args, field.name) for field in _PARAMETERS})
+        config.seed, config.seed_generated = _resolve_seed(args.seed)
+        config.output = config.output or "tree.json"
+        recorded = None
 
-    try:
+    try:  # before the input is read
+        _check_theta(config.theta)
+        _check_cluster_parameters(config.mod_threshold, config.max_size, config.min_community_size)
         louvain_config = LouvainConfig(gain_epsilon=config.gain_epsilon, max_sweeps=config.max_sweeps)
     except ValueError as exc:
         raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest else str(exc)) from None
+    if recorded and _sha256(config.input) != recorded:
+        raise ValueError(f"input file {config.input} does not match the manifest checksum")
     print(f"seed: {config.seed}" + (" (generated)" if config.seed_generated else ""))
     emb = _load_input(config.input, config.format)
     g = build_graph(emb, config.theta)
@@ -349,9 +331,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"error: missing field {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a broken invariant, not bad input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,8 @@ class LouvainConfig:
             raise ValueError(f"gain_epsilon must be a finite number >= 0, got {self.gain_epsilon!r}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps!r}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts!r}")
 
 
 @dataclass
@@ -133,27 +134,22 @@ def aggregate_graph(g: SimilarityGraph, assignment) -> SimilarityGraph:
     return SimilarityGraph.from_csr(n_comm, uniq // n_comm, uniq % n_comm, sums)
 
 
-def louvain(g, seed: int = 0, config: LouvainConfig | None = None, pool: RestartPool | None = None) -> Partition:
+def louvain(g, seed: int = 0, config: LouvainConfig | None = None, chunks: list | None = None) -> Partition:
     """Modularity-maximizing partition of a weighted graph.
 
     Deterministic for a fixed seed: node visit order is a seeded shuffle
     per sweep, equal-gain targets resolve to the smallest community id,
-    and restart ties to the earliest restart. With a pool, the restarts
-    may run in worker processes, in contiguous chunks whose winners are
-    compared in chunk order, so the result is the same at every worker
-    count. A call that RestartPool.start submitted is collected here; any
-    other call starts itself as a level of one.
+    and restart ties to the earliest restart. Without chunks the restarts
+    run here. chunks are the restart chunks that RestartPool.start
+    submitted for this call; their winners are compared in chunk order,
+    so the result is the same at every worker count.
     """
     config = config or LouvainConfig()
     if g.total_weight <= 0.0:
         raise ValueError("community detection requires a graph with at least one edge")
-    restarts = max(1, config.restarts)
-    if pool is not None:
-        if not pool._started:
-            pool.start([(g, seed)], config)
-        if pool._started:
-            return _earliest_best(pool._collect(g, seed, config))
-    return _restart_chunk(g, seed, config, 0, restarts)
+    if chunks is None:
+        return _restart_chunk(g, seed, config, 0, config.restarts)
+    return _earliest_best(chunk.get() for chunk in chunks)
 
 
 _SEED_MASK = (1 << 64) - 1
@@ -176,24 +172,22 @@ POOL_MIN_WORK = 40_000
 
 
 class RestartPool:
-    """Worker processes that run louvain calls and their restarts.
+    """Worker processes that run the restarts of louvain calls.
 
     One pool serves the calls of one clustering run, which starts each
     level of its recursion at once: start() submits the level's calls in
     contiguous restart chunks, a call's share of the chunks following its
-    share of the level's work, and louvain() then collects the calls in
-    the order they were started. So sibling calls run side by side, and a
-    large call's chunks run on every worker. Winners are compared in chunk
-    order, so the tree is the same at every worker count. The workers are
-    forked by the first level whose work reaches POOL_MIN_WORK, reused by
-    later levels, and ended by close(). With one CPU, without the fork
-    start method, or inside a daemonic process, every call runs in-process.
+    share of the level's work, and returns each call's chunks for louvain
+    to reduce. So sibling calls run side by side, and a large call's
+    chunks run on every worker. The workers are forked by the first level
+    whose work reaches POOL_MIN_WORK, reused by later levels, and ended by
+    close(). With one CPU, without the fork start method, or inside a
+    daemonic process, every call runs in-process.
     """
 
     def __init__(self):
         self._pool = None
         self._workers: int | None = None  # decided on first use
-        self._started: deque = deque()  # (graph, seed, config, chunk results) in start order
 
     def __enter__(self) -> RestartPool:
         return self
@@ -201,39 +195,31 @@ class RestartPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def start(self, calls, config: LouvainConfig) -> None:
-        """Submit the (graph, seed) louvain calls of one level, unless they are too small.
+    def start(self, calls, config: LouvainConfig) -> list:
+        """Submit the (graph, seed) louvain calls of one level; one entry per call.
 
-        Every submitted call must then be collected by louvain(graph,
-        seed, config, pool), in this order, before the next start.
+        An entry is the call's list of restart chunks, or None when the
+        level runs in-process: its work is below POOL_MIN_WORK, or the
+        pool has no workers.
         """
-        if self._started:
-            raise RuntimeError("RestartPool.start: the calls of the previous level are not all collected")
-        restarts = max(1, config.restarts)
+        restarts = config.restarts
         works = [g.indices.size * restarts for g, _ in calls]
         level_work = sum(works)
+        in_process = [None] * len(calls)
         if not level_work or level_work < POOL_MIN_WORK:
-            return
+            return in_process
         if self._workers is None:
             self._open(restarts)
         if self._pool is None:
-            return
+            return in_process
+        started = []
         for (g, seed), work in zip(calls, works):
             chunks = min(restarts, max(1, -(-self._workers * work // level_work)))
             cuts = [restarts * i // chunks for i in range(chunks + 1)]
-            results = [
-                self._pool.apply_async(_restart_chunk, (g, seed, config, cuts[i], cuts[i + 1]))
-                for i in range(chunks)
-            ]
-            self._started.append((g, seed, config, results))
-
-    def _collect(self, g, seed: int, config: LouvainConfig) -> list[Partition]:
-        """Chunk winners, in chunk order, of the next started call, which must be this one."""
-        head_g, head_seed, head_config, results = self._started[0]
-        if head_g is not g or head_seed != seed or head_config != config:
-            raise RuntimeError("louvain: this call is not the next one that RestartPool.start submitted")
-        self._started.popleft()
-        return [result.get() for result in results]
+            started.append(
+                [self._pool.apply_async(_restart_chunk, (g, seed, config, cuts[i], cuts[i + 1])) for i in range(chunks)]
+            )
+        return started
 
     def _open(self, restarts: int) -> None:
         import multiprocessing  # here, so runs without a call this large never import it
@@ -252,7 +238,6 @@ class RestartPool:
 
     def close(self) -> None:
         """End the workers and wait for them; the pool then runs everything in-process."""
-        self._started.clear()
         if self._pool is not None:
             pool, self._pool = self._pool, None
             pool.terminate()

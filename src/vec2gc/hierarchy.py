@@ -84,16 +84,12 @@ def vec2gc_cluster(
     The tree is built one level at a time. Each level's optimizer calls
     are handed together to the run's RestartPool, so sibling calls, and
     the restart chunks of large ones, may run side by side in worker
-    processes. Each result is placed by its node's slot and every child
-    seed comes from derive_seed, so the tree bytes do not depend on the
-    order in which calls finish, nor on the worker count.
+    processes; each louvain call then reduces the chunks the pool
+    returned for it. Each result is placed by its node's slot and every
+    child seed comes from derive_seed, so the tree bytes do not depend on
+    the order in which calls finish, nor on the worker count.
     """
-    if not (0.0 <= float(mod_threshold) < 1.0):
-        raise ValueError(f"mod_threshold out of [0, 1): got {mod_threshold!r}")
-    if int(max_size) < 1:
-        raise ValueError("max_size must be at least 1")
-    if int(min_community_size) < 1:
-        raise ValueError("min_community_size must be at least 1")
+    _check_cluster_parameters(mod_threshold, max_size, min_community_size)
     config = config or LouvainConfig()
 
     bucket = NonCommunityBucket()
@@ -114,10 +110,10 @@ def vec2gc_cluster(
     level = [(induced_subgraph(g, active) if active.size < g.n else g, active, seed, root)]
     with RestartPool() as pool:
         while level:
-            pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in level], config)
+            started = pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in level], config)
             next_level = []
-            for sub_g, corpus_idx, node_seed, bnode in level:
-                part = louvain(sub_g, node_seed, config, pool)
+            for (sub_g, corpus_idx, node_seed, bnode), chunks in zip(level, started):
+                part = louvain(sub_g, node_seed, config, chunks)
                 if part.community_count == 1 or part.modularity < mod_threshold:
                     bnode.members = sorted(corpus_idx.tolist())
                     continue
@@ -142,6 +138,16 @@ def vec2gc_cluster(
         warnings.warn("every community fell below min_community_size; tree is empty")
         return ClusterTree(), bucket
     return _flatten(root), bucket
+
+
+def _check_cluster_parameters(mod_threshold: float, max_size: int, min_community_size: int) -> None:
+    """Reject the vec2gc_cluster settings it cannot use; each message starts with the setting's name."""
+    if not (0.0 <= float(mod_threshold) < 1.0):
+        raise ValueError(f"mod_threshold out of [0, 1): got {mod_threshold!r}")
+    if int(max_size) < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size!r}")
+    if int(min_community_size) < 1:
+        raise ValueError(f"min_community_size must be at least 1, got {min_community_size!r}")
 
 
 def _prune(split_nodes: list[_BuildNode]) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import planted_groups
-from vec2gc import EmbeddingSet, community, save_embeddings_jsonl
+from vec2gc import EmbeddingSet, cli, community, save_embeddings_jsonl
 from vec2gc.cli import main
 
 
@@ -121,6 +121,25 @@ class TestClusterCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--theta", "2", "theta out of [0, 1): got 2.0"),
+            ("--theta", "-0.1", "theta out of [0, 1): got -0.1"),
+            ("--mod-threshold", "1.5", "mod_threshold out of [0, 1): got 1.5"),
+            ("--mod-threshold", "-0.5", "mod_threshold out of [0, 1): got -0.5"),
+            ("--max-size", "0", "max_size must be at least 1, got 0"),
+            ("--min-community-size", "0", "min_community_size must be at least 1, got 0"),
+        ],
+    )
+    def test_out_of_range_cluster_settings_exit_1(self, tmp_path, capsys, option, value, message):
+        # checked before the input is read: the input file does not exist
+        out = tmp_path / "tree.json"
+        argv = ["cluster", "--input", str(tmp_path / "nope.jsonl"), "--theta", "0.5", "--seed", "1"]
+        assert main(argv + ["--output", str(out), option, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_records_the_environment(self, tmp_path, planted_files):
         _, emb_path, _ = planted_files
         run_cluster(tmp_path, emb_path)
@@ -214,6 +233,16 @@ class TestUsageErrors:
     def test_help_and_version_exit_0(self, capsys, argv):
         assert main(argv) == 0
 
+    def test_a_key_error_inside_a_command_is_internal(self, tmp_path, planted_files, monkeypatch, capsys):
+        # inputs are validated before use, so a KeyError is a bug, not bad input
+        def broken(*args, **kwargs):
+            raise KeyError("members")
+
+        monkeypatch.setattr(cli, "build_graph", broken)
+        _, emb_path, _ = planted_files
+        assert main(["graph", "--input", emb_path, "--theta", "0.5", "--output", str(tmp_path / "e.tsv")]) == 2
+        assert "internal error: KeyError: 'members'" in capsys.readouterr().err
+
 
 class TestManifestValidation:
     @pytest.fixture
@@ -245,6 +274,10 @@ class TestManifestValidation:
             ("gain_epsilon", -1, "parameter gain_epsilon must be a finite number >= 0, got -1.0"),
             ("max_sweeps", 0, "parameter max_sweeps must be at least 1, got 0"),
             ("max_sweeps", -3, "parameter max_sweeps must be at least 1, got -3"),
+            ("theta", 2, "parameter theta out of [0, 1): got 2.0"),
+            ("mod_threshold", 1.5, "parameter mod_threshold out of [0, 1): got 1.5"),
+            ("max_size", 0, "parameter max_size must be at least 1, got 0"),
+            ("min_community_size", 0, "parameter min_community_size must be at least 1, got 0"),
         ],
     )
     def test_bad_parameter_names_the_field(self, manifest, capsys, field, value, message):

@@ -1,6 +1,9 @@
 import heapq
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -279,6 +282,8 @@ class TestCertifiedSweep:
             ({"gain_epsilon": -1.0}, "gain_epsilon must be a finite number >= 0, got -1.0"),
             ({"max_sweeps": 0}, "max_sweeps must be at least 1, got 0"),
             ({"max_sweeps": -3}, "max_sweeps must be at least 1, got -3"),
+            ({"restarts": 0}, "restarts must be at least 1, got 0"),
+            ({"restarts": -5}, "restarts must be at least 1, got -5"),
         ],
     )
     def test_config_rejects_out_of_range_settings(self, kwargs, message):
@@ -353,7 +358,8 @@ class TestRestartPool:
         force_pool(monkeypatch, workers)
         with community.RestartPool() as pool:
             for i, g in enumerate(graphs):
-                part = louvain(g, seed=21 + i, pool=pool)
+                [chunks] = pool.start([(g, 21 + i)], LouvainConfig())
+                part = louvain(g, seed=21 + i, chunks=chunks)
                 assert np.array_equal(part.assignment, expected[i].assignment)
                 assert part.community_count == expected[i].community_count
                 assert part.modularity == expected[i].modularity
@@ -378,7 +384,8 @@ class TestRestartPool:
         assert winners[0] < first_chunk_end and winners[-1] >= first_chunk_end
         force_pool(monkeypatch, workers)
         with community.RestartPool() as pool:
-            part = louvain(g, seed=5, config=config, pool=pool)
+            [chunks] = pool.start([(g, 5)], config)
+            part = louvain(g, seed=5, config=config, chunks=chunks)
             assert pool._pool is not None
         assert np.array_equal(part.assignment, runs[winners[0]].assignment)
         assert part.modularity == best
@@ -394,12 +401,11 @@ class TestRestartPool:
         g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
         force_pool(monkeypatch, 2)
         with community.RestartPool() as pool:
-            pool.start([(g, 5)], LouvainConfig())
-            chunk_results = pool._started[0][3]
-            chunk_results[1].wait(timeout=60)
-            assert chunk_results[1].ready() and not chunk_results[0].ready()
-            part = louvain(g, seed=5, pool=pool)
-        assert part is chunk_results[0].get()
+            [chunks] = pool.start([(g, 5)], LouvainConfig())
+            chunks[1].wait(timeout=60)
+            assert chunks[1].ready() and not chunks[0].ready()
+            part = louvain(g, seed=5, chunks=chunks)
+        assert part is chunks[0].get()
 
     def test_a_level_splits_its_chunks_by_work(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -409,47 +415,29 @@ class TestRestartPool:
         expected = [louvain(g, seed=s) for g, s in calls]
         force_pool(monkeypatch, 3)
         with community.RestartPool() as pool:
-            pool.start(calls, LouvainConfig())
-            assert [len(entry[3]) for entry in pool._started] == [1, 3, 1, 1]
-            for (g, s), want in zip(calls, expected):
-                part = louvain(g, seed=s, pool=pool)
+            started = pool.start(calls, LouvainConfig())
+            assert [len(chunks) for chunks in started] == [1, 3, 1, 1]
+            for (g, s), chunks, want in zip(calls, started, expected):
+                part = louvain(g, seed=s, chunks=chunks)
                 assert np.array_equal(part.assignment, want.assignment) and part.modularity == want.modularity
-            assert not pool._started
-
-    def test_a_collect_out_of_start_order_raises(self, monkeypatch):
-        rng = np.random.default_rng(19)
-        g1, g2 = random_weighted_graph(rng, 12), random_weighted_graph(rng, 12)
-        force_pool(monkeypatch, 2)
-        with community.RestartPool() as pool:
-            pool.start([(g1, 1), (g2, 2)], LouvainConfig())
-            with pytest.raises(RuntimeError, match="not the next one"):
-                louvain(g2, seed=2, pool=pool)
-            with pytest.raises(RuntimeError, match="not the next one"):
-                louvain(g1, seed=2, pool=pool)
-            with pytest.raises(RuntimeError, match="not the next one"):
-                louvain(g1, seed=1, config=LouvainConfig(restarts=3), pool=pool)
-            assert louvain(g1, seed=1, pool=pool).modularity == louvain(g1, seed=1).modularity
-            assert louvain(g2, seed=2, pool=pool).modularity == louvain(g2, seed=2).modularity
-        assert multiprocessing.active_children() == []
-
-    def test_a_start_with_uncollected_calls_raises(self, monkeypatch):
-        rng = np.random.default_rng(20)
-        g1, g2 = random_weighted_graph(rng, 12), random_weighted_graph(rng, 12)
-        force_pool(monkeypatch, 2)
-        with community.RestartPool() as pool:
-            pool.start([(g1, 1), (g2, 2)], LouvainConfig())
-            louvain(g1, seed=1, pool=pool)
-            with pytest.raises(RuntimeError, match="not all collected"):
-                pool.start([(g1, 3)], LouvainConfig())
-        assert multiprocessing.active_children() == []
 
     def test_small_calls_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(community, "_available_cpus", lambda: 2)
         g = random_weighted_graph(np.random.default_rng(16), 20, p=0.3)
         with community.RestartPool() as pool:
-            louvain(g, seed=1, pool=pool)
+            assert pool.start([(g, 1)], LouvainConfig()) == [None]
             assert pool._pool is None
             assert multiprocessing.active_children() == []
+
+    def test_package_import_loads_no_process_modules(self):
+        # a pool imports multiprocessing, and its workers signal, only when a level is large enough
+        src = os.path.dirname(os.path.dirname(community.__file__))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import vec2gc; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'signal') if m in sys.modules])"
+        )
+        run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+        assert run.stdout == "[]\n"
 
 
 class TestDenseRelabel:
