@@ -55,7 +55,7 @@ from .evaluation import (
     report_to_json_dict,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "EmbeddingSet",

@@ -42,6 +42,7 @@ class RunConfig:
     seed: int
     gain_epsilon: float
     max_sweeps: int
+    restarts: int
     output: str
     seed_generated: bool = False
 
@@ -120,6 +121,8 @@ def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
     params = dict(manifest["parameters"])
     # recorded by versions whose graph kernel had a thread pool; it never changed the output
     params.pop("threads", None)
+    # versions before 0.2 ran 16 restarts and did not record them
+    params.setdefault("restarts", 16)
     values = {}
     for field in _PARAMETERS:
         if field.name not in params:
@@ -163,7 +166,9 @@ def cmd_cluster(args) -> int:
     try:  # before the input is read
         _check_theta(config.theta)
         _check_cluster_parameters(config.mod_threshold, config.max_size, config.min_community_size)
-        louvain_config = LouvainConfig(gain_epsilon=config.gain_epsilon, max_sweeps=config.max_sweeps)
+        louvain_config = LouvainConfig(
+            gain_epsilon=config.gain_epsilon, max_sweeps=config.max_sweeps, restarts=config.restarts
+        )
     except ValueError as exc:
         raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest else str(exc)) from None
     if recorded and _sha256(config.input) != recorded:
@@ -289,8 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--max-size", type=int, default=500, help="communities above this size are split again")
     cluster.add_argument("--min-community-size", type=int, default=2, help="smaller communities become non-community items")
     cluster.add_argument("--seed", type=int, help="random seed; generated and printed when omitted")
-    cluster.add_argument("--gain-epsilon", type=float, default=1e-9, help="smallest modularity gain that still counts as a move")
-    cluster.add_argument("--max-sweeps", type=int, default=100, help="move sweeps per optimizer level")
+    cluster.add_argument(
+        "--gain-epsilon", type=float, default=LouvainConfig.gain_epsilon,
+        help="smallest modularity gain that still counts as a move",
+    )
+    cluster.add_argument("--max-sweeps", type=int, default=LouvainConfig.max_sweeps, help="move sweeps per optimizer level")
+    cluster.add_argument(
+        "--restarts", type=int, default=LouvainConfig.restarts,
+        help="seeded optimizer runs per community detection; the best partition wins",
+    )
     cluster.add_argument("--output", help="tree JSON path (default tree.json)")
     cluster.add_argument("--manifest", help="manifest path (default: output with .manifest.json suffix)")
     cluster.add_argument("--from-manifest", help="rerun the exact configuration recorded in a manifest")

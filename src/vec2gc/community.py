@@ -31,12 +31,19 @@ class LouvainConfig:
     maxima that a single greedy pass lands in; restarts escape them.
     Each restart draws from its own seeded stream, so they may run in
     worker processes; the result is deterministic for a fixed seed.
+
+    8 restarts write the same trees as the 16 of versions before 0.2 on
+    all three benchmark corpora at seeds 1 to 8, in 56 to 57% of the
+    optimizer time. On tiny graphs they trade some quality: the
+    exhaustive-optimum acceptance test needs at least 6, and on 2,040
+    random graphs of 3 to 8 nodes from its generator the best of 8 falls
+    below 0.9 times the optimal Q on 4, the best of 16 on none.
     """
 
     gain_epsilon: float = 1e-9
     max_sweeps: int = 100
     max_levels: int = 50
-    restarts: int = 16
+    restarts: int = 8
 
     def __post_init__(self):
         # nan or inf would make every gain test false and so end every
@@ -45,6 +52,8 @@ class LouvainConfig:
             raise ValueError(f"gain_epsilon must be a finite number >= 0, got {self.gain_epsilon!r}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps!r}")
+        if self.max_levels < 1:
+            raise ValueError(f"max_levels must be at least 1, got {self.max_levels!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts!r}")
 
@@ -155,19 +164,21 @@ def louvain(g, seed: int = 0, config: LouvainConfig | None = None, chunks: list 
 _SEED_MASK = (1 << 64) - 1
 
 # Smallest work (CSR entries x restarts, summed over the calls of one
-# level) that runs on worker processes. Measured on 2 CPUs, Python 3.11:
-# the first pool of a process costs 30 to 50 ms (median 33 of 9 runs) to
-# import multiprocessing, fork two workers, run a first task and close
-# them. Once open, two workers save, per unit and after pickling, 0.5 to
-# 0.9 us on single calls of 47k to 51k units (the nested-deep benchmark's
-# level-1 calls, medians of 5) and 1.35 us on dedup-wide's 48k-unit root
-# call, so single calls break even near 33 ms / 0.56 us = 59k units, with
-# 30k to 130k inside the spread. A level of many small calls saves more
-# per unit, 1.6 to 2.2 us (nested-deep's 46 level-2 calls, 193k units),
-# because their per-call setup runs in parallel too; it breaks even at 15k
-# to 32k. 40k stays: it lies inside the single-call range, and no level of
-# the benchmark corpora falls between 15k and 40k (their levels are below
-# 11k or above 190k, except dedup-wide's one 48k call).
+# level) that runs on worker processes. Measured on 2 CPUs, Python 3.11,
+# 8 restarts: the first pool of a process costs 20 to 31 ms (median 25 of
+# 9 runs) to import multiprocessing, fork two workers, run a first task
+# and close them. Once open, two workers save, per unit and after
+# pickling, 0.3 to 0.75 us (median 0.54) on single calls of 18k to 28k
+# units (the nested-deep benchmark's level-1 calls, medians of 5, in 3 of
+# 4 runs; the fourth, on a busy host, saved nothing) and 0.8 to 1.45 us on
+# dedup-wide's 24k-unit root call, so single calls break even near
+# 25 ms / 0.54 us = 47k units, with 17k to 100k inside the spread. A level
+# of many small calls saves more per unit, 1.0 to 1.9 us (nested-deep's 46
+# level-2 calls, 97k units), because their per-call setup runs in parallel
+# too; it breaks even at 13k to 31k. 40k stays: it lies inside the
+# single-call range, and the benchmark corpora's levels are below 5.1k or
+# above 94k, except dedup-wide's one 24k call, which saves about what
+# opening the pool costs (24k x 1.1 us = 26 ms).
 POOL_MIN_WORK = 40_000
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import planted_groups
-from vec2gc import EmbeddingSet, cli, community, save_embeddings_jsonl
+from vec2gc import EmbeddingSet, LouvainConfig, __version__, cli, community, save_embeddings_jsonl
 from vec2gc.cli import main
 
 
@@ -43,6 +43,8 @@ class TestClusterCommand:
         manifest = json.loads((tmp_path / "tree.manifest.json").read_text())
         assert manifest["parameters"]["theta"] == 0.5
         assert manifest["parameters"]["seed"] == 420
+        assert manifest["parameters"]["restarts"] == LouvainConfig().restarts
+        assert manifest["version"] == __version__
         assert manifest["seed_generated"] is False
         assert len(manifest["input_sha256"]) == 64
         assert "seed: 420" in capsys.readouterr().out
@@ -103,6 +105,11 @@ class TestClusterCommand:
         assert code == 1
         assert "checksum" in capsys.readouterr().err
 
+    def test_optimizer_defaults_are_louvain_configs(self):
+        args = cli.build_parser().parse_args(["cluster"])
+        defaults = LouvainConfig(gain_epsilon=args.gain_epsilon, max_sweeps=args.max_sweeps, restarts=args.restarts)
+        assert defaults == LouvainConfig()
+
     @pytest.mark.parametrize(
         "option, value, message",
         [
@@ -111,6 +118,8 @@ class TestClusterCommand:
             ("--gain-epsilon", "-1", "gain_epsilon must be a finite number >= 0, got -1.0"),
             ("--max-sweeps", "0", "max_sweeps must be at least 1, got 0"),
             ("--max-sweeps", "-3", "max_sweeps must be at least 1, got -3"),
+            ("--restarts", "0", "restarts must be at least 1, got 0"),
+            ("--restarts", "-2", "restarts must be at least 1, got -2"),
         ],
     )
     def test_out_of_range_optimizer_settings_exit_1(self, tmp_path, capsys, option, value, message):
@@ -194,8 +203,8 @@ class TestClusterWorkers:
             assert self.cluster_bytes(tmp_path, noise_file, f"workers{workers}") == expected
 
     def test_threads_manifest_reruns_to_the_canonical_tree(self, tmp_path, noise_file):
-        # earlier versions recorded the graph kernel's thread count
-        expected = self.cluster_bytes(tmp_path, noise_file, "canonical")
+        # earlier versions recorded the graph kernel's thread count, and ran 16 restarts
+        expected = self.cluster_bytes(tmp_path, noise_file, "canonical", extra=["--restarts", "16"])
         legacy = tmp_path / "legacy.manifest.json"
         legacy.write_text(json.dumps({
             "tool": "vec2gc",
@@ -212,6 +221,18 @@ class TestClusterWorkers:
         }))
         rerun = tmp_path / "rerun.json"
         assert main(["cluster", "--from-manifest", str(legacy), "--output", str(rerun)]) == 0
+        assert rerun.read_bytes() == expected
+
+    def test_manifest_without_restarts_reruns_with_16(self, tmp_path, noise_file):
+        # versions before 0.2 did not record the restart count; they ran 16
+        expected = self.cluster_bytes(tmp_path, noise_file, "sixteen", extra=["--restarts", "16"])
+        self.cluster_bytes(tmp_path, noise_file, "default")
+        manifest = tmp_path / "default.manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["parameters"]["restarts"]
+        manifest.write_text(json.dumps(doc))
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
         assert rerun.read_bytes() == expected
 
 
@@ -274,6 +295,8 @@ class TestManifestValidation:
             ("gain_epsilon", -1, "parameter gain_epsilon must be a finite number >= 0, got -1.0"),
             ("max_sweeps", 0, "parameter max_sweeps must be at least 1, got 0"),
             ("max_sweeps", -3, "parameter max_sweeps must be at least 1, got -3"),
+            ("restarts", 0, "parameter restarts must be at least 1, got 0"),
+            ("restarts", "8", "parameter 'restarts' must be an integer, got \"8\""),
             ("theta", 2, "parameter theta out of [0, 1): got 2.0"),
             ("mod_threshold", 1.5, "parameter mod_threshold out of [0, 1): got 1.5"),
             ("max_size", 0, "parameter max_size must be at least 1, got 0"),
