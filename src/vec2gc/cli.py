@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .community import LouvainConfig, _available_cpus
-from .embedding_io import load_embeddings, load_labels
+from .embedding_io import load_embeddings, load_labels, open_utf8
 from .evaluation import format_report_table, kmedoids, purity_report, report_to_json_dict
 from .hierarchy import _check_cluster_parameters, dumps_tree, leaf_clusters_from_document, vec2gc_cluster
 from .simgraph import _check_theta, build_graph, write_edges_tsv
@@ -106,11 +106,13 @@ _PARAMETER_TYPES = {
 
 
 def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _load_manifest(path: str) -> tuple[RunConfig, str | None]:

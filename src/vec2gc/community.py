@@ -42,7 +42,6 @@ class LouvainConfig:
 
     gain_epsilon: float = 1e-9
     max_sweeps: int = 100
-    max_levels: int = 50
     restarts: int = 8
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class LouvainConfig:
             raise ValueError(f"gain_epsilon must be a finite number >= 0, got {self.gain_epsilon!r}")
         if self.max_sweeps < 1:
             raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps!r}")
-        if self.max_levels < 1:
-            raise ValueError(f"max_levels must be at least 1, got {self.max_levels!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts!r}")
 
@@ -302,7 +299,7 @@ def _louvain_pass(sg: _SweepGraph, rng, config: LouvainConfig, init) -> Partitio
         node_map, n_comm = _dense_relabel(comm)
         if n_comm < g.n:
             level = _SweepGraph(aggregate_graph(g, node_map))
-    for _ in range(config.max_levels):
+    while True:  # ends: a level that continues has fewer nodes than the one before
         comm, moved = _move_phase(level, rng, config)
         if not moved:
             break

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,64 @@ class FormatError(ValueError):
         super().__init__(f"{self.path}, line {line}: {message}")
 
 
+@contextmanager
+def open_utf8(path):
+    """A UTF-8 text file opened for reading; an undecodable byte is a FormatError at its line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the decoder counts positions within its read chunk, not the file
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = data[: exc.start].decode("utf-8")
+                line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+                raise FormatError(path, line, f"not valid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
+            raise
+
+
+class _BadRow(ValueError):
+    """The first row of an EmbeddingSet that breaks a row rule."""
+
+    def __init__(self, row: int, message: str, first: int | None = None):
+        super().__init__(message)
+        self.row = row
+        self.first = first  # for a duplicate id, the row that has it first
+
+
+def _first_bad_row(ids, vectors: np.ndarray, values) -> _BadRow | None:
+    """The first row that breaks a row rule, or None.
+
+    A row needs a non-empty id on no earlier row, checked first, then
+    finite values that fit in float32 and a norm of at least
+    MIN_VECTOR_NORM. values are the rows vectors was converted from.
+    """
+    bad = None
+    seen: dict[str, int] = {}
+    for i, item_id in enumerate(ids):
+        first = seen.setdefault(item_id, i)
+        if not item_id or first != i:
+            bad = _BadRow(i, f"duplicate id {item_id!r}", first) if item_id else _BadRow(i, "empty id")
+            break
+    finite = np.isfinite(vectors).all(axis=1)
+    squares = np.einsum("ij,ij->i", vectors, vectors, dtype=np.float64)
+    # The square of a float32 is exact in float64, so these sums are
+    # within a relative d * 2**-53 of the exact ones; only rows within
+    # a factor 2 of the bound need the exact sum to be decided.
+    stop = len(ids) if bad is None else bad.row
+    for i in np.flatnonzero((~finite | (squares < (2.0 * MIN_VECTOR_NORM) ** 2))[:stop]).tolist():
+        if not finite[i]:
+            finite_source = np.isfinite(np.asarray(values[i], dtype=np.float64)).all()
+            what = "value outside the float32 range" if finite_source else "non-finite value"
+            return _BadRow(i, f"{what} in vector for id {ids[i]!r}")
+        if math.sqrt(math.fsum(v * v for v in vectors[i].tolist())) < MIN_VECTOR_NORM:
+            return _BadRow(i, f"zero-norm vector for id {ids[i]!r}")
+    return bad
+
+
 @dataclass
 class EmbeddingSet:
     """Ordered collection of id'd embedding vectors with optional labels.
@@ -38,6 +97,11 @@ class EmbeddingSet:
     arithmetic promotes to float64 at the point of use. Item order equals
     source-file order. Treat instances as immutable once constructed;
     they are then safe to share across threads.
+
+    Construction checks the shape, the labels and the row rules of
+    _first_bad_row (unique non-empty ids, finite float32 values, a norm
+    of at least MIN_VECTOR_NORM), the one place those rules run, for a
+    loaded set as for one built directly.
     """
 
     ids: list[str]
@@ -45,7 +109,9 @@ class EmbeddingSet:
     labels: dict[str, str] | None = None
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float32)
+        values = self.vectors
+        with np.errstate(over="ignore"):  # the row rules report a value beyond float32
+            self.vectors = np.asarray(values, dtype=np.float32)
         if self.vectors.ndim != 2:
             raise ValueError("vectors must form a 2-d array")
         if len(self.ids) != self.vectors.shape[0]:
@@ -54,22 +120,12 @@ class EmbeddingSet:
             raise ValueError("embedding set has no items")
         if self.vectors.shape[1] == 0:
             raise ValueError("vectors have zero dimensions")
-        seen = set()
-        for item_id in self.ids:
-            if not item_id:
-                raise ValueError("empty id")
-            if item_id in seen:
-                raise ValueError(f"duplicate id {item_id!r}")
-            seen.add(item_id)
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("non-finite vector component")
-        norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
-        small = np.nonzero(norms < MIN_VECTOR_NORM)[0]
-        if small.size:
-            raise ValueError(f"zero-norm vector for id {self.ids[int(small[0])]!r}")
+        if (bad := _first_bad_row(self.ids, self.vectors, values)) is not None:
+            raise bad
         if self.labels is not None:
+            known = set(self.ids)
             for item_id, label in self.labels.items():
-                if item_id not in seen:
+                if item_id not in known:
                     raise ValueError(f"label references unknown id {item_id!r}")
                 if not label:
                     raise ValueError(f"empty label for id {item_id!r}")
@@ -89,6 +145,11 @@ class EmbeddingSet:
 def load_embeddings(path, format: str) -> EmbeddingSet:
     """Parse an embedding file into a validated EmbeddingSet.
 
+    Per-format code checks the word2vec header, CSV fields and JSON
+    records, one row loop the dimension and numbers. The row rules run
+    once, when the EmbeddingSet is built; an error met while reading
+    first runs them on the rows above it, so the first in file order wins.
+
     Args:
         path: file to read.
         format: one of "word2vec_text", "csv", "jsonl".
@@ -97,42 +158,67 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
         FormatError: malformed content, with the offending line number.
         ValueError: unknown format name.
     """
-    if format == "word2vec_text":
-        return _load_word2vec_text(path)
-    if format == "csv":
-        return _load_csv(path)
-    if format == "jsonl":
-        return _load_jsonl(path)
-    raise ValueError(f"unknown embedding format {format!r}; expected one of {EMBEDDING_FORMATS}")
-
-
-_OUT_OF_RANGE = "value outside the float32 range"
+    if format not in EMBEDDING_FORMATS:
+        raise ValueError(f"unknown embedding format {format!r}; expected one of {EMBEDDING_FORMATS}")
+    rows = _Rows(path)
+    count = None
+    with open_utf8(path) as fh:
+        if format == "word2vec_text":
+            parts = fh.readline().split()
+            if len(parts) != 2:
+                raise FormatError(path, 1, 'expected header "N d"')
+            try:
+                count, rows.dim = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError(path, 1, 'expected integer header "N d"') from None
+            if count < 1 or rows.dim < 1:
+                raise FormatError(path, 1, f"header declares {count} items of dimension {rows.dim}")
+        parse = {"word2vec_text": _word2vec_row, "csv": _csv_row, "jsonl": _jsonl_row}[format]
+        for lineno, line in enumerate(fh, start=1 if count is None else 2):
+            if line.strip():
+                parse(rows, lineno, line)
+    if count is not None and len(rows.ids) != count:
+        raise rows.error(len(rows.ids) + 1, f"header declares {count} rows, file has {len(rows.ids)}")
+    if not rows.ids:
+        raise FormatError(path, 1, f"no embedding {'records' if format == 'jsonl' else 'rows'} found")
+    return rows.build()
 
 
 class _Rows:
-    """Rows parsed so far, with their line numbers.
-
-    Ids and structure are checked per row as it is read; finiteness and
-    zero norm are checked over all rows at once by vectors(). Every error
-    raised through error() first runs vectors() on the rows before it, so
-    the first error in file order wins, as if each row had been checked
-    completely when it was read.
-    """
+    """Rows read so far from one embedding file, with their line numbers."""
 
     def __init__(self, path):
         self.path = path
+        self.dim: int | None = None
         self.ids: list[str] = []
         self.rows: list[list[float]] = []
         self.lines: list[int] = []
-        self.seen: dict[str, int] = {}
+        self.labels: dict[str, str] = {}
+
+    def build(self) -> EmbeddingSet:
+        try:
+            return EmbeddingSet(ids=self.ids, vectors=self.rows, labels=self.labels or None)
+        except _BadRow as bad:
+            first = f" (first seen on line {self.lines[bad.first]})" if bad.first is not None else ""
+            raise FormatError(self.path, self.lines[bad.row], f"{bad}{first}") from None
 
     def error(self, lineno: int, message: str) -> FormatError:
-        self.vectors()
+        """The error for a line, or for a row before it that breaks a row rule."""
+        if self.rows:
+            try:
+                self.build()
+            except FormatError as exc:
+                return exc
         return FormatError(self.path, lineno, message)
 
-    def parse(self, lineno: int, tokens: list[str]) -> list[float]:
+    def add(self, lineno: int, item_id: str, tokens: list) -> None:
+        if self.dim not in (None, len(tokens)):
+            raise self.error(lineno, f"dimension mismatch: expected {self.dim} values, this row has {len(tokens)}")
+        self.dim = len(tokens)
         try:
-            return list(map(float, tokens))
+            values = list(map(float, tokens))
+        except OverflowError:  # a JSON integer beyond the float range
+            raise self.error(lineno, f"value outside the float32 range in vector for id {item_id!r}") from None
         except ValueError:
             for token in tokens:
                 try:
@@ -140,134 +226,47 @@ class _Rows:
                 except ValueError:
                     raise self.error(lineno, f"unparseable number {token!r}") from None
             raise
-
-    def add(self, lineno: int, item_id: str, values: list[float]) -> None:
-        if not item_id:
-            raise self.error(lineno, "empty id")
-        if item_id in self.seen:
-            raise self.error(lineno, f"duplicate id {item_id!r} (first seen on line {self.seen[item_id]})")
-        self.seen[item_id] = lineno
         self.ids.append(item_id)
         self.rows.append(values)
         self.lines.append(lineno)
 
-    def vectors(self) -> np.ndarray:
-        """All rows as one float32 array; raises for the first bad row."""
-        if not self.rows:
-            return np.empty((0, 0), dtype=np.float32)
-        with np.errstate(over="ignore"):
-            vectors = np.array(self.rows, dtype=np.float32)
-        finite = np.isfinite(vectors).all(axis=1)
-        wide = vectors.astype(np.float64)
-        squares = np.einsum("ij,ij->i", wide, wide)
-        # The square of a float32 is exact in float64, so these sums are
-        # within a relative d * 2**-53 of the exact ones; only rows within
-        # a factor 2 of the bound need the exact sum to be decided.
-        for i in np.flatnonzero(~finite | (squares < (2.0 * MIN_VECTOR_NORM) ** 2)).tolist():
-            if not finite[i]:
-                what = "non-finite value" if not all(map(math.isfinite, self.rows[i])) else _OUT_OF_RANGE
-                raise FormatError(self.path, self.lines[i], f"{what} in vector for id {self.ids[i]!r}")
-            if math.sqrt(math.fsum(v * v for v in vectors[i].tolist())) < MIN_VECTOR_NORM:
-                raise FormatError(self.path, self.lines[i], f"zero-norm vector for id {self.ids[i]!r}")
-        return vectors
+
+def _word2vec_row(rows: _Rows, lineno: int, line: str) -> None:
+    tokens = line.split()
+    rows.add(lineno, tokens[0], tokens[1:])
 
 
-def _load_word2vec_text(path) -> EmbeddingSet:
-    rows = _Rows(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise FormatError(path, 1, 'expected header "N d"')
-        try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(path, 1, 'expected integer header "N d"') from None
-        if count < 1 or dim < 1:
-            raise FormatError(path, 1, f"header declares {count} items of dimension {dim}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            if len(tokens) != dim + 1:
-                raise rows.error(
-                    lineno,
-                    f"dimension mismatch: header declares {dim} values, row has {len(tokens) - 1}",
-                )
-            rows.add(lineno, tokens[0], rows.parse(lineno, tokens[1:]))
-    vectors = rows.vectors()
-    if len(rows.ids) != count:
-        raise FormatError(path, len(rows.ids) + 1, f"header declares {count} rows, file has {len(rows.ids)}")
-    return EmbeddingSet(ids=rows.ids, vectors=vectors)
+def _csv_row(rows: _Rows, lineno: int, line: str) -> None:
+    fields = line.rstrip("\r\n").split(",")
+    if len(fields) < 2:
+        raise rows.error(lineno, "expected an id followed by vector values")
+    rows.add(lineno, fields[0].strip(), fields[1:])
 
 
-def _load_csv(path) -> EmbeddingSet:
-    rows = _Rows(path)
-    dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\r\n").split(",")
-            if len(fields) < 2:
-                raise rows.error(lineno, "expected an id followed by vector values")
-            if dim is None:
-                dim = len(fields) - 1
-            elif len(fields) - 1 != dim:
-                raise rows.error(
-                    lineno,
-                    f"dimension mismatch: first row has {dim} values, this row has {len(fields) - 1}",
-                )
-            values = rows.parse(lineno, fields[1:])
-            rows.add(lineno, fields[0].strip(), values)
-    if not rows.ids:
-        raise FormatError(path, 1, "no embedding rows found")
-    return EmbeddingSet(ids=rows.ids, vectors=rows.vectors())
-
-
-def _load_jsonl(path) -> EmbeddingSet:
-    rows = _Rows(path)
-    labels: dict[str, str] = {}
-    dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise rows.error(lineno, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise rows.error(lineno, "record is not a JSON object")
-            item_id = record.get("id")
-            if not isinstance(item_id, str):
-                raise rows.error(lineno, 'missing or non-string "id"')
-            vector = record.get("vector")
-            if not isinstance(vector, list) or not vector:
-                raise rows.error(lineno, 'missing or empty "vector"')
-            # JSON numbers decode to int or float; bool is rejected as non-numeric
-            if not set(map(type, vector)) <= {int, float}:
-                raise rows.error(lineno, f"non-numeric vector entry for id {item_id!r}")
-            try:
-                values = list(map(float, vector))
-            except OverflowError:
-                raise rows.error(lineno, f"{_OUT_OF_RANGE} in vector for id {item_id!r}") from None
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise rows.error(
-                    lineno,
-                    f"dimension mismatch: first record has {dim} values, this one has {len(values)}",
-                )
-            rows.add(lineno, item_id, values)
-            label = record.get("label")
-            if label is not None:
-                if not isinstance(label, str) or not label:
-                    raise rows.error(lineno, f"label for id {item_id!r} must be a non-empty string")
-                labels[item_id] = label
-    if not rows.ids:
-        raise FormatError(path, 1, "no embedding records found")
-    return EmbeddingSet(ids=rows.ids, vectors=rows.vectors(), labels=labels or None)
+def _jsonl_row(rows: _Rows, lineno: int, line: str) -> None:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise rows.error(lineno, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise rows.error(lineno, "invalid JSON: nested too deeply") from None
+    if not isinstance(record, dict):
+        raise rows.error(lineno, "record is not a JSON object")
+    item_id = record.get("id")
+    if not isinstance(item_id, str):
+        raise rows.error(lineno, 'missing or non-string "id"')
+    vector = record.get("vector")
+    if not isinstance(vector, list) or not vector:
+        raise rows.error(lineno, 'missing or empty "vector"')
+    # JSON numbers decode to int or float; bool is rejected as non-numeric
+    if not set(map(type, vector)) <= {int, float}:
+        raise rows.error(lineno, f"non-numeric vector entry for id {item_id!r}")
+    rows.add(lineno, item_id, vector)
+    label = record.get("label")
+    if label is not None:
+        if not isinstance(label, str) or not label:
+            raise rows.error(lineno, f"label for id {item_id!r} must be a non-empty string")
+        rows.labels[item_id] = label
 
 
 def load_labels(path, has_header: bool = False) -> dict[str, str]:
@@ -278,7 +277,7 @@ def load_labels(path, has_header: bool = False) -> dict[str, str]:
     """
     labels: dict[str, str] = {}
     firsts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if has_header and lineno == 1:
                 continue

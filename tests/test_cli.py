@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -109,6 +110,10 @@ class TestClusterCommand:
         args = cli.build_parser().parse_args(["cluster"])
         defaults = LouvainConfig(gain_epsilon=args.gain_epsilon, max_sweeps=args.max_sweeps, restarts=args.restarts)
         assert defaults == LouvainConfig()
+
+    def test_every_optimizer_setting_is_a_run_parameter(self):
+        # so the manifest records every LouvainConfig field that can change the tree
+        assert {f.name for f in fields(LouvainConfig)} <= {f.name for f in fields(cli.RunConfig)}
 
     @pytest.mark.parametrize(
         "option, value, message",
@@ -385,6 +390,24 @@ class TestEvaluateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "rerun"])
+    def test_undecodable_json_names_file_and_line(self, tmp_path, planted_files, capsys, command):
+        _, _, labels_path = planted_files
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"nodes": [' + b" " * 9000 + b'\n\n"\xff"]}')
+        argv = ["evaluate", "--tree", str(bad), "--labels", labels_path]
+        assert main(argv if command == "evaluate" else ["cluster", "--from-manifest", str(bad)]) == 1
+        assert f"{bad}, line 3: not valid UTF-8: byte 0xff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "rerun"])
+    def test_deeply_nested_json_exits_1_naming_the_file(self, tmp_path, planted_files, capsys, command):
+        _, _, labels_path = planted_files
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000, encoding="utf-8")
+        argv = ["evaluate", "--tree", str(deep), "--labels", labels_path]
+        assert main(argv if command == "evaluate" else ["cluster", "--from-manifest", str(deep)]) == 1
+        assert f"{deep}: invalid JSON: nested too deeply" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "nodes, message",

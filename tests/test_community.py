@@ -284,8 +284,6 @@ class TestCertifiedSweep:
             ({"max_sweeps": -3}, "max_sweeps must be at least 1, got -3"),
             ({"restarts": 0}, "restarts must be at least 1, got 0"),
             ({"restarts": -5}, "restarts must be at least 1, got -5"),
-            ({"max_levels": 0}, "max_levels must be at least 1, got 0"),
-            ({"max_levels": -3}, "max_levels must be at least 1, got -3"),
         ],
     )
     def test_config_rejects_out_of_range_settings(self, kwargs, message):

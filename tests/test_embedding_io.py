@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vec2gc import EmbeddingSet, FormatError, load_embeddings, load_labels, save_embeddings_jsonl
+from vec2gc import embedding_io
 
 
 def write(path, text):
@@ -281,3 +282,53 @@ def test_jsonl_integer_beyond_float_range(tmp_path):
     path.write_text('{"id": "a", "vector": [1.0, 0.0]}\n{"id": "big", "vector": [1%s, 0]}\n' % ("0" * 400), encoding="utf-8")
     with pytest.raises(FormatError, match="line 2: value outside the float32 range in vector for id 'big'"):
         load_embeddings(str(path), "jsonl")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_row_rules_run_once_per_load_and_per_construction(tmp_path, monkeypatch, fmt):
+    calls = []
+    rule = embedding_io._first_bad_row
+    monkeypatch.setattr(embedding_io, "_first_bad_row", lambda *args: calls.append(args) or rule(*args))
+    path, _ = write_rows(tmp_path, fmt, [("a", ["1.0", "0.0"]), ("b", ["0.0", "1.0"])])
+    assert load_embeddings(path, fmt).ids == ["a", "b"]
+    assert len(calls) == 1
+    EmbeddingSet(ids=["a"], vectors=np.ones((1, 2)))
+    assert len(calls) == 2
+
+
+def test_direct_construction_names_a_value_beyond_float32():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="value outside the float32 range in vector for id 'big'"):
+            EmbeddingSet(ids=["a", "big"], vectors=np.array([[1.0, 0.0], [1e39, 1.0]]))
+
+
+def past_first_chunk(text, marker, line):
+    """text as bytes with an undecodable byte inserted before marker, beyond the first 8 KiB."""
+    data = text.encode("utf-8")
+    at = data.index(marker.encode("utf-8"))
+    assert at > 8192 and data[:at].count(b"\n") == line - 1
+    return data[:at] + b"\xff" + data[at:]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_undecodable_byte_names_its_line(tmp_path, fmt):
+    rows = [(f"r{k}", ["1.0", "0.5"]) for k in range(1000)]
+    text, offset = render(fmt, rows)
+    path = tmp_path / f"emb.{fmt}"
+    path.write_bytes(past_first_chunk(text, "r900", 901 + offset))
+    with pytest.raises(FormatError, match=rf"line {901 + offset}: not valid UTF-8: byte 0xff"):
+        load_embeddings(str(path), fmt)
+
+
+def test_undecodable_label_file_names_its_line(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_bytes(past_first_chunk("".join(f"a{k}\tx\n" for k in range(2000)), "a1500\t", 1501))
+    with pytest.raises(FormatError, match=r"line 1501: not valid UTF-8"):
+        load_labels(str(path))
+
+
+def test_deeply_nested_jsonl_record_is_a_format_error(tmp_path):
+    path = write(tmp_path / "emb.jsonl", '{"id": "a", "vector": [1.0]}\n' + "[" * 200_000 + "\n")
+    with pytest.raises(FormatError, match="line 2: invalid JSON: nested too deeply"):
+        load_embeddings(path, "jsonl")
