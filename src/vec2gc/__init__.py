@@ -24,7 +24,6 @@ from .simgraph import (
     write_edges_tsv,
 )
 from .community import (
-    LouvainConfig,
     Partition,
     aggregate_graph,
     louvain,
@@ -55,7 +54,7 @@ from .evaluation import (
     report_to_json_dict,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 __all__ = [
     "EmbeddingSet",
@@ -71,7 +70,6 @@ __all__ = [
     "edge_weight",
     "induced_subgraph",
     "write_edges_tsv",
-    "LouvainConfig",
     "Partition",
     "aggregate_graph",
     "louvain",

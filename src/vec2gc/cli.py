@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .community import LouvainConfig, _available_cpus
-from .embedding_io import load_embeddings, load_labels, open_utf8
+from .community import GAIN_EPSILON, MAX_SWEEPS, RESTARTS, _available_cpus
+from .embedding_io import FormatError, _utf8_error, load_embeddings, load_labels, open_utf8
 from .evaluation import format_report_table, kmedoids, purity_report, report_to_json_dict
 from .hierarchy import _check_cluster_parameters, dumps_tree, leaf_clusters_from_document, vec2gc_cluster
 from .simgraph import _check_theta, build_graph, write_edges_tsv
@@ -40,8 +40,6 @@ class RunConfig:
     max_size: int
     min_community_size: int
     seed: int
-    gain_epsilon: float
-    max_sweeps: int
     restarts: int
     output: str
     seed_generated: bool = False
@@ -107,12 +105,15 @@ _PARAMETER_TYPES = {
 
 def _read_json(path):
     with open_utf8(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
+        text = fh.read()
+    if bad := _utf8_error(text):
+        raise FormatError(path, 1 + bad[0], bad[1])
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
@@ -125,6 +126,10 @@ def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
     params.pop("threads", None)
     # versions before 0.2 ran 16 restarts and did not record them
     params.setdefault("restarts", 16)
+    # versions before 0.2.1 recorded the optimizer's constants as settings
+    for name, constant in (("gain_epsilon", GAIN_EPSILON), ("max_sweeps", MAX_SWEEPS)):
+        if (value := params.pop(name, constant)) != constant:
+            raise ValueError(f"{path}: parameter {name} is fixed at {constant} since version 0.2.1, got {json.dumps(value)}")
     values = {}
     for field in _PARAMETERS:
         if field.name not in params:
@@ -167,10 +172,7 @@ def cmd_cluster(args) -> int:
 
     try:  # before the input is read
         _check_theta(config.theta)
-        _check_cluster_parameters(config.mod_threshold, config.max_size, config.min_community_size)
-        louvain_config = LouvainConfig(
-            gain_epsilon=config.gain_epsilon, max_sweeps=config.max_sweeps, restarts=config.restarts
-        )
+        _check_cluster_parameters(config.mod_threshold, config.max_size, config.min_community_size, config.restarts)
     except ValueError as exc:
         raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest else str(exc)) from None
     if recorded and _sha256(config.input) != recorded:
@@ -184,7 +186,7 @@ def cmd_cluster(args) -> int:
         config.max_size,
         config.seed,
         min_community_size=config.min_community_size,
-        config=louvain_config,
+        restarts=config.restarts,
     )
     text = dumps_tree(
         tree,
@@ -236,7 +238,10 @@ def cmd_evaluate(args) -> int:
         clusters, noise = leaf_clusters_from_document(doc)
     except ValueError as exc:
         raise ValueError(f"{args.tree}: {exc}") from None
-    report = purity_report(clusters, labels, thresholds=thresholds, noise_size=len(noise))
+    try:  # an empty tree, or one with no labeled member, is valid but has nothing to score
+        report = purity_report(clusters, labels, thresholds=thresholds, noise_size=len(noise))
+    except ValueError as exc:
+        raise ValueError(f"{args.tree} against {args.labels}: {exc}") from None
     if report.unlabeled_members or report.clusters_without_labels:
         print(
             f"warning: {report.unlabeled_members} members lack labels"
@@ -296,15 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--max-size", type=int, default=500, help="communities above this size are split again")
     cluster.add_argument("--min-community-size", type=int, default=2, help="smaller communities become non-community items")
     cluster.add_argument("--seed", type=int, help="random seed; generated and printed when omitted")
-    cluster.add_argument(
-        "--gain-epsilon", type=float, default=LouvainConfig.gain_epsilon,
-        help="smallest modularity gain that still counts as a move",
-    )
-    cluster.add_argument("--max-sweeps", type=int, default=LouvainConfig.max_sweeps, help="move sweeps per optimizer level")
-    cluster.add_argument(
-        "--restarts", type=int, default=LouvainConfig.restarts,
-        help="seeded optimizer runs per community detection; the best partition wins",
-    )
+    cluster.add_argument("--restarts", type=int, default=RESTARTS, help="seeded optimizer runs per split; the best wins")
     cluster.add_argument("--output", help="tree JSON path (default tree.json)")
     cluster.add_argument("--manifest", help="manifest path (default: output with .manifest.json suffix)")
     cluster.add_argument("--from-manifest", help="rerun the exact configuration recorded in a manifest")

@@ -1,7 +1,7 @@
 """Weighted modularity and a seeded Louvain optimizer.
 
 The optimizer is the classic two-phase scheme: sweeps of single-node
-moves until none improves modularity by more than gain_epsilon, then
+moves until none improves modularity by more than GAIN_EPSILON, then
 aggregation of communities into super-nodes, repeated until a level
 stops improving. A final move phase runs against the original graph so
 the returned partition is locally optimal node-by-node, not only
@@ -12,7 +12,6 @@ can run on the worker processes of a RestartPool.
 from __future__ import annotations
 
 import heapq
-import math
 import os
 from dataclasses import dataclass
 
@@ -21,38 +20,23 @@ import numpy as np
 from .simgraph import SimilarityGraph
 
 
-@dataclass(frozen=True)
-class LouvainConfig:
-    """Knobs of the optimizer; defaults favor reproducibility over speed.
+# Smallest modularity gain that counts as a move. Far above the rounding
+# of a gain (about 1e-16 of 2m), so a move never rests on rounding noise.
+GAIN_EPSILON = 1e-9
 
-    restarts runs the whole multi-level pass that many times, the first
-    from singleton communities, the rest from seeded random partitions,
-    keeping the best-modularity result. Dense weighted graphs have local
-    maxima that a single greedy pass lands in; restarts escape them.
-    Each restart draws from its own seeded stream, so they may run in
-    worker processes; the result is deterministic for a fixed seed.
+# Most move sweeps of one phase, a guard against cycling: the 3,352 move
+# phases of the six benchmark runs (3 workloads, seeds 1 and 7) need at most 11.
+MAX_SWEEPS = 100
 
-    8 restarts write the same trees as the 16 of versions before 0.2 on
-    all three benchmark corpora at seeds 1 to 8, in 56 to 57% of the
-    optimizer time. On tiny graphs they trade some quality: the
-    exhaustive-optimum acceptance test needs at least 6, and on 2,040
-    random graphs of 3 to 8 nodes from its generator the best of 8 falls
-    below 0.9 times the optimal Q on 4, the best of 16 on none.
-    """
-
-    gain_epsilon: float = 1e-9
-    max_sweeps: int = 100
-    restarts: int = 8
-
-    def __post_init__(self):
-        # nan or inf would make every gain test false and so end every
-        # move phase unmoved; the stay certificate also needs a finite eps
-        if not (math.isfinite(self.gain_epsilon) and self.gain_epsilon >= 0.0):
-            raise ValueError(f"gain_epsilon must be a finite number >= 0, got {self.gain_epsilon!r}")
-        if self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be at least 1, got {self.max_sweeps!r}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts!r}")
+# Seeded restarts of one louvain call. Dense weighted graphs have local
+# maxima that a single greedy pass lands in; restarts escape them. 8 write
+# the same trees as the 16 of versions before 0.2 on all three benchmark
+# corpora at seeds 1 to 8, in 56 to 57% of the optimizer time. On tiny
+# graphs they trade some quality: the exhaustive-optimum acceptance test
+# needs at least 6, and on 2,040 random graphs of 3 to 8 nodes from its
+# generator the best of 8 falls below 0.9 times the optimal Q on 4, the
+# best of 16 on none.
+RESTARTS = 8
 
 
 @dataclass
@@ -140,21 +124,24 @@ def aggregate_graph(g: SimilarityGraph, assignment) -> SimilarityGraph:
     return SimilarityGraph.from_csr(n_comm, uniq // n_comm, uniq % n_comm, sums)
 
 
-def louvain(g, seed: int = 0, config: LouvainConfig | None = None, chunks: list | None = None) -> Partition:
+def louvain(g, seed: int = 0, restarts: int = RESTARTS, chunks: list | None = None) -> Partition:
     """Modularity-maximizing partition of a weighted graph.
 
-    Deterministic for a fixed seed: node visit order is a seeded shuffle
-    per sweep, equal-gain targets resolve to the smallest community id,
-    and restart ties to the earliest restart. Without chunks the restarts
-    run here. chunks are the restart chunks that RestartPool.start
-    submitted for this call; their winners are compared in chunk order,
-    so the result is the same at every worker count.
+    The best of restarts runs of the whole multi-level pass (see
+    RESTARTS), the first from singletons, the rest from seeded random
+    partitions. Deterministic for a fixed seed: node visit order is a
+    seeded shuffle per sweep, equal-gain targets resolve to the smallest
+    community id, and restart ties to the earliest restart. Without
+    chunks the restarts run here. chunks are the restart chunks that
+    RestartPool.start submitted for this call; their winners are compared
+    in chunk order, so the result is the same at every worker count.
     """
-    config = config or LouvainConfig()
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts!r}")
     if g.total_weight <= 0.0:
         raise ValueError("community detection requires a graph with at least one edge")
     if chunks is None:
-        return _restart_chunk(g, seed, config, 0, config.restarts)
+        return _restart_chunk(g, seed, 0, restarts)
     return _earliest_best(chunk.get() for chunk in chunks)
 
 
@@ -203,14 +190,13 @@ class RestartPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def start(self, calls, config: LouvainConfig) -> list:
+    def start(self, calls, restarts: int) -> list:
         """Submit the (graph, seed) louvain calls of one level; one entry per call.
 
         An entry is the call's list of restart chunks, or None when the
         level runs in-process: its work is below POOL_MIN_WORK, or the
         pool has no workers.
         """
-        restarts = config.restarts
         works = [g.indices.size * restarts for g, _ in calls]
         level_work = sum(works)
         in_process = [None] * len(calls)
@@ -225,7 +211,7 @@ class RestartPool:
             chunks = min(restarts, max(1, -(-self._workers * work // level_work)))
             cuts = [restarts * i // chunks for i in range(chunks + 1)]
             started.append(
-                [self._pool.apply_async(_restart_chunk, (g, seed, config, cuts[i], cuts[i + 1])) for i in range(chunks)]
+                [self._pool.apply_async(_restart_chunk, (g, seed, cuts[i], cuts[i + 1])) for i in range(chunks)]
             )
         return started
 
@@ -265,10 +251,10 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _restart_chunk(g, seed: int, config: LouvainConfig, start: int, stop: int) -> Partition:
+def _restart_chunk(g, seed: int, start: int, stop: int) -> Partition:
     """Best partition of restarts start..stop-1."""
     sweep_graph = _SweepGraph(g)
-    return _earliest_best(_restart(sweep_graph, seed, config, r) for r in range(start, stop))
+    return _earliest_best(_restart(sweep_graph, seed, r) for r in range(start, stop))
 
 
 def _earliest_best(parts) -> Partition:
@@ -280,27 +266,27 @@ def _earliest_best(parts) -> Partition:
     return best
 
 
-def _restart(sg: _SweepGraph, seed: int, config: LouvainConfig, restart: int) -> Partition:
+def _restart(sg: _SweepGraph, seed: int, restart: int) -> Partition:
     rng = np.random.default_rng((int(seed) & _SEED_MASK, restart))
     if restart == 0:
         init = None
     else:
         groups = int(rng.integers(2, sg.n + 1)) if sg.n > 1 else 1
         init, _ = _dense_relabel(rng.integers(0, groups, size=sg.n).tolist())
-    return _louvain_pass(sg, rng, config, init)
+    return _louvain_pass(sg, rng, init)
 
 
-def _louvain_pass(sg: _SweepGraph, rng, config: LouvainConfig, init) -> Partition:
+def _louvain_pass(sg: _SweepGraph, rng, init) -> Partition:
     g = sg.g
     level = sg
     node_map = np.arange(g.n)
     if init is not None:
-        comm, _ = _move_phase(sg, rng, config, init=init)
+        comm, _ = _move_phase(sg, rng, init=init)
         node_map, n_comm = _dense_relabel(comm)
         if n_comm < g.n:
             level = _SweepGraph(aggregate_graph(g, node_map))
     while True:  # ends: a level that continues has fewer nodes than the one before
-        comm, moved = _move_phase(level, rng, config)
+        comm, moved = _move_phase(level, rng)
         if not moved:
             break
         dense, n_comm = _dense_relabel(comm)
@@ -313,7 +299,7 @@ def _louvain_pass(sg: _SweepGraph, rng, config: LouvainConfig, init) -> Partitio
     # super-node optimality, single nodes may still have good moves left.
     # Its partition comes from the levels above and is usually stable
     # already, so its first sweep is certified too.
-    final_comm, _ = _move_phase(sg, rng, config, init=node_map, certify_first=True)
+    final_comm, _ = _move_phase(sg, rng, init=node_map, certify_first=True)
     assignment, count = _dense_relabel(final_comm)
     return Partition(assignment=assignment, community_count=count, modularity=modularity(g, assignment))
 
@@ -451,8 +437,8 @@ def _slack(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> 
     return _down(_down(_down(eps - q) - sg.margin) / sg.scale).tolist()
 
 
-def _move_phase(sg: _SweepGraph, rng, config: LouvainConfig, init=None, certify_first: bool = False):
-    """Single-node move sweeps until no move beats gain_epsilon.
+def _move_phase(sg: _SweepGraph, rng, init=None, certify_first: bool = False):
+    """Single-node move sweeps until no move beats GAIN_EPSILON, at most MAX_SWEEPS.
 
     Returns (community list, whether anything moved). Every sweep after
     the first is certified: it skips the nodes that _slack proves stay.
@@ -461,7 +447,7 @@ def _move_phase(sg: _SweepGraph, rng, config: LouvainConfig, init=None, certify_
     first sweep whose partition is likely stable already.
     """
     n = sg.n
-    eps = config.gain_epsilon * sg.two_m / 2.0
+    eps = GAIN_EPSILON * sg.two_m / 2.0
 
     comm = list(range(n)) if init is None else [int(c) for c in init]
     size = [0] * n
@@ -471,7 +457,7 @@ def _move_phase(sg: _SweepGraph, rng, config: LouvainConfig, init=None, certify_
     heapq.heapify(free)
 
     moved_any = False
-    for sweep in range(config.max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         comm_array = np.array(comm, dtype=np.int64)
         # bincount adds in node order, as a Python loop over the nodes would
         sigma = np.bincount(comm_array, weights=sg.g.degrees, minlength=n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,23 +31,20 @@ class FormatError(ValueError):
         super().__init__(f"{self.path}, line {line}: {message}")
 
 
-@contextmanager
 def open_utf8(path):
-    """A UTF-8 text file opened for reading; an undecodable byte is a FormatError at its line."""
-    with open(path, encoding="utf-8") as fh:
+    """A UTF-8 text file opened for reading; an undecodable byte 0xNN reads as U+DCNN (see _utf8_error)."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _utf8_error(text: str) -> tuple[int, str] | None:
+    """(newlines before it, message) for the first undecodable byte of text from open_utf8, or None."""
+    if not text.isascii():
         try:
-            yield fh
-        except UnicodeDecodeError:
-            # the decoder counts positions within its read chunk, not the file
-            with open(path, "rb") as raw:
-                data = raw.read()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                head = data[: exc.start].decode("utf-8")
-                line = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
-                raise FormatError(path, line, f"not valid UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})") from None
-            raise
+            text.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            data, at = exc.object, exc.start
+            return data.count(b"\n", 0, at), f"not valid UTF-8: byte 0x{data[at]:02x} ({exc.reason})"
+    return None
 
 
 class _BadRow(ValueError):
@@ -164,7 +161,10 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
     count = None
     with open_utf8(path) as fh:
         if format == "word2vec_text":
-            parts = fh.readline().split()
+            header = fh.readline()
+            if bad := _utf8_error(header):
+                raise FormatError(path, 1, bad[1])
+            parts = header.split()
             if len(parts) != 2:
                 raise FormatError(path, 1, 'expected header "N d"')
             try:
@@ -175,6 +175,8 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
                 raise FormatError(path, 1, f"header declares {count} items of dimension {rows.dim}")
         parse = {"word2vec_text": _word2vec_row, "csv": _csv_row, "jsonl": _jsonl_row}[format]
         for lineno, line in enumerate(fh, start=1 if count is None else 2):
+            if bad := _utf8_error(line):
+                raise rows.error(lineno, bad[1])
             if line.strip():
                 parse(rows, lineno, line)
     if count is not None and len(rows.ids) != count:
@@ -218,7 +220,7 @@ class _Rows:
         try:
             values = list(map(float, tokens))
         except OverflowError:  # a JSON integer beyond the float range
-            raise self.error(lineno, f"value outside the float32 range in vector for id {item_id!r}") from None
+            values = None
         except ValueError:
             for token in tokens:
                 try:
@@ -226,9 +228,28 @@ class _Rows:
                 except ValueError:
                     raise self.error(lineno, f"unparseable number {token!r}") from None
             raise
+        if values is None or not math.isfinite(sum(values)):  # rare: inf, nan or beyond float64
+            values = list(map(_float64, tokens))
         self.ids.append(item_id)
         self.rows.append(values)
         self.lines.append(lineno)
+
+
+def _float64(token) -> float:
+    """float(token), but the largest float64 of its sign for a finite number beyond the float64 range.
+
+    The row rules report that as outside the float32 range, and a literal inf or nan as
+    non-finite. jsonl reads its literals as nan (_JSONL_DECODER), so an infinite float was a decimal.
+    """
+    try:
+        value = float(token)
+    except OverflowError:  # a JSON integer
+        value = math.inf if token > 0 else -math.inf
+    literal = isinstance(token, str) and token.strip().lstrip("+-")[:1].isalpha()
+    return math.copysign(sys.float_info.max, value) if math.isinf(value) and not literal else value
+
+
+_JSONL_DECODER = json.JSONDecoder(parse_constant=lambda literal: math.nan)  # Infinity, -Infinity and NaN
 
 
 def _word2vec_row(rows: _Rows, lineno: int, line: str) -> None:
@@ -245,7 +266,7 @@ def _csv_row(rows: _Rows, lineno: int, line: str) -> None:
 
 def _jsonl_row(rows: _Rows, lineno: int, line: str) -> None:
     try:
-        record = json.loads(line)
+        record = _JSONL_DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise rows.error(lineno, f"invalid JSON: {exc.msg}") from None
     except RecursionError:
@@ -279,6 +300,8 @@ def load_labels(path, has_header: bool = False) -> dict[str, str]:
     firsts: dict[str, int] = {}
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            if bad := _utf8_error(line):
+                raise FormatError(path, lineno, bad[1])
             if has_header and lineno == 1:
                 continue
             if not line.strip():

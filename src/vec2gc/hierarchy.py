@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .community import LouvainConfig, RestartPool, louvain, members_by_community
+from .community import RESTARTS, RestartPool, louvain, members_by_community
 from .simgraph import SimilarityGraph, induced_subgraph
 
 REASON_ISOLATED = "isolated"
@@ -73,13 +73,13 @@ def vec2gc_cluster(
     max_size: int,
     seed: int,
     min_community_size: int = 2,
-    config: LouvainConfig | None = None,
+    restarts: int = RESTARTS,
 ) -> tuple[ClusterTree, NonCommunityBucket]:
     """Recursively split a similarity graph into a cluster tree.
 
     Returns the tree and the non-community bucket; together their leaf
     members partition the graph's nodes exactly. Deterministic for fixed
-    (graph, mod_threshold, max_size, seed, config).
+    (graph, mod_threshold, max_size, seed, min_community_size, restarts).
 
     The tree is built one level at a time. Each level's optimizer calls
     are handed together to the run's RestartPool, so sibling calls, and
@@ -89,8 +89,7 @@ def vec2gc_cluster(
     child seed comes from derive_seed, so the tree bytes do not depend on
     the order in which calls finish, nor on the worker count.
     """
-    _check_cluster_parameters(mod_threshold, max_size, min_community_size)
-    config = config or LouvainConfig()
+    _check_cluster_parameters(mod_threshold, max_size, min_community_size, restarts)
 
     bucket = NonCommunityBucket()
 
@@ -110,10 +109,10 @@ def vec2gc_cluster(
     level = [(induced_subgraph(g, active) if active.size < g.n else g, active, seed, root)]
     with RestartPool() as pool:
         while level:
-            started = pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in level], config)
+            started = pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in level], restarts)
             next_level = []
             for (sub_g, corpus_idx, node_seed, bnode), chunks in zip(level, started):
-                part = louvain(sub_g, node_seed, config, chunks)
+                part = louvain(sub_g, node_seed, restarts, chunks)
                 if part.community_count == 1 or part.modularity < mod_threshold:
                     bnode.members = sorted(corpus_idx.tolist())
                     continue
@@ -140,7 +139,7 @@ def vec2gc_cluster(
     return _flatten(root), bucket
 
 
-def _check_cluster_parameters(mod_threshold: float, max_size: int, min_community_size: int) -> None:
+def _check_cluster_parameters(mod_threshold: float, max_size: int, min_community_size: int, restarts: int) -> None:
     """Reject the vec2gc_cluster settings it cannot use; each message starts with the setting's name."""
     if not (0.0 <= float(mod_threshold) < 1.0):
         raise ValueError(f"mod_threshold out of [0, 1): got {mod_threshold!r}")
@@ -148,6 +147,8 @@ def _check_cluster_parameters(mod_threshold: float, max_size: int, min_community
         raise ValueError(f"max_size must be at least 1, got {max_size!r}")
     if int(min_community_size) < 1:
         raise ValueError(f"min_community_size must be at least 1, got {min_community_size!r}")
+    if int(restarts) < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts!r}")
 
 
 def _prune(split_nodes: list[_BuildNode]) -> None:

@@ -53,8 +53,7 @@ class SimilarityGraph:
     k_a, the sum of row a; total_weight is m = degrees.sum() / 2. A
     similarity graph has no self-loops; an aggregated graph stores a loop
     at its full adjacency-matrix value (twice the loop mass), so degrees
-    stay equal to row sums. theta is the construction threshold, None for
-    aggregated graphs. Instances are immutable by convention.
+    stay equal to row sums. Instances are immutable by convention.
     """
 
     n: int
@@ -63,7 +62,6 @@ class SimilarityGraph:
     weights: np.ndarray
     degrees: np.ndarray
     total_weight: float
-    theta: float | None = None
 
     @property
     def edge_count(self) -> int:
@@ -75,7 +73,7 @@ class SimilarityGraph:
         return self.indices[lo:hi], self.weights[lo:hi]
 
     @classmethod
-    def from_csr(cls, n: int, rows, cols, weights, theta: float | None = None) -> "SimilarityGraph":
+    def from_csr(cls, n: int, rows, cols, weights) -> "SimilarityGraph":
         """Graph from its CSR entries, sorted by row and then by column.
 
         Each undirected edge appears in both directions. np.bincount adds
@@ -92,11 +90,10 @@ class SimilarityGraph:
             weights=weights,
             degrees=degrees,
             total_weight=float(degrees.sum()) / 2.0,
-            theta=theta,
         )
 
     @classmethod
-    def from_edge_list(cls, n: int, edges, theta: float = 0.0) -> "SimilarityGraph":
+    def from_edge_list(cls, n: int, edges) -> "SimilarityGraph":
         """Build a graph from (a, b, weight) triples, each undirected edge once."""
         src, dst, w = [], [], []
         seen = set()
@@ -116,11 +113,7 @@ class SimilarityGraph:
             dst.append(b)
             w.append(weight)
         return _assemble(
-            n,
-            np.asarray(src, dtype=np.int64),
-            np.asarray(dst, dtype=np.int64),
-            np.asarray(w, dtype=np.float64),
-            theta,
+            n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), np.asarray(w, dtype=np.float64)
         )
 
 
@@ -205,15 +198,15 @@ def build_graph(emb: EmbeddingSet, theta: float) -> SimilarityGraph:
             sims.append(tile[r, c])
             del tile, hit  # one tile alive at a time
             j0 = c1
-    return _assemble(n, np.concatenate(rows), np.concatenate(cols), _edge_weights(np.concatenate(sims)), theta)
+    return _assemble(n, np.concatenate(rows), np.concatenate(cols), _edge_weights(np.concatenate(sims)))
 
 
-def _assemble(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, theta: float) -> SimilarityGraph:
+def _assemble(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> SimilarityGraph:
     # mirror the one-per-edge arrays into a symmetric CSR
     rows = np.concatenate([src, dst])
     cols = np.concatenate([dst, src])
     order = np.lexsort((cols, rows))
-    return SimilarityGraph.from_csr(n, rows[order], cols[order], np.concatenate([w, w])[order], theta)
+    return SimilarityGraph.from_csr(n, rows[order], cols[order], np.concatenate([w, w])[order])
 
 
 def induced_subgraph(g: SimilarityGraph, nodes) -> SimilarityGraph:
@@ -230,7 +223,7 @@ def induced_subgraph(g: SimilarityGraph, nodes) -> SimilarityGraph:
     rows_all = np.repeat(np.arange(g.n), np.diff(g.indptr))
     mask = (newid[rows_all] >= 0) & (newid[g.indices] >= 0)
     # newid keeps node order, so the kept entries stay sorted by row and column
-    return SimilarityGraph.from_csr(nodes.size, newid[rows_all[mask]], newid[g.indices[mask]], g.weights[mask], g.theta)
+    return SimilarityGraph.from_csr(nodes.size, newid[rows_all[mask]], newid[g.indices[mask]], g.weights[mask])
 
 
 def write_edges_tsv(g: SimilarityGraph, ids: list[str], path) -> None:

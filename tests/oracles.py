@@ -12,7 +12,6 @@ import numpy as np
 from vec2gc import (
     ClusterTree,
     EmbeddingSet,
-    LouvainConfig,
     NonCommunityBucket,
     SimilarityGraph,
     TreeNode,
@@ -21,6 +20,7 @@ from vec2gc import (
     louvain,
     members_by_community,
 )
+from vec2gc.community import RESTARTS
 
 
 def set_partitions(n):
@@ -238,7 +238,7 @@ class _BuildNode:
         self.members, self.children, self.split_modularity = members, children, split_modularity
 
 
-def reference_cluster(g, mod_threshold, max_size, seed, min_community_size=2, config=None):
+def reference_cluster(g, mod_threshold, max_size, seed, min_community_size=2, restarts=RESTARTS):
     """vec2gc_cluster as the depth-first recursive builder it replaced, without a pool.
 
     Returns (tree, bucket, pruned) where pruned counts the recursed
@@ -246,7 +246,6 @@ def reference_cluster(g, mod_threshold, max_size, seed, min_community_size=2, co
     was pruned. The louvain and induced_subgraph it calls are this
     module's names, so a test can count them.
     """
-    config = config or LouvainConfig()
     bucket = NonCommunityBucket()
     degree_counts = np.diff(g.indptr)
     for a in np.nonzero(degree_counts == 0)[0].tolist():
@@ -259,7 +258,7 @@ def reference_cluster(g, mod_threshold, max_size, seed, min_community_size=2, co
     pruned = [0]
 
     def build(sub_g, corpus_idx, node_seed):
-        part = louvain(sub_g, node_seed, config, pool)
+        part = louvain(sub_g, node_seed, restarts, pool)
         if part.community_count == 1 or part.modularity < mod_threshold:
             return _BuildNode(members=sorted(corpus_idx.tolist()), children=[], split_modularity=None)
         children = []

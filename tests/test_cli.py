@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import fields
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import planted_groups
-from vec2gc import EmbeddingSet, LouvainConfig, __version__, cli, community, save_embeddings_jsonl
+from vec2gc import EmbeddingSet, __version__, build_graph, cli, community, save_embeddings_jsonl, vec2gc_cluster
 from vec2gc.cli import main
 
 
@@ -44,7 +45,7 @@ class TestClusterCommand:
         manifest = json.loads((tmp_path / "tree.manifest.json").read_text())
         assert manifest["parameters"]["theta"] == 0.5
         assert manifest["parameters"]["seed"] == 420
-        assert manifest["parameters"]["restarts"] == LouvainConfig().restarts
+        assert manifest["parameters"]["restarts"] == community.RESTARTS
         assert manifest["version"] == __version__
         assert manifest["seed_generated"] is False
         assert len(manifest["input_sha256"]) == 64
@@ -107,22 +108,16 @@ class TestClusterCommand:
         assert "checksum" in capsys.readouterr().err
 
     def test_optimizer_defaults_are_louvain_configs(self):
-        args = cli.build_parser().parse_args(["cluster"])
-        defaults = LouvainConfig(gain_epsilon=args.gain_epsilon, max_sweeps=args.max_sweeps, restarts=args.restarts)
-        assert defaults == LouvainConfig()
+        assert cli.build_parser().parse_args(["cluster"]).restarts == community.RESTARTS
 
     def test_every_optimizer_setting_is_a_run_parameter(self):
-        # so the manifest records every LouvainConfig field that can change the tree
-        assert {f.name for f in fields(LouvainConfig)} <= {f.name for f in fields(cli.RunConfig)}
+        # so the manifest records every setting of the graph and the tree
+        settings = [*inspect.signature(build_graph).parameters][1:] + [*inspect.signature(vec2gc_cluster).parameters][1:]
+        assert set(settings) <= {f.name for f in fields(cli.RunConfig)}
 
     @pytest.mark.parametrize(
         "option, value, message",
         [
-            ("--gain-epsilon", "nan", "gain_epsilon must be a finite number >= 0, got nan"),
-            ("--gain-epsilon", "inf", "gain_epsilon must be a finite number >= 0, got inf"),
-            ("--gain-epsilon", "-1", "gain_epsilon must be a finite number >= 0, got -1.0"),
-            ("--max-sweeps", "0", "max_sweeps must be at least 1, got 0"),
-            ("--max-sweeps", "-3", "max_sweeps must be at least 1, got -3"),
             ("--restarts", "0", "restarts must be at least 1, got 0"),
             ("--restarts", "-2", "restarts must be at least 1, got -2"),
         ],
@@ -161,6 +156,20 @@ class TestClusterCommand:
         assert environment["numpy"] == np.__version__
         assert set(environment["blas"]) == {"name", "version"}
         assert environment["cpus"] == community._available_cpus() >= 1
+
+    def test_manifest_with_the_optimizer_constants_reruns_to_the_same_bytes(self, tmp_path, planted_files):
+        # 0.2.0 and earlier recorded gain_epsilon and max_sweeps, at these values unless set
+        _, emb_path, _ = planted_files
+        _, out = run_cluster(tmp_path, emb_path)
+        manifest = tmp_path / "tree.manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert len(doc["parameters"]) == 10
+        doc["version"] = "0.2.0"
+        doc["parameters"].update(gain_epsilon=1e-9, max_sweeps=100)
+        manifest.write_text(json.dumps(doc))
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
+        assert rerun.read_bytes() == out.read_bytes()
 
     def test_manifest_without_environment_reruns_to_the_same_bytes(self, tmp_path, planted_files):
         _, emb_path, _ = planted_files
@@ -248,8 +257,10 @@ class TestUsageErrors:
             (["graph", "--input", "e.jsonl", "--output", "x.tsv"], "the following arguments are required: --theta"),
             (["cluster", "--input", "e.jsonl", "--theta", "0.5", "--max-size", "abc"], "invalid int value"),
             (["cluster", "--input", "e.jsonl", "--theta", "0.5", "--threads", "2"], "unrecognized arguments"),
+            (["cluster", "--input", "e.jsonl", "--theta", "0.5", "--gain-epsilon", "0"], "unrecognized arguments"),
+            (["cluster", "--input", "e.jsonl", "--theta", "0.5", "--max-sweeps", "5"], "unrecognized arguments"),
         ],
-        ids=["missing-argument", "bad-int", "removed-threads"],
+        ids=["missing-argument", "bad-int", "removed-threads", "removed-gain-epsilon", "removed-max-sweeps"],
     )
     def test_usage_errors_exit_1(self, capsys, argv, message):
         assert main(argv) == 1
@@ -288,18 +299,21 @@ class TestManifestValidation:
         "field, value, message",
         [
             ("max_size", None, "parameter 'max_size' must be an integer, got null"),
-            ("max_sweeps", "5", "parameter 'max_sweeps' must be an integer, got \"5\""),
             ("seed", True, "parameter 'seed' must be an integer, got true"),
             ("theta", "0.5", "parameter 'theta' must be a number"),
             ("labels", 3, "parameter 'labels' must be a string or null"),
             ("input", None, "parameter 'input' must be a string"),
             ("format", "xml", "parameter 'format' must be one of csv, jsonl, word2vec, got 'xml'"),
             ("colour", "red", "unknown parameter 'colour'"),
-            ("gain_epsilon", float("nan"), "parameter gain_epsilon must be a finite number >= 0, got nan"),
-            ("gain_epsilon", float("inf"), "parameter gain_epsilon must be a finite number >= 0, got inf"),
-            ("gain_epsilon", -1, "parameter gain_epsilon must be a finite number >= 0, got -1.0"),
-            ("max_sweeps", 0, "parameter max_sweeps must be at least 1, got 0"),
-            ("max_sweeps", -3, "parameter max_sweeps must be at least 1, got -3"),
+            # recorded before 0.2.1; only the values of the constants rerun
+            ("gain_epsilon", float("nan"), "parameter gain_epsilon is fixed at 1e-09 since version 0.2.1, got NaN"),
+            ("gain_epsilon", float("inf"), "parameter gain_epsilon is fixed at 1e-09 since version 0.2.1, got Infinity"),
+            ("gain_epsilon", -1, "parameter gain_epsilon is fixed at 1e-09 since version 0.2.1, got -1"),
+            ("gain_epsilon", 1e-6, "parameter gain_epsilon is fixed at 1e-09 since version 0.2.1, got 1e-06"),
+            ("max_sweeps", 0, "parameter max_sweeps is fixed at 100 since version 0.2.1, got 0"),
+            ("max_sweeps", -3, "parameter max_sweeps is fixed at 100 since version 0.2.1, got -3"),
+            ("max_sweeps", 5, "parameter max_sweeps is fixed at 100 since version 0.2.1, got 5"),
+            ("max_sweeps", "100", "parameter max_sweeps is fixed at 100 since version 0.2.1, got \"100\""),
             ("restarts", 0, "parameter restarts must be at least 1, got 0"),
             ("restarts", "8", "parameter 'restarts' must be an integer, got \"8\""),
             ("theta", 2, "parameter theta out of [0, 1): got 2.0"),
@@ -316,9 +330,9 @@ class TestManifestValidation:
 
     def test_missing_parameter_names_the_field(self, manifest, capsys):
         doc = json.loads(manifest.read_text())
-        del doc["parameters"]["max_sweeps"]
+        del doc["parameters"]["max_size"]
         manifest.write_text(json.dumps(doc))
-        assert "parameters lack the field 'max_sweeps'" in self.rerun_error(manifest, capsys)
+        assert "parameters lack the field 'max_size'" in self.rerun_error(manifest, capsys)
 
     @pytest.mark.parametrize("doc", [[1, 2], {"tool": "vec2gc"}, {"parameters": [1]}], ids=["list", "no-parameters", "list-parameters"])
     def test_manifest_and_parameters_must_be_objects(self, manifest, capsys, doc):

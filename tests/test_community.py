@@ -17,7 +17,6 @@ from oracles import (
     random_weighted_graph,
 )
 from vec2gc import (
-    LouvainConfig,
     Partition,
     SimilarityGraph,
     aggregate_graph,
@@ -163,14 +162,13 @@ class TestLouvain:
 
     def test_local_optimality_by_recomputation(self):
         rng = np.random.default_rng(9)
-        config = LouvainConfig()
         for _ in range(15):
             g = random_weighted_graph(rng, int(rng.integers(4, 20)), p=0.4)
-            part = louvain(g, seed=int(rng.integers(2**63)), config=config)
+            part = louvain(g, seed=int(rng.integers(2**63)))
             for node in range(g.n):
                 nbrs, _ = g.row(node)
                 for target in set(part.assignment[nbrs].tolist()):
-                    assert move_gain(g, part.assignment, node, target) <= config.gain_epsilon
+                    assert move_gain(g, part.assignment, node, target) <= community.GAIN_EPSILON
 
     def test_near_optimal_on_tiny_graphs(self):
         rng = np.random.default_rng(10)
@@ -245,11 +243,10 @@ class TestMovePhase:
         rng = np.random.default_rng(13)
         graphs = [random_weighted_graph(rng, int(rng.integers(8, 60)), p=0.3, wmin=1.0, wmax=1.0) for _ in range(12)]
         graphs += [random_weighted_graph(rng, int(rng.integers(8, 60)), p=0.3) for _ in range(6)]
-        config = LouvainConfig(restarts=4)
-        fast = [louvain(g, seed=i, config=config) for i, g in enumerate(graphs)]
+        fast = [louvain(g, seed=i, restarts=4) for i, g in enumerate(graphs)]
         monkeypatch.setattr(community, "_sequential_sweep", sorted_candidates_sweep)
         for i, g in enumerate(graphs):
-            ref = louvain(g, seed=i, config=config)
+            ref = louvain(g, seed=i, restarts=4)
             assert np.array_equal(fast[i].assignment, ref.assignment)
             assert fast[i].modularity == ref.modularity
 
@@ -274,27 +271,14 @@ def bits(values):
 
 
 class TestCertifiedSweep:
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"gain_epsilon": float("nan")}, "gain_epsilon must be a finite number >= 0, got nan"),
-            ({"gain_epsilon": float("inf")}, "gain_epsilon must be a finite number >= 0, got inf"),
-            ({"gain_epsilon": -1.0}, "gain_epsilon must be a finite number >= 0, got -1.0"),
-            ({"max_sweeps": 0}, "max_sweeps must be at least 1, got 0"),
-            ({"max_sweeps": -3}, "max_sweeps must be at least 1, got -3"),
-            ({"restarts": 0}, "restarts must be at least 1, got 0"),
-            ({"restarts": -5}, "restarts must be at least 1, got -5"),
-        ],
-    )
-    def test_config_rejects_out_of_range_settings(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            LouvainConfig(**kwargs)
-
-    def test_config_accepts_zero_epsilon_and_one_sweep(self):
-        assert LouvainConfig(gain_epsilon=0.0, max_sweeps=1).max_sweeps == 1
+    @pytest.mark.parametrize("restarts", [0, -5])
+    def test_louvain_rejects_fewer_than_one_restart(self, restarts):
+        g = SimilarityGraph.from_edge_list(3, TRIANGLES[:3])
+        with pytest.raises(ValueError, match=f"restarts must be at least 1, got {restarts}"):
+            louvain(g, restarts=restarts)
 
     @staticmethod
-    def sweep_states(monkeypatch, g, seed, config):
+    def sweep_states(monkeypatch, g, seed, gain_epsilon, restarts):
         """Every sweep's starting state on the input graph during one louvain call."""
         states = []
         real = community._sequential_sweep
@@ -305,7 +289,8 @@ class TestCertifiedSweep:
             return real(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free, slack)
 
         monkeypatch.setattr(community, "_sequential_sweep", recording_sweep)
-        louvain(g, seed=seed, config=config)
+        monkeypatch.setattr(community, "GAIN_EPSILON", gain_epsilon)
+        louvain(g, seed=seed, restarts=restarts)
         monkeypatch.undo()
         return states
 
@@ -315,9 +300,9 @@ class TestCertifiedSweep:
         rng = np.random.default_rng(18)
         checked = skippable = 0
         for i, g in enumerate(certificate_graphs(rng, 24)):
-            config = LouvainConfig(gain_epsilon=[0.0, 1e-9, 1e-3, 0.05][i % 4], restarts=3)
+            gain_epsilon = [0.0, 1e-9, 1e-3, 0.05][i % 4]
             sg = community._SweepGraph(g)
-            for eps, comm, sigma, size, free in self.sweep_states(monkeypatch, g, i, config):
+            for eps, comm, sigma, size, free in self.sweep_states(monkeypatch, g, i, gain_epsilon, 3):
                 slack = community._slack(sg, np.array(comm), np.array(sigma), eps)
                 skippable += sum(s >= 0.0 for s in slack)
                 order = rng.permutation(g.n).tolist()
@@ -334,12 +319,16 @@ class TestCertifiedSweep:
         rng = np.random.default_rng(19)
         calls = []
         for i, g in enumerate(certificate_graphs(rng, 1000)):
-            config = LouvainConfig(gain_epsilon=[0.0, 1e-9, 1e-3, 0.05][i % 4], restarts=int(rng.integers(1, 4)))
-            calls.append((g, int(rng.integers(2**63)), config))
-        certified = [louvain(g, seed=seed, config=config) for g, seed, config in calls]
+            gain_epsilon, restarts = [0.0, 1e-9, 1e-3, 0.05][i % 4], int(rng.integers(1, 4))
+            calls.append((g, int(rng.integers(2**63)), gain_epsilon, restarts))
+        certified = []
+        for g, seed, gain_epsilon, restarts in calls:
+            monkeypatch.setattr(community, "GAIN_EPSILON", gain_epsilon)
+            certified.append(louvain(g, seed=seed, restarts=restarts))
         monkeypatch.setattr(community, "_slack", lambda *args: None)
-        for (g, seed, config), part in zip(calls, certified):
-            plain = louvain(g, seed=seed, config=config)
+        for (g, seed, gain_epsilon, restarts), part in zip(calls, certified):
+            monkeypatch.setattr(community, "GAIN_EPSILON", gain_epsilon)
+            plain = louvain(g, seed=seed, restarts=restarts)
             assert np.array_equal(part.assignment, plain.assignment)
             assert part.modularity == plain.modularity
 
@@ -358,7 +347,7 @@ class TestRestartPool:
         force_pool(monkeypatch, workers)
         with community.RestartPool() as pool:
             for i, g in enumerate(graphs):
-                [chunks] = pool.start([(g, 21 + i)], LouvainConfig())
+                [chunks] = pool.start([(g, 21 + i)], community.RESTARTS)
                 part = louvain(g, seed=21 + i, chunks=chunks)
                 assert np.array_equal(part.assignment, expected[i].assignment)
                 assert part.community_count == expected[i].community_count
@@ -369,30 +358,30 @@ class TestRestartPool:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_restart_ties_go_to_the_earliest_chunk(self, monkeypatch, workers):
         # every restart scores 0 or 1, so later chunks tie the best of earlier ones
-        def coin_pass(sweep_graph, rng, config, init):
+        def coin_pass(sweep_graph, rng, init):
             assignment, count = community._dense_relabel(rng.integers(0, 3, size=sweep_graph.n).tolist())
             return Partition(assignment, count, float(rng.integers(0, 2)))
 
         monkeypatch.setattr(community, "_louvain_pass", coin_pass)
         g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
-        config = LouvainConfig()
+        restarts = community.RESTARTS
         sweep_graph = community._SweepGraph(g)
-        runs = [community._restart(sweep_graph, 5, config, r) for r in range(config.restarts)]
+        runs = [community._restart(sweep_graph, 5, r) for r in range(restarts)]
         best = max(p.modularity for p in runs)
         winners = [r for r, p in enumerate(runs) if p.modularity == best]
-        first_chunk_end = config.restarts // workers
+        first_chunk_end = restarts // workers
         assert winners[0] < first_chunk_end and winners[-1] >= first_chunk_end
         force_pool(monkeypatch, workers)
         with community.RestartPool() as pool:
-            [chunks] = pool.start([(g, 5)], config)
-            part = louvain(g, seed=5, config=config, chunks=chunks)
+            [chunks] = pool.start([(g, 5)], restarts)
+            part = louvain(g, seed=5, restarts=restarts, chunks=chunks)
             assert pool._pool is not None
         assert np.array_equal(part.assignment, runs[winners[0]].assignment)
         assert part.modularity == best
 
     def test_ties_go_to_the_earliest_chunk_when_it_finishes_last(self, monkeypatch):
         # restart 0, in chunk 0, is held back, so chunk 1's tying winner arrives first
-        def coin_pass(sweep_graph, rng, config, init):
+        def coin_pass(sweep_graph, rng, init):
             if init is None:
                 time.sleep(0.5)
             return Partition(np.zeros(sweep_graph.n, dtype=np.int64), 1, 1.0)
@@ -401,7 +390,7 @@ class TestRestartPool:
         g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
         force_pool(monkeypatch, 2)
         with community.RestartPool() as pool:
-            [chunks] = pool.start([(g, 5)], LouvainConfig())
+            [chunks] = pool.start([(g, 5)], community.RESTARTS)
             chunks[1].wait(timeout=60)
             assert chunks[1].ready() and not chunks[0].ready()
             part = louvain(g, seed=5, chunks=chunks)
@@ -415,7 +404,7 @@ class TestRestartPool:
         expected = [louvain(g, seed=s) for g, s in calls]
         force_pool(monkeypatch, 3)
         with community.RestartPool() as pool:
-            started = pool.start(calls, LouvainConfig())
+            started = pool.start(calls, community.RESTARTS)
             assert [len(chunks) for chunks in started] == [1, 3, 1, 1]
             for (g, s), chunks, want in zip(calls, started, expected):
                 part = louvain(g, seed=s, chunks=chunks)
@@ -425,7 +414,7 @@ class TestRestartPool:
         monkeypatch.setattr(community, "_available_cpus", lambda: 2)
         g = random_weighted_graph(np.random.default_rng(16), 20, p=0.3)
         with community.RestartPool() as pool:
-            assert pool.start([(g, 1)], LouvainConfig()) == [None]
+            assert pool.start([(g, 1)], community.RESTARTS) == [None]
             assert pool._pool is None
             assert multiprocessing.active_children() == []
 
@@ -476,7 +465,7 @@ class TestOneGraphType:
     def test_aggregated_graph_is_a_similarity_graph_without_theta(self):
         g = SimilarityGraph.from_edge_list(6, TRIANGLES + [(2, 3, 0.5)])
         agg = aggregate_graph(g, [0, 0, 0, 1, 1, 1])
-        assert isinstance(agg, SimilarityGraph) and agg.theta is None
+        assert isinstance(agg, SimilarityGraph)
         # each triangle's loop is stored at twice its mass of 3
         for a, other in ((0, 1), (1, 0)):
             nbrs, ws = agg.row(a)

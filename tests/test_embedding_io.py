@@ -328,6 +328,40 @@ def test_undecodable_label_file_names_its_line(tmp_path):
         load_labels(str(path))
 
 
+def test_undecodable_byte_loses_to_an_earlier_bad_row(tmp_path):
+    path = tmp_path / "emb.csv"
+    path.write_bytes(b"a,nan,1\nb,1,2\nc,\xff,3\n")
+    with pytest.raises(FormatError, match="line 1: non-finite value in vector for id 'a'"):
+        load_embeddings(str(path), "csv")
+
+
+def test_undecodable_byte_loses_to_an_earlier_duplicate_label(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_bytes(b"a\tx\na\ty\nc\t\xff\n")
+    with pytest.raises(FormatError, match=r"line 2: duplicate id 'a' \(first seen on line 1\)"):
+        load_labels(str(path))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("1e400", "value outside the float32 range"),
+        ("-1e400", "value outside the float32 range"),
+        ("1" + "0" * 400, "value outside the float32 range"),
+        ("inf", "non-finite value"),
+    ],
+    ids=["decimal", "negative-decimal", "integer", "literal-inf"],
+)
+def test_a_number_beyond_float64_is_outside_float32_in_every_format(tmp_path, fmt, value, message):
+    if value == "inf" and fmt == "jsonl":
+        value = "Infinity"
+    rows = [("a", ["1.0", "0.0"]), ("big", [value, "1.0"])]
+    path, offset = write_rows(tmp_path, fmt, rows)
+    with pytest.raises(FormatError, match=rf"line {2 + offset}: {message} in vector for id 'big'"):
+        load_embeddings(path, fmt)
+
+
 def test_deeply_nested_jsonl_record_is_a_format_error(tmp_path):
     path = write(tmp_path / "emb.jsonl", '{"id": "a", "vector": [1.0]}\n' + "[" * 200_000 + "\n")
     with pytest.raises(FormatError, match="line 2: invalid JSON: nested too deeply"):

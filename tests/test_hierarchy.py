@@ -12,7 +12,6 @@ from oracles import planted_groups, reference_cluster, reference_graph_edges
 import oracles
 from vec2gc import (
     EmbeddingSet,
-    LouvainConfig,
     Partition,
     SimilarityGraph,
     build_graph,
@@ -29,7 +28,7 @@ from vec2gc import community, hierarchy
 def cluster_planted(sizes, theta=0.5, mod_threshold=0.3, max_size=500, seed=99, **kwargs):
     emb, labels = planted_groups(sizes, **{k: v for k, v in kwargs.items() if k in ("intra_cs", "isolated")})
     g = build_graph(emb, theta)
-    extra = {k: v for k, v in kwargs.items() if k in ("min_community_size", "config")}
+    extra = {k: v for k, v in kwargs.items() if k in ("min_community_size", "restarts")}
     tree, bucket = vec2gc_cluster(g, mod_threshold, max_size, seed, **extra)
     return emb, g, tree, bucket
 
@@ -273,11 +272,11 @@ class TestFrontier:
             # small max_size and min_community_size 4 are where split nodes lose every child
             mod_threshold, max_size = float(rng.uniform(0.05, 0.5)), int(rng.choice([2, 3, 4, rng.integers(5, 21)]))
             seed, min_size = int(rng.integers(2**63)), int(rng.choice([1, 2, 3, 4, 4, 4]))
-            config = LouvainConfig(restarts=int(rng.integers(1, 5)))
+            restarts = int(rng.integers(1, 5))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                tree, bucket = vec2gc_cluster(g, mod_threshold, max_size, seed, min_size, config)
-            ref_tree, ref_bucket, pruned = reference_cluster(g, mod_threshold, max_size, seed, min_size, config)
+                tree, bucket = vec2gc_cluster(g, mod_threshold, max_size, seed, min_size, restarts)
+            ref_tree, ref_bucket, pruned = reference_cluster(g, mod_threshold, max_size, seed, min_size, restarts)
             ids = [f"v{i}" for i in range(g.n)]
             kwargs = dict(theta=0.5, mod_threshold=mod_threshold, max_size=max_size, seed=seed)
             doc = tree_document(tree, bucket, ids, **kwargs)

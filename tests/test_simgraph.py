@@ -190,7 +190,6 @@ class TestInducedSubgraph:
         emb, _ = planted_groups([4], intra_cs=0.9)
         g = build_graph(emb, 0.5)
         sub = induced_subgraph(g, [1, 2])
-        assert sub.theta == g.theta
         assert graph_edges(sub) == {(0, 1): graph_edges(g)[(1, 2)]}
 
 
@@ -228,7 +227,7 @@ def full_row_graph(emb, theta):
         src.append(r + i0)
         dst.append(c)
         w.append(_edge_weights(sims[r, c]))
-    return _assemble(n, np.concatenate(src), np.concatenate(dst), np.concatenate(w), theta)
+    return _assemble(n, np.concatenate(src), np.concatenate(dst), np.concatenate(w))
 
 
 class TestTiledKernel:
