@@ -11,14 +11,12 @@ from .embedding_io import (
     FormatError,
     load_embeddings,
     load_labels,
-    save_embeddings_jsonl,
 )
 from .simgraph import (
     MAX_EDGE_WEIGHT,
     SIMILARITY_CAP,
     SimilarityGraph,
     build_graph,
-    cosine_similarity,
     edge_weight,
     induced_subgraph,
     write_edges_tsv,
@@ -29,7 +27,6 @@ from .community import (
     louvain,
     members_by_community,
     modularity,
-    move_gain,
 )
 from .hierarchy import (
     ClusterTree,
@@ -54,19 +51,17 @@ from .evaluation import (
     report_to_json_dict,
 )
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 __all__ = [
     "EmbeddingSet",
     "FormatError",
     "load_embeddings",
     "load_labels",
-    "save_embeddings_jsonl",
     "SimilarityGraph",
     "SIMILARITY_CAP",
     "MAX_EDGE_WEIGHT",
     "build_graph",
-    "cosine_similarity",
     "edge_weight",
     "induced_subgraph",
     "write_edges_tsv",
@@ -75,7 +70,6 @@ __all__ = [
     "louvain",
     "members_by_community",
     "modularity",
-    "move_gain",
     "ClusterTree",
     "NonCommunityBucket",
     "TreeNode",

@@ -3,7 +3,8 @@
 Every run that involves randomness flows from one --seed; omitting it
 generates a seed that is printed and written to the run manifest, so no
 silent unreproducible run can occur. Exit codes: 0 success, 1 user or
-input error, 2 internal invariant violation.
+input error (an input too large for memory included), 2 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ import numpy as np
 
 from . import __version__
 from .community import GAIN_EPSILON, MAX_SWEEPS, RESTARTS, _available_cpus
-from .embedding_io import FormatError, _utf8_error, load_embeddings, load_labels, open_utf8
+from .embedding_io import EMBEDDING_FORMATS, FormatError, _utf8_error, load_embeddings, load_labels, open_utf8
 from .evaluation import format_report_table, kmedoids, purity_report, report_to_json_dict
 from .hierarchy import _check_cluster_parameters, dumps_tree, leaf_clusters_from_document, vec2gc_cluster
 from .simgraph import _check_theta, build_graph, write_edges_tsv
-
-FORMAT_ALIASES = {"word2vec": "word2vec_text", "csv": "csv", "jsonl": "jsonl"}
 
 
 @dataclass
@@ -84,10 +83,6 @@ def _environment() -> dict:
     }
 
 
-def _load_input(path: str, format_alias: str):
-    return load_embeddings(path, FORMAT_ALIASES[format_alias])
-
-
 def _write_json(path, document) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(document, indent=2) + "\n")
@@ -141,15 +136,15 @@ def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
         values[field.name] = float(value) if field.type == "float" else value
     if params:
         raise ValueError(f"{path}: unknown parameter '{sorted(params)[0]}'")
-    if values["format"] not in FORMAT_ALIASES:
+    if values["format"] not in EMBEDDING_FORMATS:
         raise ValueError(
-            f"{path}: parameter 'format' must be one of {', '.join(sorted(FORMAT_ALIASES))}, got {values['format']!r}"
+            f"{path}: parameter 'format' must be one of {', '.join(sorted(EMBEDDING_FORMATS))}, got {values['format']!r}"
         )
     return RunConfig(**values), manifest.get("input_sha256")
 
 
 def cmd_graph(args) -> int:
-    emb = _load_input(args.input, args.format)
+    emb = load_embeddings(args.input, args.format)
     g = build_graph(emb, args.theta)
     write_edges_tsv(g, emb.ids, args.output)
     print(f"wrote {g.edge_count} edges over {g.n} nodes to {args.output}")
@@ -175,10 +170,11 @@ def cmd_cluster(args) -> int:
         _check_cluster_parameters(config.mod_threshold, config.max_size, config.min_community_size, config.restarts)
     except ValueError as exc:
         raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest else str(exc)) from None
-    if recorded and _sha256(config.input) != recorded:
+    input_sha256 = _sha256(config.input)
+    if recorded and input_sha256 != recorded:
         raise ValueError(f"input file {config.input} does not match the manifest checksum")
     print(f"seed: {config.seed}" + (" (generated)" if config.seed_generated else ""))
-    emb = _load_input(config.input, config.format)
+    emb = load_embeddings(config.input, config.format)
     g = build_graph(emb, config.theta)
     tree, bucket = vec2gc_cluster(
         g,
@@ -206,7 +202,7 @@ def cmd_cluster(args) -> int:
         "version": __version__,
         "command": "cluster",
         "parameters": config.parameters(),
-        "input_sha256": _sha256(config.input),
+        "input_sha256": input_sha256,
         "labels_sha256": _sha256(config.labels) if config.labels else None,
         "seed_generated": config.seed_generated,
         "environment": _environment(),
@@ -256,7 +252,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline_kmedoids(args) -> int:
-    emb = _load_input(args.input, args.format)
+    emb = load_embeddings(args.input, args.format)
     if args.labels:
         labels = load_labels(args.labels, has_header=args.labels_header)
     elif emb.labels:
@@ -282,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input_args(p):
         p.add_argument("--input", help="embedding file")
-        p.add_argument("--format", choices=sorted(FORMAT_ALIASES), default="jsonl", help="embedding file format")
+        p.add_argument("--format", choices=sorted(EMBEDDING_FORMATS), default="jsonl", help="embedding file format")
 
     graph = sub.add_parser("graph", help="export the thresholded similarity graph as TSV edges")
     add_input_args(graph)
@@ -342,6 +338,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input too large for this machine, not a bug
+        command = " ".join(filter(None, (args.command, getattr(args, "method", None))))
+        print(f"error: {command} ran out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a broken invariant, not bad input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -88,26 +88,6 @@ def modularity(g, assignment) -> float:
     return float((w_in / two_m - frac * frac).sum())
 
 
-def move_gain(g, assignment, node: int, target: int) -> float:
-    """Exact modularity change from moving one node into a target community."""
-    assignment = np.asarray(assignment, dtype=np.int64)
-    current = int(assignment[node])
-    if target == current:
-        return 0.0
-    two_m = float(g.degrees.sum())
-    k_a = float(g.degrees[node])
-    lo, hi = g.indptr[node], g.indptr[node + 1]
-    nbrs, ws = g.indices[lo:hi], g.weights[lo:hi]
-    nbr_comm = assignment[nbrs]
-    not_self = nbrs != node
-    k_in_cur = float(ws[(nbr_comm == current) & not_self].sum())
-    k_in_tgt = float(ws[(nbr_comm == target) & not_self].sum())
-    k_tot = np.bincount(assignment, weights=g.degrees, minlength=max(int(assignment.max()), target) + 1)
-    sigma_cur = float(k_tot[current]) - k_a
-    sigma_tgt = float(k_tot[target])
-    return 2.0 * ((k_in_tgt - sigma_tgt * k_a / two_m) - (k_in_cur - sigma_cur * k_a / two_m)) / two_m
-
-
 def aggregate_graph(g: SimilarityGraph, assignment) -> SimilarityGraph:
     """Collapse communities into super-nodes; intra weight becomes loop mass.
 

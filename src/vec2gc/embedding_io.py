@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EMBEDDING_FORMATS = ("word2vec_text", "csv", "jsonl")
+EMBEDDING_FORMATS = ("word2vec", "csv", "jsonl")
 
 # Vectors below this Euclidean norm are rejected at ingestion: they carry
 # no direction, so cosine similarity is undefined for them.
@@ -130,14 +130,6 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1])
-
-    def items(self):
-        """Iterate (id, vector-row) pairs in file order."""
-        return zip(self.ids, self.vectors)
-
 
 def load_embeddings(path, format: str) -> EmbeddingSet:
     """Parse an embedding file into a validated EmbeddingSet.
@@ -149,7 +141,7 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
 
     Args:
         path: file to read.
-        format: one of "word2vec_text", "csv", "jsonl".
+        format: one of "word2vec", "csv", "jsonl".
 
     Raises:
         FormatError: malformed content, with the offending line number.
@@ -160,7 +152,7 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
     rows = _Rows(path)
     count = None
     with open_utf8(path) as fh:
-        if format == "word2vec_text":
+        if format == "word2vec":
             header = fh.readline()
             if bad := _utf8_error(header):
                 raise FormatError(path, 1, bad[1])
@@ -173,7 +165,7 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
                 raise FormatError(path, 1, 'expected integer header "N d"') from None
             if count < 1 or rows.dim < 1:
                 raise FormatError(path, 1, f"header declares {count} items of dimension {rows.dim}")
-        parse = {"word2vec_text": _word2vec_row, "csv": _csv_row, "jsonl": _jsonl_row}[format]
+        parse = {"word2vec": _word2vec_row, "csv": _csv_row, "jsonl": _jsonl_row}[format]
         for lineno, line in enumerate(fh, start=1 if count is None else 2):
             if bad := _utf8_error(line):
                 raise rows.error(lineno, bad[1])
@@ -319,17 +311,3 @@ def load_labels(path, has_header: bool = False) -> dict[str, str]:
             firsts[item_id] = lineno
             labels[item_id] = label
     return labels
-
-
-def save_embeddings_jsonl(emb: EmbeddingSet, path) -> None:
-    """Write an EmbeddingSet as JSON lines; reloading reproduces vectors bit-exact.
-
-    float32 components are emitted through float64 repr, which is exact,
-    so the parse-then-narrow on reload restores identical bits.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id, row in emb.items():
-            record = {"id": item_id, "vector": [float(v) for v in row]}
-            if emb.labels and item_id in emb.labels:
-                record["label"] = emb.labels[item_id]
-            fh.write(json.dumps(record) + "\n")

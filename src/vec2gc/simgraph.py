@@ -67,11 +67,6 @@ class SimilarityGraph:
     def edge_count(self) -> int:
         return int(self.indices.size) // 2
 
-    def row(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor indices and weights of node a (array views, do not mutate)."""
-        lo, hi = self.indptr[a], self.indptr[a + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
-
     @classmethod
     def from_csr(cls, n: int, rows, cols, weights) -> "SimilarityGraph":
         """Graph from its CSR entries, sorted by row and then by column.
@@ -91,44 +86,6 @@ class SimilarityGraph:
             degrees=degrees,
             total_weight=float(degrees.sum()) / 2.0,
         )
-
-    @classmethod
-    def from_edge_list(cls, n: int, edges) -> "SimilarityGraph":
-        """Build a graph from (a, b, weight) triples, each undirected edge once."""
-        src, dst, w = [], [], []
-        seen = set()
-        for a, b, weight in edges:
-            a, b, weight = int(a), int(b), float(weight)
-            if a == b:
-                raise ValueError(f"self-loop on node {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) outside node range 0..{n - 1}")
-            if not np.isfinite(weight) or weight <= 0.0:
-                raise ValueError(f"edge ({a}, {b}) has non-positive or non-finite weight")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            src.append(a)
-            dst.append(b)
-            w.append(weight)
-        return _assemble(
-            n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64), np.asarray(w, dtype=np.float64)
-        )
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, clamped into [-1, 1]."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.ndim != 1 or va.shape != vb.shape:
-        raise ValueError("vectors must be 1-d and share a dimension")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na < MIN_VECTOR_NORM or nb < MIN_VECTOR_NORM:
-        raise ValueError("zero-norm vector has no cosine similarity")
-    cs = float(va @ vb) / (na * nb)
-    return min(1.0, max(-1.0, cs))
 
 
 def edge_weight(cs: float, theta: float) -> float:

@@ -5,6 +5,7 @@ double loops, exhaustive enumeration) so the package's CSR/optimizer
 paths are checked against code that shares none of their machinery.
 """
 
+import json
 import math
 
 import numpy as np
@@ -103,7 +104,36 @@ def random_weighted_graph(rng, n, p=0.5, wmin=1.0, wmax=5.0) -> SimilarityGraph:
     if not edges:
         a, b = sorted(rng.choice(n, size=2, replace=False).tolist())
         edges.append((a, b, float(rng.uniform(wmin, wmax))))
-    return SimilarityGraph.from_edge_list(n, edges)
+    return graph_from_edges(n, edges)
+
+
+def graph_from_edges(n, edges) -> SimilarityGraph:
+    """Graph from (a, b, weight) triples, each undirected edge once; inputs are not checked."""
+    triples = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+    src, dst, w = triples[:, 0].astype(np.int64), triples[:, 1].astype(np.int64), triples[:, 2]
+    rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
+    order = np.lexsort((cols, rows))
+    return SimilarityGraph.from_csr(n, rows[order], cols[order], np.concatenate([w, w])[order])
+
+
+def row(g, a):
+    """Neighbor indices and weights of node a."""
+    lo, hi = g.indptr[a], g.indptr[a + 1]
+    return g.indices[lo:hi], g.weights[lo:hi]
+
+
+def write_jsonl(emb, path) -> None:
+    """Write an EmbeddingSet as JSON lines; reloading reproduces the vectors bit-exact.
+
+    float32 components are emitted through float64 repr, which is exact,
+    so the parse-then-narrow on reload restores identical bits.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for item_id, vector in zip(emb.ids, emb.vectors):
+            record = {"id": item_id, "vector": [float(v) for v in vector]}
+            if emb.labels and item_id in emb.labels:
+                record["label"] = emb.labels[item_id]
+            fh.write(json.dumps(record) + "\n")
 
 
 def reference_graph_edges(vectors, theta) -> dict:

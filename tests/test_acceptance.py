@@ -19,6 +19,7 @@ from oracles import (
     random_weighted_graph,
     reference_graph_edges,
     graph_edges,
+    write_jsonl,
 )
 from vec2gc import (
     EmbeddingSet,
@@ -29,7 +30,6 @@ from vec2gc import (
     louvain,
     modularity,
     purity_report,
-    save_embeddings_jsonl,
     vec2gc_cluster,
 )
 from vec2gc.cli import main
@@ -174,7 +174,7 @@ def test_criterion_08_determinism_on_5k_input(tmp_path):
         vectors=rng.standard_normal((5000, 32)).astype(np.float32),
     )
     source = tmp_path / "big.jsonl"
-    save_embeddings_jsonl(emb, source)
+    write_jsonl(emb, source)
     outputs = []
     for run in range(2):
         out = tmp_path / f"tree{run}.json"
@@ -223,7 +223,7 @@ def test_criterion_09_baseline_comparison():
 def test_criterion_10_comparative_table_shape(tmp_path, capsys):
     emb, labels = planted_four_groups()
     source = tmp_path / "emb.jsonl"
-    save_embeddings_jsonl(emb, source)
+    write_jsonl(emb, source)
     labels_path = tmp_path / "labels.tsv"
     labels_path.write_text("".join(f"{k}\t{v}\n" for k, v in labels.items()), encoding="utf-8")
     tree_path = tmp_path / "tree.json"

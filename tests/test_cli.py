@@ -1,12 +1,16 @@
+import collections
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from oracles import planted_groups
-from vec2gc import EmbeddingSet, __version__, build_graph, cli, community, save_embeddings_jsonl, vec2gc_cluster
+from oracles import planted_groups, write_jsonl
+from vec2gc import EmbeddingSet, __version__, build_graph, cli, community, vec2gc_cluster
 from vec2gc.cli import main
 
 
@@ -14,7 +18,7 @@ from vec2gc.cli import main
 def planted_files(tmp_path):
     emb, labels = planted_groups([10, 10, 10], intra_cs=0.95)
     emb_path = tmp_path / "emb.jsonl"
-    save_embeddings_jsonl(emb, emb_path)
+    write_jsonl(emb, emb_path)
     labels_path = tmp_path / "labels.tsv"
     labels_path.write_text("".join(f"{k}\t{v}\n" for k, v in labels.items()), encoding="utf-8")
     return emb, str(emb_path), str(labels_path)
@@ -106,6 +110,21 @@ class TestClusterCommand:
         code = main(["cluster", "--from-manifest", str(tmp_path / "tree.manifest.json")])
         assert code == 1
         assert "checksum" in capsys.readouterr().err
+
+    def test_a_rerun_hashes_each_input_once(self, tmp_path, planted_files, monkeypatch):
+        _, emb_path, labels_path = planted_files
+        run_cluster(tmp_path, emb_path, ["--labels", labels_path])
+        calls = collections.Counter()
+        real = cli._sha256
+
+        def counting(path):
+            calls[str(path)] += 1
+            return real(path)
+
+        monkeypatch.setattr(cli, "_sha256", counting)
+        rerun = ["cluster", "--from-manifest", str(tmp_path / "tree.manifest.json"), "--output", str(tmp_path / "rerun.json")]
+        assert main(rerun) == 0
+        assert calls == {emb_path: 1, labels_path: 1}
 
     def test_optimizer_defaults_are_louvain_configs(self):
         assert cli.build_parser().parse_args(["cluster"]).restarts == community.RESTARTS
@@ -199,7 +218,7 @@ class TestClusterWorkers:
             vectors=rng.standard_normal((300, 6)).astype(np.float32),
         )
         path = tmp_path / "noise.jsonl"
-        save_embeddings_jsonl(emb, path)
+        write_jsonl(emb, path)
         return str(path)
 
     def cluster_bytes(self, tmp_path, path, name, extra=()):
@@ -279,6 +298,44 @@ class TestUsageErrors:
         _, emb_path, _ = planted_files
         assert main(["graph", "--input", emb_path, "--theta", "0.5", "--output", str(tmp_path / "e.tsv")]) == 2
         assert "internal error: KeyError: 'members'" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    """An input too large for the memory it may use exits 1 naming the command, not 2."""
+
+    # the limit is set after the import, which takes about 110 MB of address space
+    CHILD = (
+        "import resource, sys; sys.path.insert(0, sys.argv[1]); import vec2gc.cli; "
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+        "sys.exit(vec2gc.cli.main(sys.argv[2:]))"
+    )
+
+    @pytest.fixture(scope="class")
+    def big_file(self, tmp_path_factory):
+        # 6,000 items: an n x n float64 matrix is 288 MB, and theta 0 keeps about 18 million edges
+        rng = np.random.default_rng(25)
+        labels = {f"v{i}": f"L{i % 3}" for i in range(6000)}
+        emb = EmbeddingSet(ids=list(labels), vectors=rng.standard_normal((6000, 8)).astype(np.float32), labels=labels)
+        path = tmp_path_factory.mktemp("oom") / "big.jsonl"
+        write_jsonl(emb, path)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("graph", ["--theta", "0", "--output", os.devnull]),
+            ("cluster", ["--theta", "0", "--seed", "1", "--output", os.devnull, "--manifest", os.devnull]),
+            ("baseline kmedoids", ["--k", "3", "--seed", "1"]),
+        ],
+        ids=["graph", "cluster", "baseline-kmedoids"],
+    )
+    def test_out_of_memory_exits_1_naming_the_command(self, big_file, command, options):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        argv = [*command.split(), "--input", big_file, "--format", "jsonl", *options]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        run = subprocess.run([sys.executable, "-c", self.CHILD, src, *argv], capture_output=True, text=True, env=env)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith(f"error: {command} ran out of memory")
 
 
 class TestManifestValidation:

@@ -12,9 +12,12 @@ import pytest
 from oracles import (
     best_partition_by_enumeration,
     dense_from_graph,
+    graph_from_edges,
     left_to_right_row_sums,
+    modularity_dense,
     modularity_double_sum,
     random_weighted_graph,
+    row,
 )
 from vec2gc import (
     Partition,
@@ -26,7 +29,6 @@ from vec2gc import (
     louvain,
     members_by_community,
     modularity,
-    move_gain,
 )
 from vec2gc import community
 
@@ -43,14 +45,14 @@ class TestModularity:
             assert abs(modularity(g, [0] * g.n)) < 1e-12
 
     def test_disjoint_triangles_closed_form(self):
-        g = SimilarityGraph.from_edge_list(6, TRIANGLES)
+        g = graph_from_edges(6, TRIANGLES)
         q = modularity(g, [0, 0, 0, 1, 1, 1])
         # closed form: sum_c (m_c/m - (K_c/2m)^2) = 2 * (1/2 - 1/4)
         assert q == pytest.approx(0.5, abs=1e-12)
         assert q == pytest.approx(modularity_double_sum(dense_from_graph(g), [0, 0, 0, 1, 1, 1]), abs=1e-12)
 
     def test_path_graph_against_double_sum(self):
-        g = SimilarityGraph.from_edge_list(3, PATH3)
+        g = graph_from_edges(3, PATH3)
         assignment = [0, 0, 1]
         oracle = modularity_double_sum(dense_from_graph(g), assignment)
         assert modularity(g, assignment) == pytest.approx(oracle, abs=1e-12)
@@ -81,50 +83,14 @@ class TestModularity:
             modularity(g, [0, 0])
 
     def test_incomplete_assignment_rejected(self):
-        g = SimilarityGraph.from_edge_list(3, PATH3)
+        g = graph_from_edges(3, PATH3)
         with pytest.raises(ValueError, match="every node"):
             modularity(g, [0, 1])
 
 
-class TestMoveGain:
-    def test_matches_full_recomputation(self):
-        rng = np.random.default_rng(4)
-        for _ in range(60):
-            n = int(rng.integers(3, 9))
-            g = random_weighted_graph(rng, n)
-            assignment = np.unique(rng.integers(0, max(2, n // 2), size=n), return_inverse=True)[1]
-            node = int(rng.integers(n))
-            target = int(rng.integers(assignment.max() + 1))
-            before = modularity(g, assignment)
-            moved = assignment.copy()
-            moved[node] = target
-            moved = np.unique(moved, return_inverse=True)[1]
-            after = modularity(g, moved)
-            assert move_gain(g, assignment, node, target) == pytest.approx(after - before, abs=1e-9)
-
-    def test_no_move_is_zero(self):
-        g = SimilarityGraph.from_edge_list(6, TRIANGLES)
-        assert move_gain(g, [0, 0, 0, 1, 1, 1], 2, 0) == 0.0
-
-    def test_aggregated_graph_with_self_loops(self):
-        rng = np.random.default_rng(12)
-        for _ in range(30):
-            n = int(rng.integers(6, 16))
-            g = random_weighted_graph(rng, n, p=0.5)
-            agg = aggregate_graph(g, np.unique(rng.integers(0, n // 2, size=n), return_inverse=True)[1])
-            assert np.any(agg.indices == np.repeat(np.arange(agg.n), np.diff(agg.indptr)))
-            assignment = np.unique(rng.integers(0, max(2, agg.n // 2), size=agg.n), return_inverse=True)[1]
-            node = int(rng.integers(agg.n))
-            target = int(rng.integers(assignment.max() + 1))
-            moved = assignment.copy()
-            moved[node] = target
-            expected = modularity(agg, np.unique(moved, return_inverse=True)[1]) - modularity(agg, assignment)
-            assert move_gain(agg, assignment, node, target) == pytest.approx(expected, abs=1e-9)
-
-
 class TestLouvain:
     def test_separates_disjoint_triangles(self):
-        g = SimilarityGraph.from_edge_list(6, TRIANGLES)
+        g = graph_from_edges(6, TRIANGLES)
         part = louvain(g, seed=42)
         assert part.community_count == 2
         assert part.modularity == pytest.approx(0.5, abs=1e-12)
@@ -135,7 +101,7 @@ class TestLouvain:
         assert part.modularity == pytest.approx(qstar, abs=1e-12)
 
     def test_complete_graph_single_community(self):
-        g = SimilarityGraph.from_edge_list(4, K4)
+        g = graph_from_edges(4, K4)
         part = louvain(g, seed=7)
         assert part.community_count == 1
         assert part.modularity == pytest.approx(0.0, abs=1e-12)
@@ -165,10 +131,14 @@ class TestLouvain:
         for _ in range(15):
             g = random_weighted_graph(rng, int(rng.integers(4, 20)), p=0.4)
             part = louvain(g, seed=int(rng.integers(2**63)))
+            adj = dense_from_graph(g)
+            before = modularity_dense(adj, part.assignment)
             for node in range(g.n):
-                nbrs, _ = g.row(node)
+                nbrs, _ = row(g, node)
                 for target in set(part.assignment[nbrs].tolist()):
-                    assert move_gain(g, part.assignment, node, target) <= community.GAIN_EPSILON
+                    moved = part.assignment.copy()
+                    moved[node] = target
+                    assert modularity_dense(adj, moved) - before <= community.GAIN_EPSILON
 
     def test_near_optimal_on_tiny_graphs(self):
         rng = np.random.default_rng(10)
@@ -273,7 +243,7 @@ def bits(values):
 class TestCertifiedSweep:
     @pytest.mark.parametrize("restarts", [0, -5])
     def test_louvain_rejects_fewer_than_one_restart(self, restarts):
-        g = SimilarityGraph.from_edge_list(3, TRIANGLES[:3])
+        g = graph_from_edges(3, TRIANGLES[:3])
         with pytest.raises(ValueError, match=f"restarts must be at least 1, got {restarts}"):
             louvain(g, restarts=restarts)
 
@@ -455,7 +425,7 @@ class TestAggregation:
             assert modularity(agg, induced) == pytest.approx(modularity(g, assignment), abs=1e-9)
 
     def test_total_weight_preserved(self):
-        g = SimilarityGraph.from_edge_list(6, TRIANGLES)
+        g = graph_from_edges(6, TRIANGLES)
         agg = aggregate_graph(g, [0, 0, 0, 1, 1, 1])
         assert agg.total_weight == pytest.approx(g.total_weight, rel=1e-12)
         assert agg.n == 2
@@ -463,12 +433,12 @@ class TestAggregation:
 
 class TestOneGraphType:
     def test_aggregated_graph_is_a_similarity_graph_without_theta(self):
-        g = SimilarityGraph.from_edge_list(6, TRIANGLES + [(2, 3, 0.5)])
+        g = graph_from_edges(6, TRIANGLES + [(2, 3, 0.5)])
         agg = aggregate_graph(g, [0, 0, 0, 1, 1, 1])
         assert isinstance(agg, SimilarityGraph)
         # each triangle's loop is stored at twice its mass of 3
         for a, other in ((0, 1), (1, 0)):
-            nbrs, ws = agg.row(a)
+            nbrs, ws = row(agg, a)
             assert sorted(zip(nbrs.tolist(), ws.tolist())) == sorted([(a, 6.0), (other, 0.5)])
 
     @staticmethod

@@ -8,9 +8,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import planted_groups  # noqa: E402
+from oracles import planted_groups, write_jsonl  # noqa: E402
 
-from vec2gc import save_embeddings_jsonl  # noqa: E402
 from vec2gc.cli import main  # noqa: E402
 
 # derandomized so that a tier-1 run is repeatable; tmp_path is shared by the examples
@@ -91,7 +90,7 @@ def test_any_tree_document_evaluates_or_names_the_file(tmp_path, capsys, doc):
 def recorded(tmp_path):
     """The parameters a manifest records for a small clustering run."""
     emb, _ = planted_groups([8, 8, 8], intra_cs=0.9)
-    save_embeddings_jsonl(emb, tmp_path / "emb.jsonl")
+    write_jsonl(emb, tmp_path / "emb.jsonl")
     argv = ["cluster", "--input", str(tmp_path / "emb.jsonl"), "--theta", "0.5", "--seed", "3"]
     assert main(argv + ["--output", str(tmp_path / "tree.json")]) == 0
     return json.loads((tmp_path / "tree.manifest.json").read_text())["parameters"]

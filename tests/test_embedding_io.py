@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from vec2gc import EmbeddingSet, FormatError, load_embeddings, load_labels, save_embeddings_jsonl
+from oracles import write_jsonl
+from vec2gc import EmbeddingSet, FormatError, load_embeddings, load_labels
 from vec2gc import embedding_io
 
 
@@ -15,47 +16,47 @@ def write(path, text):
 class TestWord2vecText:
     def test_minimal_file(self, tmp_path):
         path = write(tmp_path / "emb.txt", "3 2\na 1.0 0.0\nb 0.0 1.0\nc 1.0 1.0\n")
-        emb = load_embeddings(path, "word2vec_text")
-        assert emb.dim == 2
+        emb = load_embeddings(path, "word2vec")
+        assert emb.vectors.shape[1] == 2
         assert len(emb) == 3
         assert emb.ids == ["a", "b", "c"]
         assert np.array_equal(emb.vectors[2], np.array([1.0, 1.0], dtype=np.float32))
 
     def test_order_matches_file(self, tmp_path):
         path = write(tmp_path / "emb.txt", "3 1\nz 1\ny 2\nx 3\n")
-        emb = load_embeddings(path, "word2vec_text")
+        emb = load_embeddings(path, "word2vec")
         assert emb.ids == ["z", "y", "x"]
         assert emb.vectors[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = write(tmp_path / "emb.txt", "2 2\na 1.0 0.0\nb 0.0\n")
         with pytest.raises(FormatError, match="line 3.*dimension mismatch"):
-            load_embeddings(path, "word2vec_text")
+            load_embeddings(path, "word2vec")
 
     def test_duplicate_id(self, tmp_path):
         path = write(tmp_path / "emb.txt", "2 1\na 1.0\na 2.0\n")
         with pytest.raises(FormatError, match="duplicate id 'a'"):
-            load_embeddings(path, "word2vec_text")
+            load_embeddings(path, "word2vec")
 
     def test_non_finite_value(self, tmp_path):
         path = write(tmp_path / "emb.txt", "1 2\na 1.0 nan\n")
         with pytest.raises(FormatError, match="line 2.*non-finite"):
-            load_embeddings(path, "word2vec_text")
+            load_embeddings(path, "word2vec")
 
     def test_row_count_mismatch(self, tmp_path):
         path = write(tmp_path / "emb.txt", "3 1\na 1.0\nb 2.0\n")
         with pytest.raises(FormatError, match="declares 3 rows"):
-            load_embeddings(path, "word2vec_text")
+            load_embeddings(path, "word2vec")
 
     def test_bad_header(self, tmp_path):
         path = write(tmp_path / "emb.txt", "hello\na 1.0\n")
         with pytest.raises(FormatError, match="line 1"):
-            load_embeddings(path, "word2vec_text")
+            load_embeddings(path, "word2vec")
 
     def test_unparseable_number(self, tmp_path):
         path = write(tmp_path / "emb.txt", "1 1\na one\n")
         with pytest.raises(FormatError, match="unparseable"):
-            load_embeddings(path, "word2vec_text")
+            load_embeddings(path, "word2vec")
 
 
 class TestCsv:
@@ -63,7 +64,7 @@ class TestCsv:
         path = write(tmp_path / "emb.csv", "a,1.0,0.5\nb,0.25,1.0\n")
         emb = load_embeddings(path, "csv")
         assert emb.ids == ["a", "b"]
-        assert emb.dim == 2
+        assert emb.vectors.shape[1] == 2
 
     def test_dimension_mismatch_at_second_row(self, tmp_path):
         path = write(tmp_path / "emb.csv", "a,1,2,3\nb,1,2,3,4\n")
@@ -118,10 +119,10 @@ class TestRoundTrip:
             labels={"item3": "alpha", "item7": "beta"},
         )
         path = tmp_path / "round.jsonl"
-        save_embeddings_jsonl(emb, path)
+        write_jsonl(emb, path)
         back = load_embeddings(str(path), "jsonl")
         assert back.ids == emb.ids
-        assert back.dim == emb.dim
+        assert back.vectors.shape[1] == emb.vectors.shape[1]
         assert np.array_equal(back.vectors, emb.vectors)
         assert back.labels == emb.labels
 
@@ -186,7 +187,7 @@ def render(fmt, rows):
 
     Returns (text, offset): the row at index k sits on line k + 1 + offset.
     """
-    if fmt == "word2vec_text":
+    if fmt == "word2vec":
         lines = [f"{len(rows)} {len(rows[0][1])}"] + [" ".join([i, *vals]) for i, vals in rows]
         return "\n".join(lines) + "\n", 1
     if fmt == "csv":
@@ -194,8 +195,8 @@ def render(fmt, rows):
     return "".join('{"id": "%s", "vector": [%s]}\n' % (i, ", ".join(vals)) for i, vals in rows), 0
 
 
-FORMATS = ("word2vec_text", "csv", "jsonl")
-NAN = {"word2vec_text": "nan", "csv": "nan", "jsonl": "NaN"}
+FORMATS = ("word2vec", "csv", "jsonl")
+NAN = {"word2vec": "nan", "csv": "nan", "jsonl": "NaN"}
 
 
 def write_rows(tmp_path, fmt, rows):
@@ -265,7 +266,7 @@ def test_empty_id_beats_bad_value_on_same_line(tmp_path, fmt):
         load_embeddings(path, fmt)
 
 
-@pytest.mark.parametrize("fmt", ["word2vec_text", "csv"])  # JSON numbers are parsed by the JSON decoder
+@pytest.mark.parametrize("fmt", ["word2vec", "csv"])  # JSON numbers are parsed by the JSON decoder
 def test_unparseable_number_loses_to_earlier_bad_value(tmp_path, fmt):
     rows = [("a", [NAN[fmt], "0.0"]), ("b", ["one", "0.0"])]
     path, offset = write_rows(tmp_path, fmt, rows)

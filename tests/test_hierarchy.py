@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import planted_groups, reference_cluster, reference_graph_edges
+from oracles import graph_from_edges, planted_groups, reference_cluster, reference_graph_edges
 import oracles
 from vec2gc import (
     EmbeddingSet,
@@ -252,7 +252,7 @@ def planted_graph(rng) -> SimilarityGraph:
                 edges[(a, b)] = float(rng.uniform(lo, hi))
     n = max(len(owner), 2)
     edges = edges or {(0, 1): 1.0}
-    return SimilarityGraph.from_edge_list(n, [(a, b, w) for (a, b), w in edges.items()])
+    return graph_from_edges(n, [(a, b, w) for (a, b), w in edges.items()])
 
 
 def split_node_depths(doc) -> list[int]:
@@ -342,7 +342,7 @@ class TestFrontier:
 
         monkeypatch.setattr(hierarchy, "louvain", split_off_one)
         n = 5001
-        g = SimilarityGraph.from_edge_list(n, [(a, a + 1, 1.0) for a in range(n - 1)])
+        g = graph_from_edges(n, [(a, a + 1, 1.0) for a in range(n - 1)])
         tree, bucket = vec2gc_cluster(g, 0.3, 1, seed=1, min_community_size=1)
         depth = [0] * len(tree.nodes)
         for node in tree.nodes[1:]:
