@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,47 @@ def random_embeddings(rng, n, d):
         ids=[f"v{i}" for i in range(n)],
         vectors=rng.standard_normal((n, d)).astype(np.float32),
     )
+
+
+def pair_weight(a, b):
+    """Weight that build_graph puts on the edge of two vectors at theta 0."""
+    g = build_graph(EmbeddingSet(ids=["a", "b"], vectors=np.array([a, b], dtype=np.float32)), 0.0)
+    return graph_edges(g).get((0, 1), 0.0)
+
+
+class TestCosineSimilarity:
+    """The cosine step of build_graph, read back from the weight 1/(1 - cs)."""
+
+    def test_orthogonal(self):
+        assert 1.0 - 1.0 / pair_weight([1.0, 0.0], [0.0, 1.0]) == 0.0
+
+    def test_parallel_scale_invariant(self):
+        assert pair_weight([2.0, 0.0], [5.0, 0.0]) == edge_weight(1.0, 0.0)
+        assert pair_weight([4.0, 4.0], [0.5, 0.0]) == pair_weight([1.0, 1.0], [1.0, 0.0])
+
+    def test_45_degrees(self):
+        cs = 1.0 - 1.0 / pair_weight([1.0, 1.0], [1.0, 0.0])
+        # independent hand oracle: dot / (|a||b|)
+        ref = 1.0 / (math.sqrt(2.0) * 1.0)
+        assert abs(cs - 0.7071067811865475) < 1e-15
+        assert abs(cs - ref) < 1e-15
+
+    def test_zero_norm_rejected(self):
+        # construction rejects a zero vector; build_graph guards a set changed afterwards
+        emb = EmbeddingSet(ids=["a", "b"], vectors=np.array([[1.0, 0.0], [1.0, 0.0]], dtype=np.float32))
+        emb.vectors[0] = 0.0
+        with pytest.raises(ValueError, match="zero-norm"):
+            build_graph(emb, 0.0)
+
+    def test_clamped_into_unit_interval(self):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((100, 6))
+        # scaled copies put cosines at 1 up to rounding, on either side of it
+        vectors = np.concatenate([base, base * rng.uniform(0.1, 10.0, size=(100, 1))])
+        g = build_graph(EmbeddingSet(ids=[f"v{i}" for i in range(200)], vectors=vectors.astype(np.float32)), 0.0)
+        assert g.edge_count > 0
+        assert g.weights.min() >= edge_weight(0.0, 0.0)
+        assert g.weights.max() == edge_weight(1.0, 0.0)
 
 
 class TestEdgeWeight:
