@@ -21,6 +21,10 @@ EMBEDDING_FORMATS = ("word2vec", "csv", "jsonl")
 # no direction, so cosine similarity is undefined for them.
 MIN_VECTOR_NORM = 1e-12
 
+# Number tokens converted per numpy call while a file is read: the per-call cost
+# stays small, and the str objects waiting for conversion far below the values.
+CHUNK_TOKENS = 8192
+
 
 class FormatError(ValueError):
     """Malformed embedding or label file; carries the offending line number."""
@@ -135,9 +139,11 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
     """Parse an embedding file into a validated EmbeddingSet.
 
     Per-format code checks the word2vec header, CSV fields and JSON
-    records, one row loop the dimension and numbers. The row rules run
-    once, when the EmbeddingSet is built; an error met while reading
-    first runs them on the rows above it, so the first in file order wins.
+    records, and one row loop the dimension. The numbers are converted
+    to float64 in chunks of CHUNK_TOKENS, each as float() reads it, and
+    held as arrays, not as Python floats. The row rules run once, when
+    the EmbeddingSet is built; an error met while reading first converts
+    and checks the rows above it, so the first in file order wins.
 
     Args:
         path: file to read.
@@ -179,26 +185,32 @@ def load_embeddings(path, format: str) -> EmbeddingSet:
 
 
 class _Rows:
-    """Rows read so far from one embedding file, with their line numbers."""
+    """Rows read so far from one embedding file, with their line numbers.
+
+    Number tokens wait until CHUNK_TOKENS are pending, then one numpy call converts them.
+    """
 
     def __init__(self, path):
         self.path = path
         self.dim: int | None = None
         self.ids: list[str] = []
-        self.rows: list[list[float]] = []
+        self.tokens: list = []  # number tokens of the rows not yet converted
+        self.chunks: list[np.ndarray] = []  # float64 values of the rows converted so far
         self.lines: list[int] = []
         self.labels: dict[str, str] = {}
 
     def build(self) -> EmbeddingSet:
+        self.convert()
+        self.chunks = [np.concatenate(self.chunks)]  # frees the pieces before the float32 copy is made
         try:
-            return EmbeddingSet(ids=self.ids, vectors=self.rows, labels=self.labels or None)
+            return EmbeddingSet(ids=self.ids, vectors=self.chunks[0], labels=self.labels or None)
         except _BadRow as bad:
             first = f" (first seen on line {self.lines[bad.first]})" if bad.first is not None else ""
             raise FormatError(self.path, self.lines[bad.row], f"{bad}{first}") from None
 
     def error(self, lineno: int, message: str) -> FormatError:
-        """The error for a line, or for a row before it that breaks a row rule."""
-        if self.rows:
+        """The error for a line, or for a row before it that breaks a row rule or has an unparseable number."""
+        if self.ids:
             try:
                 self.build()
             except FormatError as exc:
@@ -209,22 +221,45 @@ class _Rows:
         if self.dim not in (None, len(tokens)):
             raise self.error(lineno, f"dimension mismatch: expected {self.dim} values, this row has {len(tokens)}")
         self.dim = len(tokens)
-        try:
-            values = list(map(float, tokens))
-        except OverflowError:  # a JSON integer beyond the float range
-            values = None
-        except ValueError:
-            for token in tokens:
-                try:
-                    float(token)
-                except ValueError:
-                    raise self.error(lineno, f"unparseable number {token!r}") from None
-            raise
-        if values is None or not math.isfinite(sum(values)):  # rare: inf, nan or beyond float64
-            values = list(map(_float64, tokens))
         self.ids.append(item_id)
-        self.rows.append(values)
+        self.tokens += tokens
         self.lines.append(lineno)
+        if len(self.tokens) >= CHUNK_TOKENS:
+            self.convert()
+
+    def convert(self) -> None:
+        """Convert the pending tokens to float64, each as float() reads it.
+
+        An unparseable token cuts its row and the rows after it, then raises its line's error.
+        """
+        tokens, self.tokens, dim = self.tokens, [], self.dim
+        bad = None
+        try:
+            chunk = np.array(tokens, dtype=np.float64).reshape(-1, dim)
+        except (ValueError, OverflowError):  # rare: convert row by row to find the row
+            rows = []
+            start = len(self.ids) - len(tokens) // dim
+            for lo in range(0, len(tokens), dim):
+                row = tokens[lo:lo + dim]
+                try:
+                    rows.append(list(map(float, row)))
+                except OverflowError:  # a JSON integer beyond the float range
+                    rows.append(list(map(_float64, row)))
+                except ValueError:
+                    for token in row:
+                        try:
+                            float(token)
+                        except ValueError:
+                            bad = (self.lines[start + len(rows)], f"unparseable number {token!r}")
+                            break
+                    del self.ids[start + len(rows):], self.lines[start + len(rows):]  # no labels: JSON numbers always parse
+                    break
+            chunk = np.array(rows, dtype=np.float64).reshape(-1, dim)
+        for i in np.flatnonzero(~np.isfinite(chunk).all(axis=1)).tolist():  # rare: inf, nan or beyond float64
+            chunk[i] = list(map(_float64, tokens[i * dim:(i + 1) * dim]))
+        self.chunks.append(chunk)
+        if bad is not None:
+            raise self.error(*bad)
 
 
 def _float64(token) -> float:

@@ -161,13 +161,16 @@ def kmedoids_fit(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> 
         raise ValueError(f"k must be between 1 and {n}, got {k}")
     unit = emb.vectors.astype(np.float64)
     unit /= np.linalg.norm(unit, axis=1)[:, None]
-    dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+    dist = unit @ unit.T  # clipped and subtracted in place: one n x n matrix, not two
+    np.clip(dist, -1.0, 1.0, out=dist)
+    np.subtract(1.0, dist, out=dist)
     np.fill_diagonal(dist, 0.0)
 
     rng = np.random.default_rng(int(seed))
     medoids = [int(rng.integers(n))]
+    nearest = dist[:, medoids[0]].copy()  # each item's distance to its nearest chosen medoid
     while len(medoids) < k:
-        d2 = dist[:, medoids].min(axis=1) ** 2
+        d2 = nearest ** 2
         total = float(d2.sum())
         nxt = None
         if total > 0.0:
@@ -178,6 +181,7 @@ def kmedoids_fit(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> 
             chosen = set(medoids)
             nxt = next(i for i in range(n) if i not in chosen)
         medoids.append(nxt)
+        np.minimum(nearest, dist[:, nxt], out=nearest)
     medoids.sort()
 
     history: list[float] = []

@@ -187,10 +187,13 @@ def write_edges_tsv(g: SimilarityGraph, ids: list[str], path) -> None:
     """Export the edge list as "src_id<TAB>dst_id<TAB>weight", one line per edge.
 
     Each undirected edge appears once with src index < dst index; weights
-    are printed with 12 significant digits.
+    are printed with 12 significant digits. An id with a tab or a line
+    break raises ValueError before the file is opened.
     """
     if len(ids) != g.n:
         raise ValueError("id list does not match graph size")
+    if (bad := next((i for i in ids if "\t" in i or "\n" in i or "\r" in i), None)) is not None:
+        raise ValueError(f"id {bad!r} has a tab or a line break, which an edge TSV line cannot hold")
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     upper = g.indices > rows
     src, dst, w = rows[upper], g.indices[upper], g.weights[upper]

@@ -311,31 +311,42 @@ class TestOutOfMemory:
     )
 
     @pytest.fixture(scope="class")
-    def big_file(self, tmp_path_factory):
-        # 6,000 items: an n x n float64 matrix is 288 MB, and theta 0 keeps about 18 million edges
+    def big_files(self, tmp_path_factory):
+        # an n x n float64 matrix is 288 MB at 6,000 items and 648 MB at 9,000; theta 0 keeps
+        # about 18 million edges at 6,000
         rng = np.random.default_rng(25)
-        labels = {f"v{i}": f"L{i % 3}" for i in range(6000)}
-        emb = EmbeddingSet(ids=list(labels), vectors=rng.standard_normal((6000, 8)).astype(np.float32), labels=labels)
-        path = tmp_path_factory.mktemp("oom") / "big.jsonl"
-        write_jsonl(emb, path)
-        return str(path)
+        paths = {}
+        for n in (6000, 9000):
+            labels = {f"v{i}": f"L{i % 3}" for i in range(n)}
+            emb = EmbeddingSet(ids=list(labels), vectors=rng.standard_normal((n, 8)).astype(np.float32), labels=labels)
+            paths[n] = str(tmp_path_factory.mktemp("oom") / f"big{n}.jsonl")
+            write_jsonl(emb, paths[n])
+        return paths
+
+    def run_limited(self, path, command, options):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        argv = [*command.split(), "--input", path, "--format", "jsonl", *options]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        return subprocess.run([sys.executable, "-c", self.CHILD, src, *argv], capture_output=True, text=True, env=env)
 
     @pytest.mark.parametrize(
-        "command, options",
+        "command, options, items",
         [
-            ("graph", ["--theta", "0", "--output", os.devnull]),
-            ("cluster", ["--theta", "0", "--seed", "1", "--output", os.devnull, "--manifest", os.devnull]),
-            ("baseline kmedoids", ["--k", "3", "--seed", "1"]),
+            ("graph", ["--theta", "0", "--output", os.devnull], 6000),
+            ("cluster", ["--theta", "0", "--seed", "1", "--output", os.devnull, "--manifest", os.devnull], 6000),
+            # k-medoids holds one n x n distance matrix, which fits at 6,000 items
+            ("baseline kmedoids", ["--k", "3", "--seed", "1"], 9000),
         ],
         ids=["graph", "cluster", "baseline-kmedoids"],
     )
-    def test_out_of_memory_exits_1_naming_the_command(self, big_file, command, options):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        argv = [*command.split(), "--input", big_file, "--format", "jsonl", *options]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        run = subprocess.run([sys.executable, "-c", self.CHILD, src, *argv], capture_output=True, text=True, env=env)
+    def test_out_of_memory_exits_1_naming_the_command(self, big_files, command, options, items):
+        run = self.run_limited(big_files[items], command, options)
         assert run.returncode == 1, run.stderr
         assert run.stderr.startswith(f"error: {command} ran out of memory")
+
+    def test_kmedoids_on_6000_items_fits_the_limit(self, big_files):
+        run = self.run_limited(big_files[6000], "baseline kmedoids", ["--k", "3", "--seed", "1"])
+        assert run.returncode == 0, run.stderr
 
 
 class TestManifestValidation:
@@ -426,6 +437,14 @@ class TestGraphCommand:
         for line in lines:
             src, dst, w = line.split("\t")
             assert float(w) > 0
+
+    def test_id_with_a_tab_exits_1_without_writing(self, tmp_path, capsys):
+        emb_path = tmp_path / "emb.jsonl"
+        emb_path.write_text('{"id": "a\\tb", "vector": [1, 0]}\n{"id": "c", "vector": [1, 0.1]}\n', encoding="utf-8")
+        out = tmp_path / "edges.tsv"
+        assert main(["graph", "--input", str(emb_path), "--format", "jsonl", "--theta", "0.5", "--output", str(out)]) == 1
+        assert "id 'a\\tb' has a tab or a line break" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvaluateCommand:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from test_embedding_io import FORMATS, render, write_rows  # noqa: E402
 
-from vec2gc import EmbeddingSet, FormatError, load_embeddings  # noqa: E402
+from vec2gc import EmbeddingSet, FormatError, embedding_io, load_embeddings  # noqa: E402
 
 # derandomized so that a tier-1 run is repeatable; tmp_path is rewritten by each example
 FUZZ = settings(
@@ -87,4 +87,37 @@ def test_formats_agree_on_the_same_rows(tmp_path, rows):
             outcomes.append(("error at row", exc.line - 1 - offset))
         else:
             outcomes.append(("loaded", emb.ids, emb.vectors.tobytes(), emb.vectors.shape, emb.labels))
+    assert outcomes[1:] == outcomes[:-1]
+
+
+def outcomes_by_chunk_size(path, fmt):
+    """What load_embeddings gives at the default chunk size and at chunks of 1, 2 and 3 tokens."""
+    outcomes = []
+    for size in (embedding_io.CHUNK_TOKENS, 1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding_io, "CHUNK_TOKENS", size)
+            try:
+                emb = load_embeddings(path, fmt)
+            except FormatError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((emb.ids, emb.vectors.tobytes(), emb.labels))
+    return outcomes
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@FUZZ
+@given(data=FILE_BYTES)
+def test_any_bytes_load_alike_at_every_chunk_size(tmp_path, fmt, data):
+    path = tmp_path / "emb"
+    path.write_bytes(data)
+    outcomes = outcomes_by_chunk_size(str(path), fmt)
+    assert outcomes[1:] == outcomes[:-1]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@FUZZ
+@given(rows=row_sets())
+def test_rows_load_alike_at_every_chunk_size(tmp_path, fmt, rows):
+    outcomes = outcomes_by_chunk_size(write_rows(tmp_path, fmt, rows)[0], fmt)
     assert outcomes[1:] == outcomes[:-1]

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -367,3 +370,57 @@ def test_deeply_nested_jsonl_record_is_a_format_error(tmp_path):
     path = write(tmp_path / "emb.jsonl", '{"id": "a", "vector": [1.0]}\n' + "[" * 200_000 + "\n")
     with pytest.raises(FormatError, match="line 2: invalid JSON: nested too deeply"):
         load_embeddings(path, "jsonl")
+
+
+@pytest.mark.parametrize("fmt", ["word2vec", "csv"])  # JSON numbers are parsed by the JSON decoder
+def test_unparseable_number_in_a_later_chunk_loses_to_an_earlier_duplicate_id(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(embedding_io, "CHUNK_TOKENS", 4)  # two rows of two values per chunk
+    rows = [("a", ["1.0", "0.0"]), ("a", ["0.0", "1.0"]), ("b", ["one", "0.0"]), ("c", ["1.0", "1.0"]), ("d", ["1.0"])]
+    path, offset = write_rows(tmp_path, fmt, rows)
+    with pytest.raises(FormatError, match=rf"line {2 + offset}: duplicate id 'a' \(first seen on line {1 + offset}\)"):
+        load_embeddings(path, fmt)
+    rows[1] = ("e", ["0.0", "1.0"])
+    path, offset = write_rows(tmp_path, fmt, rows)
+    with pytest.raises(FormatError, match=rf"line {3 + offset}: unparseable number 'one'"):
+        load_embeddings(path, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("at", [1, 3])
+@pytest.mark.parametrize("value, message", [("1e400", "value outside the float32 range"), ("nan", "non-finite value")])
+def test_a_non_finite_row_that_ends_a_chunk_names_its_id(tmp_path, monkeypatch, fmt, at, value, message):
+    monkeypatch.setattr(embedding_io, "CHUNK_TOKENS", 4)  # two rows of two values per chunk
+    rows = [(f"r{k}", ["1.0", "0.5"]) for k in range(6)]
+    rows[at] = ("bad", [NAN[fmt] if value == "nan" else value, "1.0"])
+    rows[at + 1] = ("next", ["1.0", NAN[fmt]])
+    path, offset = write_rows(tmp_path, fmt, rows)
+    with pytest.raises(FormatError, match=rf"line {at + 1 + offset}: {message} in vector for id 'bad'"):
+        load_embeddings(path, fmt)
+
+
+def test_jsonl_integer_beyond_float64_in_a_later_chunk(tmp_path, monkeypatch):
+    monkeypatch.setattr(embedding_io, "CHUNK_TOKENS", 4)
+    path = tmp_path / "emb.jsonl"
+    rows = ["[1.0, 0.0]", "[0.0, 1.0]", "[1, 1]", "[1%s, 0]" % ("0" * 400), "[2, 1]"]
+    path.write_text("".join('{"id": "r%d", "vector": %s}\n' % (k, v) for k, v in enumerate(rows)), encoding="utf-8")
+    with pytest.raises(FormatError, match="line 4: value outside the float32 range in vector for id 'r3'"):
+        load_embeddings(str(path), "jsonl")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_loader_memory_is_a_small_multiple_of_the_values(tmp_path):
+    n, d = 20_000, 64
+    path = tmp_path / "big.txt"
+    values = np.random.default_rng(26).standard_normal((n, d))
+    np.savetxt(path, np.column_stack([np.arange(n), values]), fmt=["w%d"] + ["%.6f"] * d, header=f"{n} {d}", comments="")
+    # the child's own peak RSS: its ru_maxrss would start from this process's peak
+    child = (
+        "import re, sys; sys.path.insert(0, sys.argv[1]); from vec2gc import load_embeddings\n"
+        "def peak_kib(): return int(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
+        "before = peak_kib(); load_embeddings(sys.argv[2], 'word2vec'); print(peak_kib() - before)"
+    )
+    src = os.path.dirname(os.path.dirname(embedding_io.__file__))
+    run = subprocess.run([sys.executable, "-c", child, src, str(path)], capture_output=True, text=True, check=True)
+    # float64 chunks, their concatenation and the float32 copy are 2.5 n*d*8, and ids and
+    # line numbers about 0.3 more at d = 64; a Python float per value would add 4 n*d*8
+    assert int(run.stdout) * 1024 < 4 * n * d * 8, run.stdout

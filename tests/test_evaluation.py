@@ -205,6 +205,30 @@ class TestKMedoids:
         assert sorted(m for c in clusters for m in c) == list(range(25))
         assert all(c for c in clusters)
 
+    def test_seeding_matches_recomputing_the_nearest_medoid(self):
+        def reference_seeds(emb, k, seed):
+            """The spread-out seeding, with each item's nearest medoid found again from all chosen ones."""
+            unit = emb.vectors.astype(np.float64)
+            unit /= np.linalg.norm(unit, axis=1)[:, None]
+            dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+            np.fill_diagonal(dist, 0.0)
+            rng = np.random.default_rng(seed)
+            medoids = [int(rng.integers(len(emb)))]
+            while len(medoids) < k:
+                d2 = dist[:, medoids].min(axis=1) ** 2
+                nxt = int(rng.choice(len(emb), p=d2 / d2.sum())) if d2.sum() > 0.0 else None
+                if nxt is None or nxt in medoids:
+                    nxt = min(set(range(len(emb))) - set(medoids))
+                medoids.append(nxt)
+            return sorted(medoids)
+
+        rng = np.random.default_rng(18)
+        vectors = rng.standard_normal((60, 5)).astype(np.float32)
+        vectors[30:] = vectors[:30]  # duplicates: items at distance 0 from a medoid
+        emb = EmbeddingSet(ids=[f"p{i}" for i in range(60)], vectors=vectors)
+        for k, seed in [(2, 1), (7, 2), (29, 3), (45, 4), (60, 5)]:
+            assert kmedoids_fit(emb, k, seed=seed, max_iters=0).medoids == reference_seeds(emb, k, seed)
+
     def test_k_validation(self):
         emb, _ = planted_groups([4])
         with pytest.raises(ValueError, match="k must be"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,14 @@ class TestEdgeTsv:
         assert float(w) == pytest.approx(graph_edges(g)[(0, 1)], rel=1e-11)
         # 12 significant digits
         assert len(w.replace(".", "").replace("-", "").lstrip("0")) <= 12
+
+    @pytest.mark.parametrize("brk", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
+    def test_id_with_a_tab_or_line_break_is_refused_before_writing(self, tmp_path, brk):
+        emb = EmbeddingSet(ids=["left", f"m{brk}id", "right"], vectors=np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0]]))
+        path = tmp_path / "edges.tsv"
+        with pytest.raises(ValueError, match=f"id {re.escape(repr(f'm{brk}id'))} has a tab or a line break"):
+            write_edges_tsv(build_graph(emb, 0.5), emb.ids, path)
+        assert not path.exists()
 
 
 def full_row_graph(emb, theta):
