@@ -223,13 +223,16 @@ def _parse_thresholds(text: str) -> list[float]:
         raise ValueError(f"unparseable purity thresholds {text!r}") from None
     if not values:
         raise ValueError("no purity thresholds given")
+    for t in values:
+        if not (0.0 < t <= 1.0):
+            raise ValueError(f"purity threshold out of (0, 1]: got {t!r}")
     return values
 
 
 def cmd_evaluate(args) -> int:
+    thresholds = _parse_thresholds(args.purity_thresholds)
     doc = _read_json(args.tree)
     labels = load_labels(args.labels, has_header=args.labels_header)
-    thresholds = _parse_thresholds(args.purity_thresholds)
     try:
         clusters, noise = leaf_clusters_from_document(doc)
     except ValueError as exc:
@@ -252,6 +255,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline_kmedoids(args) -> int:
+    if args.k < 1:  # settings first, before the input is read; k above the item count is found after
+        raise ValueError(f"k must be at least 1, got {args.k}")
+    if args.max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {args.max_iters}")
+    thresholds = _parse_thresholds(args.purity_thresholds)
     emb = load_embeddings(args.input, args.format)
     if args.labels:
         labels = load_labels(args.labels, has_header=args.labels_header)
@@ -263,7 +271,6 @@ def cmd_baseline_kmedoids(args) -> int:
     print(f"seed: {seed}" + (" (generated)" if generated else ""))
     clusters = kmedoids(emb, args.k, seed, max_iters=args.max_iters)
     id_clusters = [[emb.ids[i] for i in members] for members in clusters]
-    thresholds = _parse_thresholds(args.purity_thresholds)
     report = purity_report(id_clusters, labels, thresholds=thresholds, noise_size=0)
     if args.output:
         _write_json(args.output, report_to_json_dict(report))

@@ -8,6 +8,7 @@ cluster count and reported alongside.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -148,6 +149,10 @@ class KMedoidsResult:
     objective_history: list[float]
 
 
+# The most float64 distances one block holds (2 MiB); a longer row is one block.
+BLOCK_ENTRIES = 1 << 18
+
+
 def kmedoids_fit(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> KMedoidsResult:
     """K-medoids on cosine distance (1 - cs) with greedy spread-out seeding.
 
@@ -155,21 +160,32 @@ def kmedoids_fit(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> 
     with probability proportional to the squared distance to its nearest
     chosen medoid. Assignment and Voronoi medoid updates then alternate
     until the medoid set stabilizes. Deterministic for a fixed seed.
+
+    _distance_blocks computes distances as they are needed: one column
+    per seed, all items against the medoids, each cluster against
+    itself. Memory is the n x d unit vectors, one block of at most
+    BLOCK_ENTRIES distances and O(n + k). A distance's last bit depends
+    on the shape of the product it came from, so between duplicate
+    vectors it is 0 or 1.1e-16, and such a tie may resolve differently
+    from another version.
     """
     n = len(emb)
     if k < 1 or k > n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     unit = emb.vectors.astype(np.float64)
     unit /= np.linalg.norm(unit, axis=1)[:, None]
-    dist = unit @ unit.T  # clipped and subtracted in place: one n x n matrix, not two
-    np.clip(dist, -1.0, 1.0, out=dist)
-    np.subtract(1.0, dist, out=dist)
-    np.fill_diagonal(dist, 0.0)
 
     rng = np.random.default_rng(int(seed))
     medoids = [int(rng.integers(n))]
-    nearest = dist[:, medoids[0]].copy()  # each item's distance to its nearest chosen medoid
-    while len(medoids) < k:
+    nearest = np.full(n, np.inf)  # each item's distance to its nearest chosen medoid
+    while True:
+        for start, block in _distance_blocks(unit, medoids[-1:]):
+            part = nearest[start : start + len(block)]
+            np.minimum(part, block[:, 0], out=part)
+        if len(medoids) == k:
+            break
         d2 = nearest ** 2
         total = float(d2.sum())
         nxt = None
@@ -181,39 +197,67 @@ def kmedoids_fit(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> 
             chosen = set(medoids)
             nxt = next(i for i in range(n) if i not in chosen)
         medoids.append(nxt)
-        np.minimum(nearest, dist[:, nxt], out=nearest)
     medoids.sort()
 
     history: list[float] = []
-    assign = _assign(dist, medoids)
+    assign, near = _assign(unit, medoids)
     for _ in range(max_iters):
-        history.append(_objective(dist, medoids, assign))
-        new_medoids = []
-        for j in range(len(medoids)):
-            members = np.nonzero(assign == j)[0]
-            within = dist[np.ix_(members, members)].sum(axis=1)
-            new_medoids.append(int(members[int(np.argmin(within))]))
-        new_medoids.sort()
+        history.append(float(near.sum()))
+        new_medoids = sorted(_medoid(unit, members) for members in _clusters(assign, k))
         if new_medoids == medoids:
             break
         medoids = new_medoids
-        assign = _assign(dist, medoids)
-
-    clusters = [np.nonzero(assign == j)[0].tolist() for j in range(len(medoids))]
+        assign, near = _assign(unit, medoids)
+    clusters = [members.tolist() for members in _clusters(assign, k)]
     return KMedoidsResult(clusters=clusters, medoids=medoids, objective_history=history)
 
 
-def _assign(dist: np.ndarray, medoids: list[int]) -> np.ndarray:
-    columns = dist[:, medoids]
-    assign = np.argmin(columns, axis=1)
+def _distance_blocks(unit: np.ndarray, cols, among: bool = False):
+    """Yield (start, block): block[i, j] = 1 - clip(u . u_cols[j], -1, 1) for row start + i.
+
+    cols is sorted; rows are all items, or cols themselves when among is
+    set. An item's distance to itself is set to 0; rounding can leave 1.1e-16.
+    """
+    right = unit[cols]
+    rows = right if among else unit
+    step = max(1, BLOCK_ENTRIES // len(cols))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step] @ right.T  # a cluster in one block: right @ right.T
+        np.minimum(block, 1.0, out=block)
+        np.maximum(block, -1.0, out=block)
+        np.subtract(1.0, block, out=block)
+        if among:
+            block.reshape(-1)[start :: len(cols) + 1] = 0.0
+        else:
+            for j in range(bisect_left(cols, start), bisect_left(cols, start + len(block))):
+                block[cols[j] - start, j] = 0.0
+        yield start, block
+
+
+def _assign(unit: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's first nearest medoid, and its distance to it."""
+    assign = np.empty(len(unit), dtype=np.intp)
+    near = np.empty(len(unit))
+    for start, block in _distance_blocks(unit, medoids):
+        assign[start : start + len(block)] = columns = block.argmin(axis=1)
+        near[start : start + len(block)] = block[np.arange(len(block)), columns]
     # a medoid always anchors its own cluster, even among duplicates
     assign[medoids] = np.arange(len(medoids))
-    return assign
+    return assign, near
 
 
-def _objective(dist: np.ndarray, medoids: list[int], assign: np.ndarray) -> float:
-    med = np.asarray(medoids)
-    return float(dist[np.arange(dist.shape[0]), med[assign]].sum())
+def _clusters(assign: np.ndarray, k: int) -> list[np.ndarray]:
+    order = np.argsort(assign, kind="stable")  # each cluster's members in index order
+    ends = np.cumsum(np.bincount(assign, minlength=k)).tolist()
+    return [order[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def _medoid(unit: np.ndarray, members: np.ndarray) -> int:
+    """The first member with the least distance sum to the others."""
+    if len(members) == 1:
+        return int(members[0])
+    within = [block.sum(axis=1) for _, block in _distance_blocks(unit, members, among=True)]
+    return int(members[np.concatenate(within).argmin()])
 
 
 def kmedoids(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> list[list[int]]:

@@ -166,6 +166,53 @@ def graph_edges(g) -> dict:
     return out
 
 
+def reference_kmedoids(emb, k, seed, max_iters=100):
+    """k-medoids as it was written over one dense n x n distance matrix.
+
+    The same seeding, assignment and Voronoi update as
+    vec2gc.evaluation.kmedoids_fit, read from the full matrix instead of
+    computed in blocks. Returns (clusters, medoids, objective_history).
+    """
+    n = len(emb)
+    unit = emb.vectors.astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+    np.fill_diagonal(dist, 0.0)
+
+    rng = np.random.default_rng(int(seed))
+    medoids = [int(rng.integers(n))]
+    while len(medoids) < k:
+        d2 = dist[:, medoids].min(axis=1) ** 2
+        total = float(d2.sum())
+        nxt = int(rng.choice(n, p=d2 / total)) if total > 0.0 else None
+        if nxt is None or nxt in medoids:
+            nxt = min(set(range(n)) - set(medoids))
+        medoids.append(nxt)
+    medoids.sort()
+
+    def assign_to(medoids):
+        assign = np.argmin(dist[:, medoids], axis=1)
+        assign[medoids] = np.arange(len(medoids))
+        return assign
+
+    history = []
+    assign = assign_to(medoids)
+    for _ in range(max_iters):
+        history.append(float(dist[np.arange(n), np.asarray(medoids)[assign]].sum()))
+        new_medoids = []
+        for j in range(len(medoids)):
+            members = np.nonzero(assign == j)[0]
+            within = dist[np.ix_(members, members)].sum(axis=1)
+            new_medoids.append(int(members[int(np.argmin(within))]))
+        new_medoids.sort()
+        if new_medoids == medoids:
+            break
+        medoids = new_medoids
+        assign = assign_to(medoids)
+    clusters = [np.nonzero(assign == j)[0].tolist() for j in range(len(medoids))]
+    return clusters, medoids, history
+
+
 def planted_groups(sizes, intra_cs=0.92, isolated=0, label_prefix="group"):
     """Embeddings with exact planted geometry.
 

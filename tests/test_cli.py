@@ -312,11 +312,11 @@ class TestOutOfMemory:
 
     @pytest.fixture(scope="class")
     def big_files(self, tmp_path_factory):
-        # an n x n float64 matrix is 288 MB at 6,000 items and 648 MB at 9,000; theta 0 keeps
-        # about 18 million edges at 6,000
+        # an n x n float64 matrix is 288 MB at 6,000 items, 648 MB at 9,000 and 3.2 GB at
+        # 20,000; theta 0 keeps about 18 million edges at 6,000
         rng = np.random.default_rng(25)
         paths = {}
-        for n in (6000, 9000):
+        for n in (6000, 9000, 20000):
             labels = {f"v{i}": f"L{i % 3}" for i in range(n)}
             emb = EmbeddingSet(ids=list(labels), vectors=rng.standard_normal((n, 8)).astype(np.float32), labels=labels)
             paths[n] = str(tmp_path_factory.mktemp("oom") / f"big{n}.jsonl")
@@ -334,10 +334,8 @@ class TestOutOfMemory:
         [
             ("graph", ["--theta", "0", "--output", os.devnull], 6000),
             ("cluster", ["--theta", "0", "--seed", "1", "--output", os.devnull, "--manifest", os.devnull], 6000),
-            # k-medoids holds one n x n distance matrix, which fits at 6,000 items
-            ("baseline kmedoids", ["--k", "3", "--seed", "1"], 9000),
         ],
-        ids=["graph", "cluster", "baseline-kmedoids"],
+        ids=["graph", "cluster"],
     )
     def test_out_of_memory_exits_1_naming_the_command(self, big_files, command, options, items):
         run = self.run_limited(big_files[items], command, options)
@@ -347,6 +345,23 @@ class TestOutOfMemory:
     def test_kmedoids_on_6000_items_fits_the_limit(self, big_files):
         run = self.run_limited(big_files[6000], "baseline kmedoids", ["--k", "3", "--seed", "1"])
         assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("items", [9000, 20000])
+    def test_kmedoids_memory_does_not_grow_with_n_squared(self, big_files, items):
+        # k-medoids computes its distances in bounded blocks; one n x n matrix would not fit
+        run = self.run_limited(big_files[items], "baseline kmedoids", ["--k", "3", "--seed", "1"])
+        assert run.returncode == 0, run.stderr
+
+    def test_kmedoids_out_of_memory_exits_1_naming_the_command(self, planted_files, monkeypatch, capsys):
+        _, emb_path, labels_path = planted_files
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 763. MiB")
+
+        monkeypatch.setattr(cli, "kmedoids", exhausted)
+        argv = ["baseline", "kmedoids", "--input", emb_path, "--format", "jsonl", "--labels", labels_path]
+        assert main([*argv, "--k", "3", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: baseline kmedoids ran out of memory: Unable to allocate 763. MiB\n"
 
 
 class TestManifestValidation:
@@ -595,3 +610,35 @@ class TestBaselineCommand:
         )
         assert code == 1
         assert "k must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--k", "0"], "error: k must be at least 1, got 0"),
+            (["--k", "3", "--max-iters", "-3"], "error: max_iters must be at least 0, got -3"),
+            (["--k", "3", "--purity-thresholds", "2"], "error: purity threshold out of (0, 1]: got 2.0"),
+            (["--k", "3", "--purity-thresholds", "0.5,0"], "error: purity threshold out of (0, 1]: got 0.0"),
+        ],
+        ids=["k-0", "max-iters-negative", "threshold-above-1", "threshold-0"],
+    )
+    def test_settings_are_checked_before_the_input_is_read(self, tmp_path, options, message, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(["baseline", "kmedoids", "--input", missing, "--format", "jsonl", "--seed", "1", *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
+    def test_zero_iterations_are_accepted(self, planted_files, capsys):
+        _, emb_path, labels_path = planted_files
+        argv = ["baseline", "kmedoids", "--input", emb_path, "--format", "jsonl", "--labels", labels_path]
+        assert main([*argv, "--k", "3", "--seed", "11", "--max-iters", "0"]) == 0
+        assert "Fraction of clusters @ k% purity" in capsys.readouterr().out
+
+
+class TestEvaluateSettings:
+    @pytest.mark.parametrize("thresholds", ["2", "0", "0.5,1.5", "-0.1", "nan"])
+    def test_thresholds_out_of_range_are_refused_before_the_tree_is_read(self, tmp_path, thresholds, capsys):
+        missing = str(tmp_path / "missing.json")
+        argv = ["evaluate", "--tree", missing, "--labels", missing, "--purity-thresholds", thresholds]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: purity threshold out of (0, 1]: got ")

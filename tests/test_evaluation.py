@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import planted_groups
+from oracles import planted_groups, reference_kmedoids
 from vec2gc import (
     EmbeddingSet,
     cluster_purity,
@@ -11,6 +11,7 @@ from vec2gc import (
     purity_report,
     report_to_json_dict,
 )
+from vec2gc import evaluation
 
 
 class TestClusterPurity:
@@ -210,16 +211,20 @@ class TestKMedoids:
             """The spread-out seeding, with each item's nearest medoid found again from all chosen ones."""
             unit = emb.vectors.astype(np.float64)
             unit /= np.linalg.norm(unit, axis=1)[:, None]
-            dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
-            np.fill_diagonal(dist, 0.0)
+
+            def column(m):  # the library's distances to medoid m, one column at a time
+                return np.concatenate([block[:, 0] for _, block in evaluation._distance_blocks(unit, [m])])
+
             rng = np.random.default_rng(seed)
             medoids = [int(rng.integers(len(emb)))]
+            columns = [column(medoids[0])]
             while len(medoids) < k:
-                d2 = dist[:, medoids].min(axis=1) ** 2
+                d2 = np.min(columns, axis=0) ** 2
                 nxt = int(rng.choice(len(emb), p=d2 / d2.sum())) if d2.sum() > 0.0 else None
                 if nxt is None or nxt in medoids:
                     nxt = min(set(range(len(emb))) - set(medoids))
                 medoids.append(nxt)
+                columns.append(column(nxt))
             return sorted(medoids)
 
         rng = np.random.default_rng(18)
@@ -235,3 +240,92 @@ class TestKMedoids:
             kmedoids(emb, 0, seed=1)
         with pytest.raises(ValueError, match="k must be"):
             kmedoids(emb, 5, seed=1)
+
+    def test_negative_max_iters_rejected(self):
+        emb, _ = planted_groups([4])
+        with pytest.raises(ValueError, match="max_iters must be at least 0, got -1"):
+            kmedoids_fit(emb, 2, seed=1, max_iters=-1)
+
+    def test_every_item_its_own_medoid_costs_exactly_nothing(self):
+        # rounding leaves some items at 1.1e-16 from themselves; the own distance is 0
+        rng = np.random.default_rng(19)
+        emb = EmbeddingSet(ids=[f"p{i}" for i in range(40)], vectors=rng.standard_normal((40, 5)).astype(np.float32))
+        unit = emb.vectors.astype(np.float64)
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        assert (1.0 - np.clip(np.einsum("ij,ij->i", unit, unit), -1.0, 1.0)).any()
+        for budget in (1, 7, evaluation.BLOCK_ENTRIES):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "BLOCK_ENTRIES", budget)
+                assert kmedoids_fit(emb, 40, seed=2).objective_history == [0.0]
+
+    def test_a_tie_in_distance_sums_goes_to_the_first_member(self):
+        # two items form one cluster; their distance sums tie, whatever rounding
+        # leaves on each item's product with itself
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            vectors = rng.standard_normal((2, 6)).astype(np.float32)
+            emb = EmbeddingSet(ids=["a", "b"], vectors=vectors)
+            for budget in (1, 2, evaluation.BLOCK_ENTRIES):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(evaluation, "BLOCK_ENTRIES", budget)
+                    for seed in range(4):
+                        assert kmedoids_fit(emb, 1, seed=seed).medoids == [0]
+
+
+def random_kmedoids_cases(count=60, seed=21):
+    """Random inputs without duplicate vectors: n 20 to 300, d 3 to 8, k 1 to n.
+
+    Every third case has k = n, on at most 60 items: at a budget of one
+    entry, seeding then takes n blocks for each of n medoids.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n, d = int(rng.integers(20, 61 if case % 3 == 1 else 301)), int(rng.integers(3, 9))
+        k = [1, n, int(rng.integers(1, n + 1))][case % 3]
+        vectors = rng.standard_normal((n, d)).astype(np.float32)
+        assert len(np.unique(vectors, axis=0)) == n
+        yield EmbeddingSet(ids=[f"p{i}" for i in range(n)], vectors=vectors), k, case
+
+
+class TestKMedoidsBlocks:
+    """The blocked distances give the full-matrix k-medoids, whatever the block budget."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_blocked_equals_the_full_matrix(self, budget, monkeypatch):
+        monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", budget)
+        for emb, k, seed in random_kmedoids_cases():
+            clusters, medoids, history = reference_kmedoids(emb, k, seed)
+            result = kmedoids_fit(emb, k, seed)
+            assert result.medoids == medoids, (len(emb), k, seed)
+            assert result.clusters == clusters, (len(emb), k, seed)
+            assert len(result.objective_history) == len(history)
+            np.testing.assert_allclose(result.objective_history, history, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, evaluation.BLOCK_ENTRIES])
+    def test_an_item_as_near_to_two_medoids_joins_the_first(self, budget, monkeypatch):
+        monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", budget)
+        rng = np.random.default_rng(23)
+        unit = rng.standard_normal((30, 5))
+        unit[7] = unit[3]  # two medoids at one point: every item ties between them
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        medoids = [3, 7, 12]
+        assign, near = evaluation._assign(unit, medoids)
+        assert (assign == 0).sum() > 5
+        assert assign[7] == 1 and 1 not in np.delete(assign, 7)
+        assert near[medoids].tolist() == [0.0, 0.0, 0.0]
+
+    def test_blocks_cover_every_row_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", 64)
+        unit = np.random.default_rng(22).standard_normal((150, 4))
+        unit /= np.linalg.norm(unit, axis=1)[:, None]
+        for cols, among in [([3], False), ([0, 5, 149], False), (list(range(0, 150, 2)), False), (np.arange(40), True)]:
+            rows = np.asarray(cols) if among else np.arange(150)
+            expected = 1.0 - np.clip(unit[rows] @ unit[cols].T, -1.0, 1.0)
+            stop = 0
+            for start, block in evaluation._distance_blocks(unit, cols, among):
+                assert start == stop and block.size <= max(64, len(cols))
+                own = rows[start : start + len(block), None] == np.asarray(cols)[None, :]
+                assert (block[own] == 0.0).all()
+                np.testing.assert_allclose(block[~own], expected[start : start + len(block)][~own], rtol=0, atol=1e-15)
+                stop += len(block)
+            assert stop == len(rows)
