@@ -36,7 +36,6 @@ from .hierarchy import (
     dumps_tree,
     flat_clusters,
     leaf_clusters_from_document,
-    tree_document,
     vec2gc_cluster,
 )
 from .evaluation import (
@@ -51,7 +50,7 @@ from .evaluation import (
     report_to_json_dict,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 __all__ = [
     "EmbeddingSet",
@@ -77,7 +76,6 @@ __all__ = [
     "dumps_tree",
     "flat_clusters",
     "leaf_clusters_from_document",
-    "tree_document",
     "vec2gc_cluster",
     "ClusterPurityRow",
     "KMedoidsResult",

@@ -140,10 +140,31 @@ def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
         raise ValueError(
             f"{path}: parameter 'format' must be one of {', '.join(sorted(EMBEDDING_FORMATS))}, got {values['format']!r}"
         )
-    return RunConfig(**values), manifest.get("input_sha256")
+    # a rerun keeps the record of whether the run it repeats drew its seed
+    if type(seed_generated := manifest.get("seed_generated", False)) is not bool:
+        raise ValueError(f"{path}: field 'seed_generated' must be true or false, got {json.dumps(seed_generated)}")
+    return RunConfig(**values, seed_generated=seed_generated), manifest.get("input_sha256")
+
+
+def _check_outputs(outputs: dict, inputs: dict) -> None:
+    """Refuse an output path that names a data input or an earlier output; keys are the option names.
+
+    A device such as /dev/null may take every output. This runs before
+    any input is read, so a refused command changes no file.
+    """
+    named = [(option, os.path.realpath(path)) for option, path in inputs.items() if path]
+    for option, path in outputs.items():
+        if not path or os.path.exists(path) and not os.path.isfile(path):
+            continue
+        real = os.path.realpath(path)
+        for other, seen in named:
+            if real == seen:
+                raise ValueError(f"{option} and {other} name the same file, {path}")
+        named.append((option, real))
 
 
 def cmd_graph(args) -> int:
+    _check_outputs({"--output": args.output}, {"--input": args.input})
     emb = load_embeddings(args.input, args.format)
     g = build_graph(emb, args.theta)
     write_edges_tsv(g, emb.ids, args.output)
@@ -170,10 +191,14 @@ def cmd_cluster(args) -> int:
         _check_cluster_parameters(config.mod_threshold, config.max_size, config.min_community_size, config.restarts)
     except ValueError as exc:
         raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest else str(exc)) from None
+    manifest_path = args.manifest or str(Path(config.output).with_suffix(".manifest.json"))
+    _check_outputs(
+        {"--output": config.output, "--manifest": manifest_path}, {"--input": config.input, "--labels": config.labels}
+    )
     input_sha256 = _sha256(config.input)
     if recorded and input_sha256 != recorded:
         raise ValueError(f"input file {config.input} does not match the manifest checksum")
-    print(f"seed: {config.seed}" + (" (generated)" if config.seed_generated else ""))
+    print(f"seed: {config.seed}" + (" (generated)" if config.seed_generated and not args.from_manifest else ""))
     emb = load_embeddings(config.input, config.format)
     g = build_graph(emb, config.theta)
     tree, bucket = vec2gc_cluster(
@@ -196,7 +221,6 @@ def cmd_cluster(args) -> int:
     with open(config.output, "w", encoding="utf-8") as fh:
         fh.write(text)
 
-    manifest_path = args.manifest or str(Path(config.output).with_suffix(".manifest.json"))
     manifest = {
         "tool": "vec2gc",
         "version": __version__,
@@ -231,6 +255,7 @@ def _parse_thresholds(text: str) -> list[float]:
 
 def cmd_evaluate(args) -> int:
     thresholds = _parse_thresholds(args.purity_thresholds)
+    _check_outputs({"--output": args.output}, {"--tree": args.tree, "--labels": args.labels})
     doc = _read_json(args.tree)
     labels = load_labels(args.labels, has_header=args.labels_header)
     try:
@@ -259,7 +284,10 @@ def cmd_baseline_kmedoids(args) -> int:
         raise ValueError(f"k must be at least 1, got {args.k}")
     if args.max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {args.max_iters}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"seed must be at least 0, got {args.seed}")
     thresholds = _parse_thresholds(args.purity_thresholds)
+    _check_outputs({"--output": args.output}, {"--input": args.input, "--labels": args.labels})
     emb = load_embeddings(args.input, args.format)
     if args.labels:
         labels = load_labels(args.labels, has_header=args.labels_header)

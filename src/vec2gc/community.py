@@ -56,8 +56,8 @@ def members_by_community(assignment) -> list[np.ndarray]:
     """Group node indices by dense community id, ascending within each group."""
     assignment = np.asarray(assignment, dtype=np.int64)
     order = np.argsort(assignment, kind="stable")
-    counts = np.bincount(assignment)
-    return np.split(order, np.cumsum(counts)[:-1])
+    ends = np.cumsum(np.bincount(assignment)).tolist()
+    return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def modularity(g, assignment) -> float:

@@ -236,25 +236,18 @@ class _Rows:
         bad = None
         try:
             chunk = np.array(tokens, dtype=np.float64).reshape(-1, dim)
-        except (ValueError, OverflowError):  # rare: convert row by row to find the row
-            rows = []
-            start = len(self.ids) - len(tokens) // dim
-            for lo in range(0, len(tokens), dim):
-                row = tokens[lo:lo + dim]
+        except (ValueError, OverflowError):  # rare: an unparseable token, or a JSON integer beyond float64
+            values = []
+            for token in tokens:
                 try:
-                    rows.append(list(map(float, row)))
-                except OverflowError:  # a JSON integer beyond the float range
-                    rows.append(list(map(_float64, row)))
+                    values.append(_float64(token))
                 except ValueError:
-                    for token in row:
-                        try:
-                            float(token)
-                        except ValueError:
-                            bad = (self.lines[start + len(rows)], f"unparseable number {token!r}")
-                            break
-                    del self.ids[start + len(rows):], self.lines[start + len(rows):]  # no labels: JSON numbers always parse
+                    row = len(values) // dim
+                    cut = len(self.ids) - len(tokens) // dim + row
+                    bad = (self.lines[cut], f"unparseable number {token!r}")
+                    del values[row * dim:], self.ids[cut:], self.lines[cut:]  # no labels: JSON numbers always parse
                     break
-            chunk = np.array(rows, dtype=np.float64).reshape(-1, dim)
+            chunk = np.array(values, dtype=np.float64).reshape(-1, dim)
         for i in np.flatnonzero(~np.isfinite(chunk).all(axis=1)).tolist():  # rare: inf, nan or beyond float64
             chunk[i] = list(map(_float64, tokens[i * dim:(i + 1) * dim]))
         self.chunks.append(chunk)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .community import members_by_community
 from .embedding_io import EmbeddingSet
 
 DEFAULT_THRESHOLDS = (0.5, 0.7, 0.9)
@@ -203,12 +204,12 @@ def kmedoids_fit(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> 
     assign, near = _assign(unit, medoids)
     for _ in range(max_iters):
         history.append(float(near.sum()))
-        new_medoids = sorted(_medoid(unit, members) for members in _clusters(assign, k))
+        new_medoids = sorted(_medoid(unit, members) for members in members_by_community(assign))
         if new_medoids == medoids:
             break
         medoids = new_medoids
         assign, near = _assign(unit, medoids)
-    clusters = [members.tolist() for members in _clusters(assign, k)]
+    clusters = [members.tolist() for members in members_by_community(assign)]
     return KMedoidsResult(clusters=clusters, medoids=medoids, objective_history=history)
 
 
@@ -241,15 +242,10 @@ def _assign(unit: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, np.ndarra
     for start, block in _distance_blocks(unit, medoids):
         assign[start : start + len(block)] = columns = block.argmin(axis=1)
         near[start : start + len(block)] = block[np.arange(len(block)), columns]
-    # a medoid always anchors its own cluster, even among duplicates
+    # a medoid always anchors its own cluster, even among duplicates, so
+    # every label 0..k-1 occurs and members_by_community yields k groups
     assign[medoids] = np.arange(len(medoids))
     return assign, near
-
-
-def _clusters(assign: np.ndarray, k: int) -> list[np.ndarray]:
-    order = np.argsort(assign, kind="stable")  # each cluster's members in index order
-    ends = np.cumsum(np.bincount(assign, minlength=k)).tolist()
-    return [order[start:end] for start, end in zip([0, *ends], ends)]
 
 
 def _medoid(unit: np.ndarray, members: np.ndarray) -> int:

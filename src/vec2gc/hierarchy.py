@@ -190,53 +190,12 @@ def _flatten(root: _BuildNode) -> ClusterTree:
 
 
 def flat_clusters(tree: ClusterTree) -> list[list[int]]:
-    """Leaf member lists in depth-first, child-order traversal."""
-    if tree.root is None:
-        return []
-    out: list[list[int]] = []
-    stack = [tree.root]
-    while stack:
-        node = tree.nodes[stack.pop()]
-        if node.is_leaf:
-            out.append(list(node.members))
-        else:
-            stack.extend(reversed(node.children))
-    return out
+    """Leaf member lists in depth-first, child-order traversal.
 
-
-def tree_document(
-    tree: ClusterTree,
-    bucket: NonCommunityBucket,
-    ids: list[str],
-    *,
-    theta: float,
-    mod_threshold: float,
-    max_size: int,
-    seed: int,
-) -> dict:
-    """JSON-ready document for a clustering run; key order is stable."""
-    nodes_json = []
-    for node in tree.nodes:
-        nodes_json.append(
-            {
-                "id": node.id,
-                "parent": node.parent,
-                "children": list(node.children),
-                "members": [ids[i] for i in node.members],
-                "split_modularity": node.split_modularity,
-            }
-        )
-    return {
-        "theta": theta,
-        "mod_threshold": mod_threshold,
-        "max_size": max_size,
-        "seed": seed,
-        "nodes": nodes_json,
-        "non_community": {
-            "members": [ids[i] for i in bucket.members],
-            "reasons": {ids[i]: bucket.reasons[i] for i in bucket.members},
-        },
-    }
+    _flatten numbers the nodes in that preorder, each child after the
+    subtrees of its earlier siblings, so id order is already leaf order.
+    """
+    return [list(node.members) for node in tree.nodes if node.is_leaf]
 
 
 def dumps_tree(
@@ -249,9 +208,27 @@ def dumps_tree(
     max_size: int,
     seed: int,
 ) -> str:
-    doc = tree_document(
-        tree, bucket, ids, theta=theta, mod_threshold=mod_threshold, max_size=max_size, seed=seed
-    )
+    """JSON text of a clustering run's tree document; key order is stable."""
+    doc = {
+        "theta": theta,
+        "mod_threshold": mod_threshold,
+        "max_size": max_size,
+        "seed": seed,
+        "nodes": [
+            {
+                "id": node.id,
+                "parent": node.parent,
+                "children": list(node.children),
+                "members": [ids[i] for i in node.members],
+                "split_modularity": node.split_modularity,
+            }
+            for node in tree.nodes
+        ],
+        "non_community": {
+            "members": [ids[i] for i in bucket.members],
+            "reasons": {ids[i]: bucket.reasons[i] for i in bucket.members},
+        },
+    }
     return json.dumps(doc, indent=2) + "\n"
 
 

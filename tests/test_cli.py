@@ -91,6 +91,29 @@ class TestClusterCommand:
         assert manifest["seed_generated"] is True
         assert f"seed: {manifest['parameters']['seed']}" in printed
 
+    def test_a_rerun_keeps_the_record_of_a_generated_seed(self, tmp_path, planted_files, capsys):
+        _, emb_path, _ = planted_files
+        out, manifest = tmp_path / "gen.json", tmp_path / "gen.manifest.json"
+        assert main(["cluster", "--input", emb_path, "--format", "jsonl", "--theta", "0.5", "--output", str(out)]) == 0
+        first = out.read_bytes()
+        seed = json.loads(manifest.read_text())["parameters"]["seed"]
+        capsys.readouterr()
+        # the README's rerun: it rewrites the manifest it read
+        assert main(["cluster", "--from-manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"seed: {seed}"  # drawn by the first run, not this one
+        assert out.read_bytes() == first
+        assert json.loads(manifest.read_text())["seed_generated"] is True
+
+    def test_a_manifest_without_the_seed_record_reruns_as_not_generated(self, tmp_path, planted_files):
+        _, emb_path, _ = planted_files
+        run_cluster(tmp_path, emb_path)
+        manifest = tmp_path / "tree.manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["seed_generated"]
+        manifest.write_text(json.dumps(doc))
+        assert main(["cluster", "--from-manifest", str(manifest)]) == 0
+        assert json.loads(manifest.read_text())["seed_generated"] is False
+
     def test_rerun_from_manifest_reproduces_bytes(self, tmp_path, planted_files):
         _, emb_path, _ = planted_files
         _, out = run_cluster(tmp_path, emb_path)
@@ -411,6 +434,14 @@ class TestManifestValidation:
         manifest.write_text(json.dumps(doc))
         assert message in self.rerun_error(manifest, capsys)
 
+    @pytest.mark.parametrize("value", ["true", 1, None])
+    def test_seed_generated_must_be_a_bool(self, manifest, capsys, value):
+        doc = json.loads(manifest.read_text())
+        doc["seed_generated"] = value
+        manifest.write_text(json.dumps(doc))
+        message = f"field 'seed_generated' must be true or false, got {json.dumps(value)}"
+        assert message in self.rerun_error(manifest, capsys)
+
     def test_missing_parameter_names_the_field(self, manifest, capsys):
         doc = json.loads(manifest.read_text())
         del doc["parameters"]["max_size"]
@@ -618,8 +649,9 @@ class TestBaselineCommand:
             (["--k", "3", "--max-iters", "-3"], "error: max_iters must be at least 0, got -3"),
             (["--k", "3", "--purity-thresholds", "2"], "error: purity threshold out of (0, 1]: got 2.0"),
             (["--k", "3", "--purity-thresholds", "0.5,0"], "error: purity threshold out of (0, 1]: got 0.0"),
+            (["--k", "3", "--seed", "-1"], "error: seed must be at least 0, got -1"),
         ],
-        ids=["k-0", "max-iters-negative", "threshold-above-1", "threshold-0"],
+        ids=["k-0", "max-iters-negative", "threshold-above-1", "threshold-0", "seed-negative"],
     )
     def test_settings_are_checked_before_the_input_is_read(self, tmp_path, options, message, capsys):
         missing = str(tmp_path / "missing.jsonl")
@@ -642,3 +674,82 @@ class TestEvaluateSettings:
         argv = ["evaluate", "--tree", missing, "--labels", missing, "--purity-thresholds", thresholds]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: purity threshold out of (0, 1]: got ")
+
+
+class TestOutputPaths:
+    """No command writes over a file it reads as data, or one of its outputs over the other."""
+
+    @pytest.fixture
+    def files(self, tmp_path, planted_files):
+        _, emb_path, labels_path = planted_files
+        tree = tmp_path / "tree.json"
+        assert main(["cluster", "--input", emb_path, "--theta", "0.5", "--seed", "1", "--output", str(tree)]) == 0
+        return {"--input": emb_path, "--labels": labels_path, "--tree": str(tree)}
+
+    def refused(self, argv, capsys, files, out_option, in_option) -> None:
+        before = {path: open(path, "rb").read() for path in files.values()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        path = argv[argv.index(out_option) + 1] if out_option in argv else files[in_option]
+        assert captured.err == f"error: {out_option} and {in_option} name the same file, {path}\n"
+        assert captured.out == ""  # refused before any input is read
+        assert {path: open(path, "rb").read() for path in files.values()} == before
+
+    @pytest.mark.parametrize(
+        "out_option, in_option",
+        [("--output", "--input"), ("--output", "--labels"), ("--manifest", "--input"), ("--manifest", "--labels")],
+    )
+    def test_cluster(self, tmp_path, files, capsys, out_option, in_option):
+        argv = ["cluster", "--input", files["--input"], "--labels", files["--labels"], "--theta", "0.5", "--seed", "1"]
+        others = {"--output": str(tmp_path / "new.json"), "--manifest": str(tmp_path / "new.manifest.json")}
+        others[out_option] = files[in_option]
+        self.refused(argv + [arg for option in others.items() for arg in option], capsys, files, out_option, in_option)
+
+    def test_cluster_output_and_manifest(self, tmp_path, files, capsys):
+        out = str(tmp_path / "t.json")
+        argv = ["cluster", "--input", files["--input"], "--theta", "0.5", "--seed", "1", "--output", out, "--manifest", out]
+        self.refused(argv, capsys, files, "--manifest", "--output")
+        assert not os.path.exists(out)
+
+    def test_cluster_default_manifest_path(self, tmp_path, files, capsys):
+        # --output in.json would put its manifest at in.manifest.json, the input here
+        data = tmp_path / "in.manifest.json"
+        data.write_bytes(open(files["--input"], "rb").read())
+        files = {**files, "--input": str(data)}
+        argv = ["cluster", "--input", str(data), "--theta", "0.5", "--seed", "1", "--output", str(tmp_path / "in.json")]
+        self.refused(argv, capsys, files, "--manifest", "--input")
+
+    def test_cluster_rerun(self, tmp_path, files, capsys):
+        manifest = str(tmp_path / "tree.manifest.json")
+        self.refused(["cluster", "--from-manifest", manifest, "--output", files["--input"]], capsys, files, "--output", "--input")
+
+    def test_a_symlink_is_the_file_it_names(self, tmp_path, files, capsys):
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(files["--input"])
+        argv = ["graph", "--input", files["--input"], "--theta", "0.5", "--output", str(link)]
+        self.refused(argv, capsys, files, "--output", "--input")
+
+    def test_graph(self, files, capsys):
+        argv = ["graph", "--input", files["--input"], "--theta", "0.5", "--output", files["--input"]]
+        self.refused(argv, capsys, files, "--output", "--input")
+
+    @pytest.mark.parametrize("in_option", ["--tree", "--labels"])
+    def test_evaluate(self, files, capsys, in_option):
+        argv = ["evaluate", "--tree", files["--tree"], "--labels", files["--labels"], "--output", files[in_option]]
+        self.refused(argv, capsys, files, "--output", in_option)
+
+    @pytest.mark.parametrize("in_option", ["--input", "--labels"])
+    def test_baseline_kmedoids(self, files, capsys, in_option):
+        argv = ["baseline", "kmedoids", "--input", files["--input"], "--labels", files["--labels"], "--k", "3"]
+        self.refused(argv + ["--seed", "1", "--output", files[in_option]], capsys, files, "--output", in_option)
+
+    def test_a_device_may_take_both_outputs(self, files):
+        argv = ["cluster", "--input", files["--input"], "--theta", "0.5", "--seed", "1"]
+        assert main(argv + ["--output", os.devnull, "--manifest", os.devnull]) == 0
+
+    def test_a_rerun_may_rewrite_its_manifest(self, tmp_path, files):
+        manifest = tmp_path / "tree.manifest.json"
+        before = open(files["--tree"], "rb").read()
+        assert main(["cluster", "--from-manifest", str(manifest), "--manifest", str(manifest)]) == 0
+        assert open(files["--tree"], "rb").read() == before

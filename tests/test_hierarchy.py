@@ -19,7 +19,6 @@ from vec2gc import (
     dumps_tree,
     flat_clusters,
     leaf_clusters_from_document,
-    tree_document,
     vec2gc_cluster,
 )
 from vec2gc import community, hierarchy
@@ -279,8 +278,8 @@ class TestFrontier:
             ref_tree, ref_bucket, pruned = reference_cluster(g, mod_threshold, max_size, seed, min_size, restarts)
             ids = [f"v{i}" for i in range(g.n)]
             kwargs = dict(theta=0.5, mod_threshold=mod_threshold, max_size=max_size, seed=seed)
-            doc = tree_document(tree, bucket, ids, **kwargs)
-            assert doc == tree_document(ref_tree, ref_bucket, ids, **kwargs)
+            doc = json.loads(dumps_tree(tree, bucket, ids, **kwargs))
+            assert doc == json.loads(dumps_tree(ref_tree, ref_bucket, ids, **kwargs))
             pruned_nodes += pruned
             empty_roots += ref_tree.root is None
             recursed += any(depth > 0 for depth in split_node_depths(doc))
@@ -354,18 +353,50 @@ class TestFrontier:
         assert tree.nodes[tree.root].members == list(range(n))
 
 
+def depth_first_leaves(tree) -> list[list[int]]:
+    """Leaf members found by walking children from the root, without recursion."""
+    leaves, stack = [], [] if tree.root is None else [tree.root]
+    while stack:
+        node = tree.nodes[stack.pop()]
+        if node.is_leaf:
+            leaves.append(node.members)
+        stack.extend(reversed(node.children))
+    return leaves
+
+
 class TestFlatClusters:
-    def test_leaf_order_is_depth_first(self):
-        emb, g, tree, bucket = cluster_planted([20, 20], intra_cs=0.95, max_size=50)
-        leaves = flat_clusters(tree)
-        ids = [node.id for node in tree.nodes if node.is_leaf]
-        assert [tree.nodes[i].members for i in sorted(ids)] == leaves
+    def test_leaf_order_is_depth_first(self, monkeypatch):
+        monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+        rng = np.random.default_rng(43)
+        deep = 0
+        for _ in range(60):
+            g = planted_graph(rng)
+            mod_threshold, max_size = float(rng.uniform(0.02, 0.1)), int(rng.choice([2, 3]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                tree, _ = vec2gc_cluster(g, mod_threshold, max_size, int(rng.integers(2**63)), 1)
+            assert flat_clusters(tree) == depth_first_leaves(tree)
+            deep += any(node.parent is not None and not node.is_leaf for node in tree.nodes)
+        assert deep >= 20  # trees with a split below the root, where preorder is not level order
+
+        # TestFrontier's 5,000-deep chain: each call splits node 0 off its path graph
+        def split_off_one(sub_g, seed, config, pool):
+            assignment = np.ones(sub_g.n, dtype=np.int64)
+            assignment[0] = 0
+            return Partition(assignment, 2, 0.5)
+
+        monkeypatch.setattr(hierarchy, "louvain", split_off_one)
+        n = 5001
+        g = graph_from_edges(n, [(a, a + 1, 1.0) for a in range(n - 1)])
+        tree, _ = vec2gc_cluster(g, 0.3, 1, seed=1, min_community_size=1)
+        assert len(tree.nodes) == 2 * n - 1
+        assert flat_clusters(tree) == depth_first_leaves(tree)
 
 
 class TestSerialization:
     def test_document_shape(self):
         emb, g, tree, bucket = cluster_planted([8, 8], intra_cs=0.95, max_size=50)
-        doc = tree_document(tree, bucket, emb.ids, theta=0.5, mod_threshold=0.3, max_size=50, seed=99)
+        doc = json.loads(dumps_tree(tree, bucket, emb.ids, theta=0.5, mod_threshold=0.3, max_size=50, seed=99))
         assert list(doc) == ["theta", "mod_threshold", "max_size", "seed", "nodes", "non_community"]
         assert list(doc["nodes"][0]) == ["id", "parent", "children", "members", "split_modularity"]
         assert list(doc["non_community"]) == ["members", "reasons"]
