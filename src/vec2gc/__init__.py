@@ -50,7 +50,7 @@ from .evaluation import (
     report_to_json_dict,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"
 
 __all__ = [
     "EmbeddingSet",

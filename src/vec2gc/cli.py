@@ -67,10 +67,11 @@ def _resolve_seed(seed: int | None) -> tuple[int, bool]:
 
 
 def _environment() -> dict:
-    """What the last bits of the graph weights, and so the tree, depend on.
+    """The numpy and BLAS build and the CPU count, kept for diagnosis.
 
-    BLAS picks its kernels and thread split by build and core count. A
-    rerun from the manifest does not read this; it records the run.
+    Since 0.4.0 no output bit depends on them: build_graph's weights come
+    from a fixed-order recompute without BLAS. A rerun from the manifest
+    does not read this; it records the run.
     """
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
@@ -143,6 +144,13 @@ def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
     # a rerun keeps the record of whether the run it repeats drew its seed
     if type(seed_generated := manifest.get("seed_generated", False)) is not bool:
         raise ValueError(f"{path}: field 'seed_generated' must be true or false, got {json.dumps(seed_generated)}")
+    if (version := manifest.get("version")) != __version__:
+        written = f"vec2gc {version}" if isinstance(version, str) else "a vec2gc version it does not record"
+        print(
+            f"warning: {path} was written by {written}, this is vec2gc {__version__};"
+            " graph weights changed in 0.4.0, so the tree can differ from the recorded run",
+            file=sys.stderr,
+        )
     return RunConfig(**values, seed_generated=seed_generated), manifest.get("input_sha256")
 
 

@@ -333,8 +333,9 @@ class _SweepGraph:
         self.margin = (5.0 * lengths + (3.0 * n + 32.0)) * _U * g.degrees
         # Largest ratio between the two stored directions of an edge:
         # aggregation sums them in different orders, a similarity graph
-        # stores both at the same bits (ratio 1).
-        transposed = np.lexsort((rows, g.indices))
+        # stores both at the same bits (ratio 1). The (col, row) keys are
+        # unique, so any sort of them gives the transposed order.
+        transposed = np.argsort(g.indices * n + rows)
         spread = float(np.max(g.weights / g.weights[transposed]))
         self.scale = 2.0 * _up(_up(1.0 + 2.0 * (n + 4) * _U) * _up(spread))
 

@@ -18,18 +18,13 @@ from .embedding_io import MIN_VECTOR_NORM, EmbeddingSet
 SIMILARITY_CAP = 1.0 - 1e-9
 MAX_EDGE_WEIGHT = 1e9
 
+# The float32 screen multiplies row blocks of _BLOCK_ROWS by column
+# windows of _COL_TILE, so a tile holds at most _BLOCK_ROWS x _COL_TILE
+# similarities whatever n is. Any shape gives the same graph.
 _BLOCK_ROWS = 256
-# Each block is multiplied by column windows of _COL_TILE columns (a
-# multiple of _BLOCK_ROWS), never by all n columns. How BLAS rounds an entry
-# depends on the shape of the product it is part of: the trailing columns
-# of a product take other kernels (OpenBLAS: the last n mod 8), and small
-# products take another kernel or fewer threads, which group rows
-# differently. So windows start on the _BLOCK_ROWS grid, the last one ends
-# at n, and every window has at least _BLOCK_ROWS x _COL_TILE entries (a
-# short last block gets proportionally wider windows). Every entry is then
-# rounded as in the full-row product unit[i0:i1] @ unit.T, and a tile holds
-# fewer than 4 x _BLOCK_ROWS x (_COL_TILE + _BLOCK_ROWS) floats for any n.
-_COL_TILE = 1024
+_COL_TILE = 2048
+# Screened pairs are recomputed this many at a time.
+_RECOMPUTE = 1 << 14
 # Edge lines are formatted and written this many at a time.
 _WRITE_LINES = 8192
 
@@ -114,56 +109,113 @@ def _edge_weights(cs: np.ndarray) -> np.ndarray:
 def build_graph(emb: EmbeddingSet, theta: float) -> SimilarityGraph:
     """Connect every pair with cosine similarity >= theta.
 
-    Exact O(n^2 d) pairwise computation over unit-normalized float64
-    copies of the stored vectors. Rows are taken in blocks of _BLOCK_ROWS,
-    and each block is multiplied only by the columns at or after its
-    first row, in windows of about _COL_TILE columns, so only the upper
-    triangle is thresholded and the peak similarity memory is set by the
-    tile size, not by n. The only parallelism is the BLAS library's own
-    threads inside each product.
+    Exact O(n^2 d) pairwise computation in two steps. A float32 product of
+    the unit vectors screens out the pairs that are surely below theta; it
+    is taken in row blocks of _BLOCK_ROWS by column windows of _COL_TILE
+    over the upper triangle only, so the tile size, not n, sets the peak
+    similarity memory. Each pair the screen keeps is recomputed from the
+    stored float32 values by _fixed_order_dots,
+
+        cs = dot(a, b) / (sqrt(dot(a, a)) * sqrt(dot(b, b))),
+
+    and that value alone decides theta and the weight. Every rounding in
+    it is a fixed-order IEEE operation, so the weights are a function of
+    the input bytes alone: no tile shape, BLAS build or BLAS thread count
+    changes a bit. The only parallelism is the BLAS library's own threads
+    inside the screen's products.
+
+    The screen keeps the pairs whose float32 similarity s reaches
+    lo = theta - margin, rounded down to float32. A pair with cs >= theta
+    is among them, because |s - cs| is at most the sum of, with u = 2^-24,
+    x^ = x / |x| and x~ its float32 copy:
+
+    - the float32 product's error, gamma_d sum_i |x~_i y~_i| <=
+      gamma_d (1 + u)^2 with gamma_d = d u / (1 - d u), in any summation
+      order and with or without fused multiply-add (Higham, Accuracy and
+      Stability of Numerical Algorithms, 3.1);
+    - rounding the unit vectors to float32, x~_i = x^_i (1 + delta_i)
+      with |delta_i| <= u (plus the float64 norm's error, far below u):
+      2u + u^2, as sum_i |x^_i y^_i| <= 1;
+    - the recompute's own float64 error, about (2d + 4) 2^-53: the dot,
+      two norms, their product and the division;
+    - float32 subnormals, which round absolutely: 2^-150 for each of the
+      d products and each of the 2d unit components.
+
+    While d u <= 1/2, gamma_d <= 2 d u and the sum stays below
+    margin = 2 (d + 4) u + d 2^-148. Longer vectors are not screened.
     """
     theta = _check_theta(theta)
-    n = len(emb)
-    unit = emb.vectors.astype(np.float64)
-    norms = np.linalg.norm(unit, axis=1)
+    n, d = emb.vectors.shape
+    every = np.arange(n)
+    norms = np.sqrt(_fixed_order_dots(emb.vectors, every, every))
     if (norms < MIN_VECTOR_NORM).any():
         raise ValueError("zero-norm vector cannot be placed in a similarity graph")
-    unit /= norms[:, None]
+    # float64 quotients rounded once to float32, with no float64 n x d copy
+    unit = np.empty_like(emb.vectors)
+    np.divide(emb.vectors, norms[:, None], out=unit, casting="same_kind")
+    margin = 2.0 * (d + 4) * 2.0**-24 + d * 2.0**-148
+    lo = np.nextafter(np.float32(theta - margin), np.float32(-np.inf)) if d <= 2**23 else -np.inf
 
-    # edges (row, col, similarity) with col > row, in any order: _assemble sorts them
-    rows, cols, sims = [], [], []
+    # screened pairs (row, col) with col > row, in any order: _assemble sorts the edges
+    rows, cols = [], []
     for i0 in range(0, n, _BLOCK_ROWS):
         i1 = min(i0 + _BLOCK_ROWS, n)
-        width = _COL_TILE * -(-_BLOCK_ROWS // (i1 - i0))
-        # start of the last window; the columns before j0 that it covers belong
-        # to an earlier window or to the lower triangle and are skipped
-        last = max(0, n - width) // _BLOCK_ROWS * _BLOCK_ROWS
-        j0 = i0
-        while j0 < n:
-            # the last window also takes a remainder narrower than width
-            c0, c1 = min(j0, last), (j0 + width if j0 + 2 * width <= n else n)
-            tile = np.matmul(unit[i0:i1], unit[c0:c1].T)[:, j0 - c0:]
-            # no clipping into [-1, 1]: theta >= 0, and every cs above 1
-            # gets MAX_EDGE_WEIGHT from _edge_weights as 1 itself would
-            hit = tile >= theta
-            if j0 == i0:
-                # the square on the diagonal holds col <= row pairs
-                hit[:, :i1 - i0] = np.triu(hit[:, :i1 - i0], 1)
-            r, c = np.divmod(np.flatnonzero(hit), hit.shape[1])
-            rows.append(r + i0)
-            cols.append(c + j0)
-            sims.append(tile[r, c])
-            del tile, hit  # one tile alive at a time
-            j0 = c1
-    return _assemble(n, np.concatenate(rows), np.concatenate(cols), _edge_weights(np.concatenate(sims)))
+        for j0 in range(i0, n, _COL_TILE):
+            j1 = min(j0 + _COL_TILE, n)
+            hit = np.matmul(unit[i0:i1], unit[j0:j1].T) >= lo
+            r, c = np.divmod(np.flatnonzero(hit), j1 - j0)
+            del hit  # one tile alive at a time
+            r += i0
+            c += j0
+            if j0 < i1:
+                # the window reaches the diagonal: keep col > row only
+                upper = c > r
+                r, c = r[upper], c[upper]
+            rows.append(r)
+            cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+
+    cs = np.empty(rows.size)
+    for k in range(0, rows.size, _RECOMPUTE):
+        a, b = rows[k:k + _RECOMPUTE], cols[k:k + _RECOMPUTE]
+        cs[k:k + _RECOMPUTE] = _fixed_order_dots(emb.vectors, a, b) / (norms[a] * norms[b])
+    # no clipping into [-1, 1]: theta >= 0, and every cs above 1 gets
+    # MAX_EDGE_WEIGHT from _edge_weights as 1 itself would
+    keep = cs >= theta
+    src, dst, cs = rows[keep], cols[keep], cs[keep]
+    del rows, cols, keep
+    return _assemble(n, src, dst, _edge_weights(cs))
+
+
+def _fixed_order_dots(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j x[a, j] * x[b, j] in float64, added left to right over j.
+
+    x is the n x d float32 vectors, converted to float64 one column at a
+    time: no transposed or float64 copy of x is made, because a freed n x d
+    block can stay resident for the rest of the run. A product of two
+    float32 values is exact in float64, so each term costs one rounding,
+    an elementwise IEEE addition in a fixed order: no BLAS, pairwise
+    summation or fused multiply-add.
+    """
+    acc, term, other = np.zeros(a.size), np.empty(a.size), np.empty(a.size)
+    for values in x.T:
+        values = values.astype(np.float64)
+        # the indices are in range; "clip" only skips numpy's bounds check
+        values.take(a, out=term, mode="clip")
+        values.take(b, out=other, mode="clip")
+        term *= other
+        acc += term
+    return acc
 
 
 def _assemble(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> SimilarityGraph:
-    # mirror the one-per-edge arrays into a symmetric CSR
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    order = np.lexsort((cols, rows))
-    return SimilarityGraph.from_csr(n, rows[order], cols[order], np.concatenate([w, w])[order])
+    # mirror the one-per-edge arrays into a symmetric CSR, sorted by the
+    # (row, col) keys; they are unique, so any sort gives the one order
+    keys = np.concatenate([src * n + dst, dst * n + src])
+    order = np.argsort(keys)
+    rows, cols = np.divmod(keys[order], n)
+    del keys
+    return SimilarityGraph.from_csr(n, rows, cols, np.concatenate([w, w])[order])
 
 
 def induced_subgraph(g: SimilarityGraph, nodes) -> SimilarityGraph:

@@ -155,6 +155,39 @@ def reference_graph_edges(vectors, theta) -> dict:
     return edges
 
 
+def fixed_order_similarities(vectors) -> dict:
+    """Cosine similarity {(a, b): cs}, a < b, of every pair, in plain Python floats.
+
+    The order of build_graph's recompute, written as loops: float() of each
+    float32 component, every dot product added left to right, and
+    cs = dot / (sqrt(a.a) * sqrt(b.b)). Each Python operation rounds once,
+    so build_graph must reach the same bits.
+    """
+
+    def dot(x, y):
+        acc = 0.0
+        for p, q in zip(x, y):
+            acc += p * q
+        return acc
+
+    rows = [[float(v) for v in row] for row in np.asarray(vectors, dtype=np.float32)]
+    norms = [math.sqrt(dot(row, row)) for row in rows]
+    return {
+        (a, b): dot(rows[a], rows[b]) / (norms[a] * norms[b])
+        for a in range(len(rows))
+        for b in range(a + 1, len(rows))
+    }
+
+
+def fixed_order_edges(vectors, theta) -> dict:
+    """Edges {(a, b): weight} of the pairs whose fixed_order_similarities reach theta."""
+    return {
+        pair: 1e9 if cs >= 1.0 - 1e-9 else 1.0 / (1.0 - cs)
+        for pair, cs in fixed_order_similarities(vectors).items()
+        if cs >= theta
+    }
+
+
 def graph_edges(g) -> dict:
     """{(a, b): weight} with a < b, extracted from a SimilarityGraph."""
     out = {}

@@ -224,6 +224,37 @@ class TestClusterCommand:
         assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
         assert rerun.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("version", ["0.3.1", None, 3])
+    def test_a_manifest_of_another_version_reruns_with_a_warning(self, tmp_path, planted_files, capsys, version):
+        _, emb_path, _ = planted_files
+        _, out = run_cluster(tmp_path, emb_path)
+        manifest = tmp_path / "tree.manifest.json"
+        doc = json.loads(manifest.read_text())
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
+        printed = capsys.readouterr()
+        written = "vec2gc 0.3.1" if version == "0.3.1" else "a vec2gc version it does not record"
+        assert printed.err == (
+            f"warning: {manifest} was written by {written}, this is vec2gc {__version__};"
+            " graph weights changed in 0.4.0, so the tree can differ from the recorded run\n"
+        )
+        assert printed.out.startswith("seed: ") and "warning" not in printed.out
+        assert rerun.read_bytes() == out.read_bytes()
+
+    def test_a_manifest_of_this_version_reruns_silently(self, tmp_path, planted_files, capsys):
+        _, emb_path, _ = planted_files
+        run_cluster(tmp_path, emb_path)
+        capsys.readouterr()
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(tmp_path / "tree.manifest.json"), "--output", str(rerun)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
             ["cluster", "--input", str(tmp_path / "nope.jsonl"), "--format", "jsonl", "--theta", "0.5"]

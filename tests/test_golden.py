@@ -1,18 +1,24 @@
-"""Golden tree bytes for graphs built without numpy's RNG or BLAS.
+"""Golden tree bytes, fixed by the code alone.
 
-The graph kernel's last bits depend on BLAS, but the optimizer, the
-recursion and the serializer do not. These graphs come from plain Python
-integer arithmetic, with every weight on a 1/8 grid, so each tree's
-sha256 is fixed by the code alone: a change to any of those three that
-moves a byte fails here, with the restart pool on or off.
+The first graphs come from plain Python integer arithmetic, with every
+weight on a 1/8 grid, so they pin the optimizer, the recursion and the
+serializer: a change to any of those three that moves a byte fails here,
+with the restart pool on or off. The embedding corpora, also integer
+arithmetic, add the graph kernel: their trees are built in child
+processes at 1 and 2 BLAS threads and must give the same bytes at both.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from oracles import graph_from_edges
-from vec2gc import community, dumps_tree, vec2gc_cluster
+from vec2gc import EmbeddingSet, build_graph, community, dumps_tree, vec2gc_cluster
 
 
 def draws(seed):
@@ -102,3 +108,75 @@ def test_the_recursion_reaches_depth_2(case):
 def test_the_noise_tree_depends_on_the_seed():
     shapes = [[len(node.members) for node in tree_text("noise", seed)[0].nodes] for seed in (1, 2**40 + 3)]
     assert shapes[0] != shapes[1]
+
+
+def planted_vectors(d, seed, levels):
+    """Vectors with every component a multiple of 1/1024, from integer arithmetic alone.
+
+    Each (count, spread) level gives every point of the level above count
+    children, the parent's components plus integers in [-spread, spread];
+    the first level's parent is the origin.
+    """
+    rng = draws(seed)
+    points = [[0] * d]
+    for count, spread in levels:
+        points = [[c + next(rng) % (2 * spread + 1) - spread for c in p] for p in points for _ in range(count)]
+    return [[c / 1024 for c in p] for p in points]
+
+
+EMBEDDING_CASES = {
+    # 26 topics of 50 in 48 dimensions: wide enough for the BLAS library to
+    # split a product over threads, which moved weight bits before 0.4.0
+    "topics": (lambda: planted_vectors(48, 11, [(26, 1024), (50, 300)]), 0.6, 60),
+    # 3 x 4 sub-topics of 25 in 16 dimensions, split to depth 2
+    "nested": (lambda: planted_vectors(16, 12, [(3, 1024), (4, 500), (25, 200)]), 0.5, 30),
+}
+
+# sha256 of each tree's text at seed 1; recorded with vec2gc 0.4.0
+EMBEDDING_GOLDEN = {
+    "topics": "a1afc7939332993f56fe867060c6d6fadfbc38b06ab87dc65d1b0375e892a381",
+    "nested": "da8001a82ffab4f82fa29559d7c9b5399dcf756475df52f4c44adcdcba773609",
+}
+
+# random inputs whose graph bytes depended on the BLAS thread count before 0.4.0
+RANDOM_GRAPHS = [(1300, 31), (2085, 32), (4621, 33)]
+
+
+def embedding_digests() -> dict:
+    """sha256 of each embedding case's tree, and of each random input's graph at theta 0.2."""
+    trees = {}
+    for case, (vectors, theta, max_size) in EMBEDDING_CASES.items():
+        vectors = vectors()
+        emb = EmbeddingSet(ids=[f"e{i}" for i in range(len(vectors))], vectors=vectors)
+        tree, bucket = vec2gc_cluster(build_graph(emb, theta), 0.3, max_size, 1)
+        text = dumps_tree(tree, bucket, emb.ids, theta=theta, mod_threshold=0.3, max_size=max_size, seed=1)
+        trees[case] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    graphs = []
+    for n, seed in RANDOM_GRAPHS:
+        vectors = np.random.default_rng(seed).standard_normal((n, 48)).astype(np.float32)
+        g = build_graph(EmbeddingSet(ids=[f"r{i}" for i in range(n)], vectors=vectors), 0.2)
+        graphs.append(hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes() + g.weights.tobytes()).hexdigest())
+    return {"trees": trees, "graphs": graphs}
+
+
+@pytest.fixture(scope="module")
+def digests_by_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(community.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    child = "import json, sys; sys.path[:0] = sys.argv[1:]; import test_golden; print(json.dumps(test_golden.embedding_digests()))"
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", child, src, here], capture_output=True, text=True, env=env, check=True)
+        digests[threads] = json.loads(run.stdout)
+    return digests
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(EMBEDDING_GOLDEN))
+def test_embedding_tree_bytes_are_golden_at_every_blas_thread_count(digests_by_blas_threads, case, threads):
+    assert digests_by_blas_threads[threads]["trees"][case] == EMBEDDING_GOLDEN[case]
+
+
+def test_graph_bytes_do_not_depend_on_blas_threads(digests_by_blas_threads):
+    assert digests_by_blas_threads["1"]["graphs"] == digests_by_blas_threads["2"]["graphs"]

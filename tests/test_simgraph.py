@@ -4,8 +4,16 @@ import re
 import numpy as np
 import pytest
 
-from oracles import graph_edges, planted_groups, reference_graph_edges, row
+from oracles import (
+    fixed_order_edges,
+    fixed_order_similarities,
+    graph_edges,
+    planted_groups,
+    reference_graph_edges,
+    row,
+)
 from vec2gc import (
+    SIMILARITY_CAP,
     EmbeddingSet,
     build_graph,
     edge_weight,
@@ -218,66 +226,60 @@ class TestEdgeTsv:
         assert not path.exists()
 
 
-def full_row_graph(emb, theta):
-    """The graph built from whole-row products unit[i0:i1] @ unit.T, one 256-row block at a time."""
-    from vec2gc.simgraph import _assemble, _edge_weights
-
-    unit = emb.vectors.astype(np.float64)
-    unit /= np.linalg.norm(unit, axis=1)[:, None]
-    n = unit.shape[0]
-    src, dst, w = [], [], []
-    for i0 in range(0, n, 256):
-        i1 = min(i0 + 256, n)
-        sims = np.clip(unit[i0:i1] @ unit.T, -1.0, 1.0)
-        mask = (sims >= theta) & (np.arange(n)[None, :] > np.arange(i0, i1)[:, None])
-        r, c = np.nonzero(mask)
-        src.append(r + i0)
-        dst.append(c)
-        w.append(_edge_weights(sims[r, c]))
-    return _assemble(n, np.concatenate(src), np.concatenate(dst), np.concatenate(w))
-
-
 class TestTiledKernel:
-    """build_graph multiplies row blocks by column windows; the tiling must not show."""
+    """build_graph screens pairs in row blocks x column windows; the tiling must not show."""
+
+    TILES = [(8, 16), (16, 8), (8, 8), (256, 2048), (3, 1000)]
 
     @staticmethod
-    def assert_same_graph(a, b):
-        for field in ("indptr", "indices", "weights", "degrees"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        assert a.total_weight == b.total_weight
-
-    def test_bit_identical_to_full_row_products(self):
-        # n past one window, not a multiple of 256 or 8, and short last blocks
-        rng = np.random.default_rng(20)
-        for n, d, theta in [(1300, 16, 0.5), (2085, 8, 0.3), (2565, 64, 0.3), (4621, 16, 0.45)]:
-            emb = random_embeddings(rng, n, d)
-            ref = full_row_graph(emb, theta)
-            assert ref.edge_count > 0
-            self.assert_same_graph(build_graph(emb, theta), ref)
-
-    def test_small_tiles_match_default_tiles_and_oracle(self, monkeypatch):
-        # 8 x 16 tiles, n a multiple of neither, so blocks and windows end
-        # mid-tile. BLAS rounds such small products in other kernels and
-        # without threads, which can move a weight by an ulp, so weights are
-        # compared to 1e-12 here; the edge structure must match exactly.
+    def build_with_tiles(monkeypatch, emb, theta, block_rows, col_tile):
         import vec2gc.simgraph as simgraph
 
+        with monkeypatch.context() as m:
+            m.setattr(simgraph, "_BLOCK_ROWS", block_rows)
+            m.setattr(simgraph, "_COL_TILE", col_tile)
+            return build_graph(emb, theta)
+
+    def test_weights_are_the_fixed_order_reference_bit_for_bit(self, monkeypatch):
+        # the recompute alone decides every edge and weight: any tile shape
+        # gives the plain-Python loop's bits, not merely values within 1e-12
+        rng = np.random.default_rng(21)
+        for n, d, theta in [(37, 64, 0.1), (203, 16, 0.3), (150, 48, 0.0)]:
+            emb = random_embeddings(rng, n, d)
+            ref = fixed_order_edges(emb.vectors, theta)
+            assert ref
+            for block_rows, col_tile in self.TILES:
+                got = graph_edges(self.build_with_tiles(monkeypatch, emb, theta, block_rows, col_tile))
+                assert got == ref, (n, block_rows, col_tile)
+
+    def test_small_tiles_match_default_tiles_and_oracle(self, monkeypatch):
+        # n a multiple of neither tile side, so blocks and windows end mid-tile
         rng = np.random.default_rng(21)
         for n, d, theta in [(37, 64, 0.1), (203, 16, 0.3), (517, 64, 0.2)]:
             emb = random_embeddings(rng, n, d)
             default = build_graph(emb, theta)
-            with monkeypatch.context() as m:
-                m.setattr(simgraph, "_BLOCK_ROWS", 8)
-                m.setattr(simgraph, "_COL_TILE", 16)
-                tiled = build_graph(emb, theta)
-            assert np.array_equal(tiled.indptr, default.indptr)
-            assert np.array_equal(tiled.indices, default.indices)
-            assert np.allclose(tiled.weights, default.weights, rtol=1e-12, atol=0.0)
+            for block_rows, col_tile in self.TILES:
+                tiled = self.build_with_tiles(monkeypatch, emb, theta, block_rows, col_tile)
+                for field in ("indptr", "indices", "weights", "degrees"):
+                    assert np.array_equal(getattr(tiled, field), getattr(default, field)), field
             ref = reference_graph_edges(emb.vectors, theta)
-            got = graph_edges(tiled)
+            got = graph_edges(default)
             assert got.keys() == ref.keys()
             for pair, w in ref.items():
                 assert got[pair] == pytest.approx(w, rel=1e-12)
+
+    def test_a_pair_at_exactly_theta_is_an_edge(self):
+        # theta set to a pair's own similarity keeps it and one ulp above
+        # drops it: the screen's margin covers the float32 product's error
+        rng = np.random.default_rng(26)
+        vectors = (rng.standard_normal((30, 48)) + 0.4).astype(np.float32)
+        vectors[15:] = vectors[:15] + 0.05 * rng.standard_normal((15, 48)).astype(np.float32)
+        emb = EmbeddingSet(ids=[f"v{i}" for i in range(30)], vectors=vectors)
+        sims = {pair: cs for pair, cs in fixed_order_similarities(vectors).items() if 0.0 <= cs <= SIMILARITY_CAP}
+        assert len(sims) >= 200
+        for pair, cs in sims.items():
+            assert pair in graph_edges(build_graph(emb, cs)), (pair, cs)
+            assert pair not in graph_edges(build_graph(emb, float(np.nextafter(cs, 1.0)))), (pair, cs)
 
     def test_tile_shapes_do_not_grow_with_n(self, monkeypatch):
         import vec2gc.simgraph as simgraph
@@ -299,7 +301,7 @@ class TestTiledKernel:
                 g = build_graph(random_embeddings(rng, n, 4), 0.99)
                 assert g.n == n and shapes
                 assert max(r for r, _ in shapes) <= block_rows
-                assert max(r * c for r, c in shapes) < 4 * block_rows * (col_tile + block_rows)
+                assert max(c for _, c in shapes) <= col_tile
 
 
 class TestEdgeWeightVectorAgreement:
