@@ -17,7 +17,6 @@ from .simgraph import (
     SIMILARITY_CAP,
     SimilarityGraph,
     build_graph,
-    edge_weight,
     induced_subgraph,
     write_edges_tsv,
 )
@@ -45,12 +44,11 @@ from .evaluation import (
     cluster_purity,
     format_report_table,
     kmedoids,
-    kmedoids_fit,
     purity_report,
     report_to_json_dict,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 __all__ = [
     "EmbeddingSet",
@@ -61,7 +59,6 @@ __all__ = [
     "SIMILARITY_CAP",
     "MAX_EDGE_WEIGHT",
     "build_graph",
-    "edge_weight",
     "induced_subgraph",
     "write_edges_tsv",
     "Partition",
@@ -83,7 +80,6 @@ __all__ = [
     "cluster_purity",
     "format_report_table",
     "kmedoids",
-    "kmedoids_fit",
     "purity_report",
     "report_to_json_dict",
     "__version__",

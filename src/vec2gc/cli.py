@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .community import GAIN_EPSILON, MAX_SWEEPS, RESTARTS, _available_cpus
+from .community import RESTARTS, _available_cpus
 from .embedding_io import EMBEDDING_FORMATS, FormatError, _utf8_error, load_embeddings, load_labels, open_utf8
-from .evaluation import format_report_table, kmedoids, purity_report, report_to_json_dict
+from .evaluation import DEFAULT_THRESHOLDS, format_report_table, kmedoids, purity_report, report_to_json_dict
 from .hierarchy import _check_cluster_parameters, dumps_tree, leaf_clusters_from_document, vec2gc_cluster
 from .simgraph import _check_theta, build_graph, write_edges_tsv
 
@@ -113,19 +113,17 @@ def _read_json(path):
 
 
 def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
-    """The run configuration a manifest records, and its input checksum."""
+    """The run configuration a manifest of this version records, and its input checksum."""
     manifest = _read_json(path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("parameters"), dict):
         raise ValueError(f"{path}: a manifest is a JSON object whose 'parameters' field is an object")
+    if (version := manifest.get("version")) != __version__:
+        written = f"vec2gc {version}" if isinstance(version, str) else "a vec2gc version it does not record"
+        raise ValueError(
+            f"{path} was written by {written}, this is vec2gc {__version__}:"
+            " run the version that wrote it, or give its parameters as options"
+        )
     params = dict(manifest["parameters"])
-    # recorded by versions whose graph kernel had a thread pool; it never changed the output
-    params.pop("threads", None)
-    # versions before 0.2 ran 16 restarts and did not record them
-    params.setdefault("restarts", 16)
-    # versions before 0.2.1 recorded the optimizer's constants as settings
-    for name, constant in (("gain_epsilon", GAIN_EPSILON), ("max_sweeps", MAX_SWEEPS)):
-        if (value := params.pop(name, constant)) != constant:
-            raise ValueError(f"{path}: parameter {name} is fixed at {constant} since version 0.2.1, got {json.dumps(value)}")
     values = {}
     for field in _PARAMETERS:
         if field.name not in params:
@@ -144,13 +142,6 @@ def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
     # a rerun keeps the record of whether the run it repeats drew its seed
     if type(seed_generated := manifest.get("seed_generated", False)) is not bool:
         raise ValueError(f"{path}: field 'seed_generated' must be true or false, got {json.dumps(seed_generated)}")
-    if (version := manifest.get("version")) != __version__:
-        written = f"vec2gc {version}" if isinstance(version, str) else "a vec2gc version it does not record"
-        print(
-            f"warning: {path} was written by {written}, this is vec2gc {__version__};"
-            " graph weights changed in 0.4.0, so the tree can differ from the recorded run",
-            file=sys.stderr,
-        )
     return RunConfig(**values, seed_generated=seed_generated), manifest.get("input_sha256")
 
 
@@ -182,6 +173,9 @@ def cmd_graph(args) -> int:
 
 def cmd_cluster(args) -> int:
     if args.from_manifest:
+        for option in ("--input", "--labels", "--theta", "--seed"):  # the options with no default
+            if getattr(args, option[2:]) is not None:
+                raise ValueError(f"{option} cannot be given with --from-manifest, which records it")
         config, recorded = _load_manifest(args.from_manifest)
         if args.output:
             config.output = args.output
@@ -305,7 +299,7 @@ def cmd_baseline_kmedoids(args) -> int:
         raise ValueError("baseline evaluation needs labels (--labels or jsonl label fields)")
     seed, generated = _resolve_seed(args.seed)
     print(f"seed: {seed}" + (" (generated)" if generated else ""))
-    clusters = kmedoids(emb, args.k, seed, max_iters=args.max_iters)
+    clusters = kmedoids(emb, args.k, seed, max_iters=args.max_iters).clusters
     id_clusters = [[emb.ids[i] for i in members] for members in clusters]
     report = purity_report(id_clusters, labels, thresholds=thresholds, noise_size=0)
     if args.output:
@@ -343,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--restarts", type=int, default=RESTARTS, help="seeded optimizer runs per split; the best wins")
     cluster.add_argument("--output", help="tree JSON path (default tree.json)")
     cluster.add_argument("--manifest", help="manifest path (default: output with .manifest.json suffix)")
-    cluster.add_argument("--from-manifest", help="rerun the exact configuration recorded in a manifest")
+    cluster.add_argument("--from-manifest", help="rerun byte-for-byte the configuration of a manifest written by this version")
     cluster.set_defaults(func=cmd_cluster)
 
     evaluate = sub.add_parser("evaluate", help="purity report for a tree JSON against gold labels")
     evaluate.add_argument("--tree", required=True, help="tree JSON produced by the cluster command")
     evaluate.add_argument("--labels", required=True, help="id<TAB>label file")
     evaluate.add_argument("--labels-header", action="store_true", help="skip the first line of the label file")
-    evaluate.add_argument("--purity-thresholds", default="0.5,0.7,0.9", help="comma-separated thresholds in (0, 1]")
+    evaluate.add_argument("--purity-thresholds", default=",".join(map(str, DEFAULT_THRESHOLDS)), help="comma-separated thresholds in (0, 1]")
     evaluate.add_argument("--output", help="optional report JSON path")
     evaluate.set_defaults(func=cmd_evaluate)
 
@@ -363,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     kmed.add_argument("--k", type=int, required=True, help="number of clusters")
     kmed.add_argument("--seed", type=int, help="random seed; generated and printed when omitted")
     kmed.add_argument("--max-iters", type=int, default=100, help="medoid update iterations")
-    kmed.add_argument("--purity-thresholds", default="0.5,0.7,0.9", help="comma-separated thresholds in (0, 1]")
+    kmed.add_argument("--purity-thresholds", default=",".join(map(str, DEFAULT_THRESHOLDS)), help="comma-separated thresholds in (0, 1]")
     kmed.add_argument("--output", help="optional report JSON path")
     kmed.set_defaults(func=cmd_baseline_kmedoids)
 

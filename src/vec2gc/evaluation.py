@@ -154,7 +154,7 @@ class KMedoidsResult:
 BLOCK_ENTRIES = 1 << 18
 
 
-def kmedoids_fit(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> KMedoidsResult:
+def kmedoids(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> KMedoidsResult:
     """K-medoids on cosine distance (1 - cs) with greedy spread-out seeding.
 
     The first medoid is drawn uniformly; each further medoid is sampled
@@ -254,8 +254,3 @@ def _medoid(unit: np.ndarray, members: np.ndarray) -> int:
         return int(members[0])
     within = [block.sum(axis=1) for _, block in _distance_blocks(unit, members, among=True)]
     return int(members[np.concatenate(within).argmin()])
-
-
-def kmedoids(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> list[list[int]]:
-    """Cluster memberships only; see kmedoids_fit for the full result."""
-    return kmedoids_fit(emb, k, seed, max_iters=max_iters).clusters

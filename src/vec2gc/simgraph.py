@@ -83,23 +83,10 @@ class SimilarityGraph:
         )
 
 
-def edge_weight(cs: float, theta: float) -> float:
-    """Map a similarity to an edge weight: 0 below theta, else 1/(1 - cs).
-
-    Similarities at or above SIMILARITY_CAP return MAX_EDGE_WEIGHT, the
-    exact value of 1/(1 - cs) at the cap, keeping the mapping finite and
-    monotone.
-    """
-    theta = _check_theta(theta)
-    cs = min(1.0, max(-1.0, float(cs)))
-    if cs < theta:
-        return 0.0
-    return float(_edge_weights(np.array([cs]))[0])
-
-
 def _edge_weights(cs: np.ndarray) -> np.ndarray:
-    # weights of similarities already >= theta; the floor only acts at or
-    # above SIMILARITY_CAP, where the weight is replaced by the cap anyway
+    # weights 1/(1 - cs) of similarities already >= theta. At or above
+    # SIMILARITY_CAP the weight is MAX_EDGE_WEIGHT, the exact value at the
+    # cap, so the mapping stays finite and monotone; the floor only acts there
     den = np.maximum(1.0 - cs, 1e-9)
     w = 1.0 / den
     w[cs >= SIMILARITY_CAP] = MAX_EDGE_WEIGHT

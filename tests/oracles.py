@@ -203,7 +203,7 @@ def reference_kmedoids(emb, k, seed, max_iters=100):
     """k-medoids as it was written over one dense n x n distance matrix.
 
     The same seeding, assignment and Voronoi update as
-    vec2gc.evaluation.kmedoids_fit, read from the full matrix instead of
+    vec2gc.evaluation.kmedoids, read from the full matrix instead of
     computed in blocks. Returns (clusters, medoids, objective_history).
     """
     n = len(emb)

@@ -24,7 +24,6 @@ from oracles import (
 from vec2gc import (
     EmbeddingSet,
     build_graph,
-    edge_weight,
     flat_clusters,
     kmedoids,
     louvain,
@@ -40,13 +39,22 @@ def ok(num, message):
 
 
 def test_criterion_01_edge_weight_anchors():
-    # the worked similarity-to-weight pairs, at double precision
-    assert edge_weight(0.9, 0.5) == pytest.approx(10.0, abs=1e-12)
-    assert edge_weight(0.95, 0.5) == pytest.approx(20.0, abs=1e-12)
+    # the worked similarity-to-weight pairs at double precision, read from build_graph
+    # on integer vectors against (1, 0, ...) whose cosines are exact
+    def weight(b, theta):
+        a = [1] + [0] * (len(b) - 1)
+        g = build_graph(EmbeddingSet(ids=["a", "b"], vectors=np.array([a, b], dtype=np.float32)), theta)
+        return graph_edges(g).get((0, 1))
+
+    assert weight([9, 3, 3, 1], 0.5) == pytest.approx(10.0, abs=1e-12)  # cs 9/10
+    assert weight([19, 5, 3, 2, 1], 0.5) == pytest.approx(20.0, abs=1e-12)  # cs 19/20
+    exact = [([-1, 0], -1.0), ([0, 1], 0.0), ([9, 3, 3, 1], 0.9), ([19, 5, 3, 2, 1], 0.95)]
     for theta in (0.1, 0.5, 0.8):
-        for cs in (-1.0, 0.0, theta - 1e-9, theta - 0.05):
-            assert edge_weight(cs, theta) == 0.0
-    ok(1, "edge_weight(0.9)=10, edge_weight(0.95)=20, and 0 below theta")
+        for b, cs in exact:
+            assert (weight(b, theta) is None) == (cs < theta)
+    for b, cs in exact[2:]:
+        assert weight(b, float(np.nextafter(cs, 1.0))) is None  # theta just above the cosine
+    ok(1, "weight 10 at cs 0.9, 20 at cs 0.95, and no edge below theta")
 
 
 def test_criterion_02_modularity_oracle_and_louvain_quality():
@@ -197,7 +205,7 @@ def test_criterion_08_determinism_on_5k_input(tmp_path):
 def test_criterion_09_baseline_comparison():
     # same planted data as criterion 4: the baseline also solves it
     emb, labels = planted_four_groups()
-    clusters = kmedoids(emb, 4, seed=777)
+    clusters = kmedoids(emb, 4, seed=777).clusters
     report = purity_report([[emb.ids[i] for i in c] for c in clusters], labels)
     assert report.fractions == {0.5: 1.0, 0.7: 1.0, 0.9: 1.0}
 
@@ -210,7 +218,7 @@ def test_criterion_09_baseline_comparison():
     tree, bucket = vec2gc_cluster(g, 0.3, 500, seed=31337)
     vec_clusters = [[emb2.ids[i] for i in leaf] for leaf in flat_clusters(tree)]
     vec_report = purity_report(vec_clusters, labels2, noise_size=len(bucket.members))
-    km_clusters = kmedoids(emb2, 2, seed=31337)
+    km_clusters = kmedoids(emb2, 2, seed=31337).clusters
     km_report = purity_report([[emb2.ids[i] for i in c] for c in km_clusters], labels2)
     assert vec_report.fractions[0.9] > km_report.fractions[0.9]
     ok(

@@ -199,20 +199,6 @@ class TestClusterCommand:
         assert set(environment["blas"]) == {"name", "version"}
         assert environment["cpus"] == community._available_cpus() >= 1
 
-    def test_manifest_with_the_optimizer_constants_reruns_to_the_same_bytes(self, tmp_path, planted_files):
-        # 0.2.0 and earlier recorded gain_epsilon and max_sweeps, at these values unless set
-        _, emb_path, _ = planted_files
-        _, out = run_cluster(tmp_path, emb_path)
-        manifest = tmp_path / "tree.manifest.json"
-        doc = json.loads(manifest.read_text())
-        assert len(doc["parameters"]) == 10
-        doc["version"] = "0.2.0"
-        doc["parameters"].update(gain_epsilon=1e-9, max_sweeps=100)
-        manifest.write_text(json.dumps(doc))
-        rerun = tmp_path / "rerun.json"
-        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
-        assert rerun.read_bytes() == out.read_bytes()
-
     def test_manifest_without_environment_reruns_to_the_same_bytes(self, tmp_path, planted_files):
         _, emb_path, _ = planted_files
         _, out = run_cluster(tmp_path, emb_path)
@@ -224,10 +210,11 @@ class TestClusterCommand:
         assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
         assert rerun.read_bytes() == out.read_bytes()
 
-    @pytest.mark.parametrize("version", ["0.3.1", None, 3])
-    def test_a_manifest_of_another_version_reruns_with_a_warning(self, tmp_path, planted_files, capsys, version):
+    @pytest.mark.parametrize("version", ["0.3.1", "0.4.0", None, 3])
+    def test_a_manifest_of_another_version_is_refused(self, tmp_path, planted_files, capsys, version):
+        # another version can write other bytes for the same parameters
         _, emb_path, _ = planted_files
-        _, out = run_cluster(tmp_path, emb_path)
+        run_cluster(tmp_path, emb_path)
         manifest = tmp_path / "tree.manifest.json"
         doc = json.loads(manifest.read_text())
         if version is None:
@@ -237,23 +224,37 @@ class TestClusterCommand:
         manifest.write_text(json.dumps(doc))
         capsys.readouterr()
         rerun = tmp_path / "rerun.json"
-        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 1
         printed = capsys.readouterr()
-        written = "vec2gc 0.3.1" if version == "0.3.1" else "a vec2gc version it does not record"
+        written = f"vec2gc {version}" if isinstance(version, str) else "a vec2gc version it does not record"
         assert printed.err == (
-            f"warning: {manifest} was written by {written}, this is vec2gc {__version__};"
-            " graph weights changed in 0.4.0, so the tree can differ from the recorded run\n"
+            f"error: {manifest} was written by {written}, this is vec2gc {__version__}:"
+            " run the version that wrote it, or give its parameters as options\n"
         )
-        assert printed.out.startswith("seed: ") and "warning" not in printed.out
-        assert rerun.read_bytes() == out.read_bytes()
+        assert printed.out == ""
+        assert not rerun.exists() and not (tmp_path / "rerun.manifest.json").exists()
 
     def test_a_manifest_of_this_version_reruns_silently(self, tmp_path, planted_files, capsys):
         _, emb_path, _ = planted_files
-        run_cluster(tmp_path, emb_path)
+        _, out = run_cluster(tmp_path, emb_path)
         capsys.readouterr()
         rerun = tmp_path / "rerun.json"
         assert main(["cluster", "--from-manifest", str(tmp_path / "tree.manifest.json"), "--output", str(rerun)]) == 0
         assert capsys.readouterr().err == ""
+        assert rerun.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("option, value", [("--input", "emb.jsonl"), ("--labels", "l.tsv"), ("--theta", "0.6"), ("--seed", "5")])
+    def test_a_recorded_option_beside_from_manifest_is_refused(self, tmp_path, planted_files, capsys, monkeypatch, option, value):
+        # the rerun would use the recorded value; refused before the manifest is read
+        _, emb_path, _ = planted_files
+        run_cluster(tmp_path, emb_path)
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_read_json", None)
+        out = tmp_path / "rerun.json"
+        argv = ["cluster", "--from-manifest", str(tmp_path / "tree.manifest.json"), "--output", str(out), option, value]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {option} cannot be given with --from-manifest, which records it\n"
+        assert not out.exists() and not (tmp_path / "rerun.manifest.json").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
@@ -275,10 +276,10 @@ class TestClusterWorkers:
         write_jsonl(emb, path)
         return str(path)
 
-    def cluster_bytes(self, tmp_path, path, name, extra=()):
+    def cluster_bytes(self, tmp_path, path, name):
         out = tmp_path / f"{name}.json"
         argv = ["cluster", "--input", path, "--format", "jsonl", "--theta", "0.6", "--max-size", "20"]
-        assert main(argv + ["--seed", "8", "--output", str(out), *extra]) == 0
+        assert main(argv + ["--seed", "8", "--output", str(out)]) == 0
         return out.read_bytes()
 
     def test_same_bytes_at_every_worker_count(self, tmp_path, noise_file, monkeypatch):
@@ -289,38 +290,6 @@ class TestClusterWorkers:
             monkeypatch.setattr(community, "_available_cpus", lambda: workers)
             assert self.cluster_bytes(tmp_path, noise_file, f"workers{workers}") == expected
 
-    def test_threads_manifest_reruns_to_the_canonical_tree(self, tmp_path, noise_file):
-        # earlier versions recorded the graph kernel's thread count, and ran 16 restarts
-        expected = self.cluster_bytes(tmp_path, noise_file, "canonical", extra=["--restarts", "16"])
-        legacy = tmp_path / "legacy.manifest.json"
-        legacy.write_text(json.dumps({
-            "tool": "vec2gc",
-            "version": "0.1.0",
-            "command": "cluster",
-            "parameters": {
-                "input": noise_file, "format": "jsonl", "labels": None, "theta": 0.6,
-                "mod_threshold": 0.3, "max_size": 20, "min_community_size": 2, "seed": 8,
-                "gain_epsilon": 1e-9, "max_sweeps": 100, "threads": 2, "output": str(tmp_path / "old.json"),
-            },
-            "input_sha256": None,
-            "labels_sha256": None,
-            "seed_generated": False,
-        }))
-        rerun = tmp_path / "rerun.json"
-        assert main(["cluster", "--from-manifest", str(legacy), "--output", str(rerun)]) == 0
-        assert rerun.read_bytes() == expected
-
-    def test_manifest_without_restarts_reruns_with_16(self, tmp_path, noise_file):
-        # versions before 0.2 did not record the restart count; they ran 16
-        expected = self.cluster_bytes(tmp_path, noise_file, "sixteen", extra=["--restarts", "16"])
-        self.cluster_bytes(tmp_path, noise_file, "default")
-        manifest = tmp_path / "default.manifest.json"
-        doc = json.loads(manifest.read_text())
-        del doc["parameters"]["restarts"]
-        manifest.write_text(json.dumps(doc))
-        rerun = tmp_path / "rerun.json"
-        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
-        assert rerun.read_bytes() == expected
 
 
 class TestUsageErrors:
@@ -442,15 +411,6 @@ class TestManifestValidation:
             ("input", None, "parameter 'input' must be a string"),
             ("format", "xml", "parameter 'format' must be one of csv, jsonl, word2vec, got 'xml'"),
             ("colour", "red", "unknown parameter 'colour'"),
-            # recorded before 0.2.1; only the values of the constants rerun
-            ("gain_epsilon", float("nan"), "parameter gain_epsilon is fixed at 1e-09 since version 0.2.1, got NaN"),
-            ("gain_epsilon", float("inf"), "parameter gain_epsilon is fixed at 1e-09 since version 0.2.1, got Infinity"),
-            ("gain_epsilon", -1, "parameter gain_epsilon is fixed at 1e-09 since version 0.2.1, got -1"),
-            ("gain_epsilon", 1e-6, "parameter gain_epsilon is fixed at 1e-09 since version 0.2.1, got 1e-06"),
-            ("max_sweeps", 0, "parameter max_sweeps is fixed at 100 since version 0.2.1, got 0"),
-            ("max_sweeps", -3, "parameter max_sweeps is fixed at 100 since version 0.2.1, got -3"),
-            ("max_sweeps", 5, "parameter max_sweeps is fixed at 100 since version 0.2.1, got 5"),
-            ("max_sweeps", "100", "parameter max_sweeps is fixed at 100 since version 0.2.1, got \"100\""),
             ("restarts", 0, "parameter restarts must be at least 1, got 0"),
             ("restarts", "8", "parameter 'restarts' must be an integer, got \"8\""),
             ("theta", 2, "parameter theta out of [0, 1): got 2.0"),

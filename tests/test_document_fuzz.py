@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from oracles import planted_groups, write_jsonl  # noqa: E402
 
+from vec2gc import __version__  # noqa: E402
 from vec2gc.cli import main  # noqa: E402
 
 # derandomized so that a tier-1 run is repeatable; tmp_path is shared by the examples
@@ -96,12 +97,12 @@ def recorded(tmp_path):
     return json.loads((tmp_path / "tree.manifest.json").read_text())["parameters"]
 
 
-# what is read from the manifest; input, labels and format name the files a
-# rerun reads and restarts sets its length, so they keep their recorded values
-FUZZED = [
-    "theta", "mod_threshold", "max_size", "min_community_size", "seed", "output",
-    "gain_epsilon", "max_sweeps", "threads", "colour",
-]
+# what is read from the manifest, and one unknown name; input, labels and format
+# name the files a rerun reads and restarts sets its length, so they keep their recorded values
+FUZZED = ["theta", "mod_threshold", "max_size", "min_community_size", "seed", "output", "colour"]
+# half the manifests are of this version; another version, or none (None drops
+# the field), is refused before the parameters are read
+VERSIONS = st.just(__version__) | st.sampled_from(["0.3.1", None, 3])
 
 
 # values near the valid ones, so that reruns happen too
@@ -126,6 +127,9 @@ def parameter_objects(draw, recorded):
 @given(data=st.data())
 def test_any_manifest_parameters_rerun_or_name_the_file(tmp_path, capsys, recorded, data):
     manifest = tmp_path / "fuzz.manifest.json"
-    manifest.write_text(json.dumps({"parameters": data.draw(parameter_objects(recorded))}), encoding="utf-8")
+    doc = {"version": data.draw(VERSIONS), "parameters": data.draw(parameter_objects(recorded))}
+    if doc["version"] is None:
+        del doc["version"]
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["cluster", "--from-manifest", str(manifest), "--output", str(tmp_path / "rerun.json")]
     outcome(argv, capsys, manifest)

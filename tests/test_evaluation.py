@@ -7,7 +7,6 @@ from vec2gc import (
     cluster_purity,
     format_report_table,
     kmedoids,
-    kmedoids_fit,
     purity_report,
     report_to_json_dict,
 )
@@ -165,7 +164,7 @@ class TestReportFormats:
 class TestKMedoids:
     def test_recovers_planted_blobs(self):
         emb, labels = planted_groups([25, 25], intra_cs=0.95)
-        clusters = kmedoids(emb, 2, seed=21)
+        clusters = kmedoids(emb, 2, seed=21).clusters
         assert sorted(map(tuple, (sorted(c) for c in clusters))) == [
             tuple(range(25)),
             tuple(range(25, 50)),
@@ -173,7 +172,7 @@ class TestKMedoids:
 
     def test_k_equals_n(self):
         emb, _ = planted_groups([5], intra_cs=0.9)
-        result = kmedoids_fit(emb, 5, seed=3)
+        result = kmedoids(emb, 5, seed=3)
         assert sorted(map(tuple, result.clusters)) == [(i,) for i in range(5)]
         assert result.medoids == list(range(5))
 
@@ -192,7 +191,7 @@ class TestKMedoids:
                 ids=[f"p{i}" for i in range(30)],
                 vectors=rng.standard_normal((30, 5)).astype(np.float32),
             )
-            result = kmedoids_fit(emb, int(rng.integers(2, 8)), seed=trial)
+            result = kmedoids(emb, int(rng.integers(2, 8)), seed=trial)
             history = result.objective_history
             assert all(a >= b - 1e-9 for a, b in zip(history, history[1:]))
 
@@ -202,7 +201,7 @@ class TestKMedoids:
             ids=[f"p{i}" for i in range(25)],
             vectors=rng.standard_normal((25, 4)).astype(np.float32),
         )
-        clusters = kmedoids(emb, 4, seed=5)
+        clusters = kmedoids(emb, 4, seed=5).clusters
         assert sorted(m for c in clusters for m in c) == list(range(25))
         assert all(c for c in clusters)
 
@@ -232,7 +231,7 @@ class TestKMedoids:
         vectors[30:] = vectors[:30]  # duplicates: items at distance 0 from a medoid
         emb = EmbeddingSet(ids=[f"p{i}" for i in range(60)], vectors=vectors)
         for k, seed in [(2, 1), (7, 2), (29, 3), (45, 4), (60, 5)]:
-            assert kmedoids_fit(emb, k, seed=seed, max_iters=0).medoids == reference_seeds(emb, k, seed)
+            assert kmedoids(emb, k, seed=seed, max_iters=0).medoids == reference_seeds(emb, k, seed)
 
     def test_k_validation(self):
         emb, _ = planted_groups([4])
@@ -244,7 +243,7 @@ class TestKMedoids:
     def test_negative_max_iters_rejected(self):
         emb, _ = planted_groups([4])
         with pytest.raises(ValueError, match="max_iters must be at least 0, got -1"):
-            kmedoids_fit(emb, 2, seed=1, max_iters=-1)
+            kmedoids(emb, 2, seed=1, max_iters=-1)
 
     def test_every_item_its_own_medoid_costs_exactly_nothing(self):
         # rounding leaves some items at 1.1e-16 from themselves; the own distance is 0
@@ -256,7 +255,7 @@ class TestKMedoids:
         for budget in (1, 7, evaluation.BLOCK_ENTRIES):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(evaluation, "BLOCK_ENTRIES", budget)
-                assert kmedoids_fit(emb, 40, seed=2).objective_history == [0.0]
+                assert kmedoids(emb, 40, seed=2).objective_history == [0.0]
 
     def test_a_tie_in_distance_sums_goes_to_the_first_member(self):
         # two items form one cluster; their distance sums tie, whatever rounding
@@ -269,7 +268,7 @@ class TestKMedoids:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(evaluation, "BLOCK_ENTRIES", budget)
                     for seed in range(4):
-                        assert kmedoids_fit(emb, 1, seed=seed).medoids == [0]
+                        assert kmedoids(emb, 1, seed=seed).medoids == [0]
 
 
 def random_kmedoids_cases(count=60, seed=21):
@@ -295,7 +294,7 @@ class TestKMedoidsBlocks:
         monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", budget)
         for emb, k, seed in random_kmedoids_cases():
             clusters, medoids, history = reference_kmedoids(emb, k, seed)
-            result = kmedoids_fit(emb, k, seed)
+            result = kmedoids(emb, k, seed)
             assert result.medoids == medoids, (len(emb), k, seed)
             assert result.clusters == clusters, (len(emb), k, seed)
             assert len(result.objective_history) == len(history)

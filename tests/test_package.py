@@ -4,8 +4,9 @@ import pytest
 import vec2gc
 
 # removed in 0.3.0 because only tests called them, and tree_document in 0.3.1:
-# json.loads(dumps_tree(...)) gives the same document
-REMOVED = ["cosine_similarity", "move_gain", "save_embeddings_jsonl", "tree_document"]
+# json.loads(dumps_tree(...)) gives the same document. 0.4.1 removed edge_weight,
+# the scalar twin of build_graph's weights, and kmedoids_fit, now kmedoids
+REMOVED = ["cosine_similarity", "move_gain", "save_embeddings_jsonl", "tree_document", "edge_weight", "kmedoids_fit"]
 
 
 def test_every_exported_name_resolves_once():

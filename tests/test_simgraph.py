@@ -13,13 +13,14 @@ from oracles import (
     row,
 )
 from vec2gc import (
+    MAX_EDGE_WEIGHT,
     SIMILARITY_CAP,
     EmbeddingSet,
     build_graph,
-    edge_weight,
     induced_subgraph,
     write_edges_tsv,
 )
+from vec2gc.simgraph import _edge_weights
 
 
 def random_embeddings(rng, n, d):
@@ -29,10 +30,15 @@ def random_embeddings(rng, n, d):
     )
 
 
-def pair_weight(a, b):
-    """Weight that build_graph puts on the edge of two vectors at theta 0."""
-    g = build_graph(EmbeddingSet(ids=["a", "b"], vectors=np.array([a, b], dtype=np.float32)), 0.0)
+def pair_weight(a, b, theta=0.0):
+    """Weight that build_graph puts on the edge of two vectors, or 0.0 without an edge."""
+    g = build_graph(EmbeddingSet(ids=["a", "b"], vectors=np.array([a, b], dtype=np.float32)), theta)
     return graph_edges(g).get((0, 1), 0.0)
+
+
+# integer vectors against (1, 0, ...) whose cosines are exact: 9/10 and 19/20
+CS_09 = ([1, 0, 0, 0], [9, 3, 3, 1])
+CS_095 = ([1, 0, 0, 0, 0], [19, 5, 3, 2, 1])
 
 
 class TestCosineSimilarity:
@@ -42,7 +48,7 @@ class TestCosineSimilarity:
         assert 1.0 - 1.0 / pair_weight([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_parallel_scale_invariant(self):
-        assert pair_weight([2.0, 0.0], [5.0, 0.0]) == edge_weight(1.0, 0.0)
+        assert pair_weight([2.0, 0.0], [5.0, 0.0]) == MAX_EDGE_WEIGHT
         assert pair_weight([4.0, 4.0], [0.5, 0.0]) == pair_weight([1.0, 1.0], [1.0, 0.0])
 
     def test_45_degrees(self):
@@ -66,51 +72,48 @@ class TestCosineSimilarity:
         vectors = np.concatenate([base, base * rng.uniform(0.1, 10.0, size=(100, 1))])
         g = build_graph(EmbeddingSet(ids=[f"v{i}" for i in range(200)], vectors=vectors.astype(np.float32)), 0.0)
         assert g.edge_count > 0
-        assert g.weights.min() >= edge_weight(0.0, 0.0)
-        assert g.weights.max() == edge_weight(1.0, 0.0)
+        assert g.weights.min() >= 1.0  # the weight at cs 0
+        assert g.weights.max() == MAX_EDGE_WEIGHT
 
 
 class TestEdgeWeight:
+    """build_graph's weights on exact cosines, and the mapping 1/(1 - cs) itself."""
+
     def test_worked_anchors(self):
-        assert edge_weight(0.9, 0.5) == pytest.approx(10.0, rel=1e-14)
-        assert edge_weight(0.95, 0.5) == pytest.approx(20.0, rel=1e-13)
+        assert pair_weight(*CS_09, theta=0.5) == pytest.approx(10.0, rel=1e-14)
+        assert pair_weight(*CS_095, theta=0.5) == pytest.approx(20.0, rel=1e-13)
 
-    def test_below_threshold_is_zero(self):
-        assert edge_weight(0.4, 0.5) == 0.0
-
-    def test_cap_at_identical_vectors(self):
-        assert edge_weight(1.0, 0.5) == 1e9
+    def test_below_threshold_is_no_edge(self):
+        for pair, cs in ((CS_09, 0.9), (CS_095, 0.95)):
+            assert pair_weight(*pair, theta=float(np.nextafter(cs, 1.0))) == 0.0
 
     def test_lower_bound_at_threshold(self):
-        theta = 0.5
-        assert edge_weight(theta, theta) >= 1.0 / (1.0 - theta)
+        for pair, cs in ((CS_09, 0.9), (CS_095, 0.95)):
+            assert pair_weight(*pair, theta=cs) >= 1.0 / (1.0 - cs)
+
+    def test_cap_at_identical_vectors(self):
+        below_cap = float(np.nextafter(SIMILARITY_CAP, 0.0))
+        weights = _edge_weights(np.array([below_cap, SIMILARITY_CAP, 1.0]))
+        # the 1e-9 floor never acts below the cap
+        assert weights.tolist() == [1.0 / (1.0 - below_cap), MAX_EDGE_WEIGHT, MAX_EDGE_WEIGHT]
 
     def test_monotone_in_similarity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(500):
-            cs1, cs2 = sorted(rng.uniform(-1.0, 1.0, size=2))
-            assert edge_weight(cs1, 0.3) <= edge_weight(cs2, 0.3)
+        cs = np.sort(np.random.default_rng(11).uniform(0.0, 1.0, size=500))
+        cs = np.concatenate([cs, [np.nextafter(SIMILARITY_CAP, 0.0), SIMILARITY_CAP, 1.0]])
+        assert (np.diff(_edge_weights(cs)) >= 0.0).all()
 
     def test_separability_stretches_gaps(self):
-        # for cs1 < cs2 both above a non-negative threshold with weights
-        # beyond 1, the weight gap exceeds the similarity gap
-        rng = np.random.default_rng(12)
-        for _ in range(500):
-            theta = rng.uniform(0.05, 0.9)
-            cs1, cs2 = np.sort(rng.uniform(theta, 0.999, size=2))
-            if cs1 == cs2:
-                continue
-            w1, w2 = edge_weight(cs1, theta), edge_weight(cs2, theta)
-            if w1 > 1.0:
-                assert (w2 - w1) > (cs2 - cs1)
+        # for cs1 < cs2 with weights beyond 1, the weight gap exceeds the similarity gap
+        cs = np.sort(np.random.default_rng(12).uniform(0.05, 0.999, size=(500, 2)), axis=1)
+        weights = _edge_weights(cs.reshape(-1)).reshape(cs.shape)
+        apart = (cs[:, 0] < cs[:, 1]) & (weights[:, 0] > 1.0)
+        assert ((weights[:, 1] - weights[:, 0]) > (cs[:, 1] - cs[:, 0]))[apart].all()
 
     def test_theta_validation(self):
-        with pytest.raises(ValueError, match=r"theta out of \[0, 1\)"):
-            edge_weight(0.5, 1.0 - 1e-12)
-        with pytest.raises(ValueError, match=r"theta out of \[0, 1\)"):
-            edge_weight(0.5, -0.1)
-        with pytest.raises(ValueError, match=r"theta out of \[0, 1\)"):
-            edge_weight(0.5, 1.2)
+        emb = random_embeddings(np.random.default_rng(0), 4, 3)
+        for theta in (-0.1, 1.2):
+            with pytest.raises(ValueError, match=r"theta out of \[0, 1\)"):
+                build_graph(emb, theta)
 
 
 class TestBuildGraph:
@@ -302,20 +305,6 @@ class TestTiledKernel:
                 assert g.n == n and shapes
                 assert max(r for r, _ in shapes) <= block_rows
                 assert max(c for _, c in shapes) <= col_tile
-
-
-class TestEdgeWeightVectorAgreement:
-    def test_scalar_is_the_vector_mapping(self):
-        from vec2gc.simgraph import SIMILARITY_CAP, _edge_weights
-
-        below_cap = float(np.nextafter(SIMILARITY_CAP, 0.0))
-        cs = np.array([0.3, 0.5, 0.9, 0.95, 0.999999, below_cap, SIMILARITY_CAP, 1.0])
-        vector = _edge_weights(cs.copy())
-        for c, w in zip(cs.tolist(), vector.tolist()):
-            assert edge_weight(c, 0.3) == w
-        # the 1e-9 floor never acts below the cap
-        assert edge_weight(below_cap, 0.3) == 1.0 / (1.0 - below_cap)
-        assert edge_weight(SIMILARITY_CAP, 0.3) == 1e9
 
 
 class TestEdgeTsvChunks:
