@@ -11,6 +11,7 @@ import pytest
 
 from oracles import planted_groups, write_jsonl
 from vec2gc import EmbeddingSet, __version__, build_graph, cli, community, vec2gc_cluster
+from vec2gc.evaluation import DEFAULT_THRESHOLDS
 from vec2gc.cli import main
 
 
@@ -290,6 +291,43 @@ class TestClusterWorkers:
             monkeypatch.setattr(community, "_available_cpus", lambda: workers)
             assert self.cluster_bytes(tmp_path, noise_file, f"workers{workers}") == expected
 
+    def test_threads_manifest_is_refused_by_version(self, tmp_path, noise_file, capsys):
+        # 0.1.0 recorded the graph kernel's thread count and no restart count;
+        # the version is compared before any parameter is read
+        legacy = tmp_path / "legacy.manifest.json"
+        legacy.write_text(json.dumps({
+            "tool": "vec2gc",
+            "version": "0.1.0",
+            "command": "cluster",
+            "parameters": {
+                "input": noise_file, "format": "jsonl", "labels": None, "theta": 0.6,
+                "mod_threshold": 0.3, "max_size": 20, "min_community_size": 2, "seed": 8,
+                "gain_epsilon": 1e-9, "max_sweeps": 100, "threads": 2, "output": str(tmp_path / "old.json"),
+            },
+            "input_sha256": None,
+            "labels_sha256": None,
+            "seed_generated": False,
+        }))
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(legacy), "--output", str(rerun)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {legacy} was written by vec2gc 0.1.0, this is vec2gc {__version__}:"
+            " run the version that wrote it, or give its parameters as options\n"
+        )
+        assert not rerun.exists()
+
+    def test_manifest_without_restarts_is_refused(self, tmp_path, noise_file, capsys):
+        # no default stands in for the restart count of a run this version wrote
+        self.cluster_bytes(tmp_path, noise_file, "default")
+        manifest = tmp_path / "default.manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["parameters"]["restarts"]
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: parameters lack the field 'restarts'\n"
+        assert not rerun.exists()
 
 
 class TestUsageErrors:
@@ -411,6 +449,10 @@ class TestManifestValidation:
             ("input", None, "parameter 'input' must be a string"),
             ("format", "xml", "parameter 'format' must be one of csv, jsonl, word2vec, got 'xml'"),
             ("colour", "red", "unknown parameter 'colour'"),
+            # recorded by earlier versions, which this one refuses by version
+            ("gain_epsilon", 1e-9, "unknown parameter 'gain_epsilon'"),
+            ("max_sweeps", 100, "unknown parameter 'max_sweeps'"),
+            ("threads", 2, "unknown parameter 'threads'"),
             ("restarts", 0, "parameter restarts must be at least 1, got 0"),
             ("restarts", "8", "parameter 'restarts' must be an integer, got \"8\""),
             ("theta", 2, "parameter theta out of [0, 1): got 2.0"),
@@ -665,6 +707,18 @@ class TestEvaluateSettings:
         argv = ["evaluate", "--tree", missing, "--labels", missing, "--purity-thresholds", thresholds]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: purity threshold out of (0, 1]: got ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--tree", "t.json", "--labels", "l.tsv"],
+            ["baseline", "kmedoids", "--input", "e.jsonl", "--k", "3"],
+        ],
+        ids=["evaluate", "baseline-kmedoids"],
+    )
+    def test_default_thresholds_are_the_library_default(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._parse_thresholds(args.purity_thresholds) == list(DEFAULT_THRESHOLDS)
 
 
 class TestOutputPaths:

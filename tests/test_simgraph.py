@@ -83,7 +83,7 @@ class TestEdgeWeight:
         assert pair_weight(*CS_09, theta=0.5) == pytest.approx(10.0, rel=1e-14)
         assert pair_weight(*CS_095, theta=0.5) == pytest.approx(20.0, rel=1e-13)
 
-    def test_below_threshold_is_no_edge(self):
+    def test_below_threshold_is_zero(self):
         for pair, cs in ((CS_09, 0.9), (CS_095, 0.95)):
             assert pair_weight(*pair, theta=float(np.nextafter(cs, 1.0))) == 0.0
 
@@ -111,7 +111,7 @@ class TestEdgeWeight:
 
     def test_theta_validation(self):
         emb = random_embeddings(np.random.default_rng(0), 4, 3)
-        for theta in (-0.1, 1.2):
+        for theta in (-0.1, 1.0 - 1e-12, 1.2):
             with pytest.raises(ValueError, match=r"theta out of \[0, 1\)"):
                 build_graph(emb, theta)
 
