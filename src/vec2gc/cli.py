@@ -50,6 +50,10 @@ class RunConfig:
 # The manifest's "parameters", in field order; seed_generated is recorded beside them.
 _PARAMETERS = [field for field in fields(RunConfig) if field.name != "seed_generated"]
 
+# cluster's defaulted options. Their parser default is None, so beside
+# --from-manifest a given one can be told from one left out.
+CLUSTER_DEFAULTS = {"format": "jsonl", "mod_threshold": 0.3, "max_size": 500, "min_community_size": 2, "restarts": RESTARTS}
+
 
 def _sha256(path) -> str:
     digest = hashlib.sha256()
@@ -173,8 +177,9 @@ def cmd_graph(args) -> int:
 
 def cmd_cluster(args) -> int:
     if args.from_manifest:
-        for option in ("--input", "--labels", "--theta", "--seed"):  # the options with no default
-            if getattr(args, option[2:]) is not None:
+        for name in ("input", "labels", "theta", "seed", *CLUSTER_DEFAULTS):
+            if getattr(args, name) is not None:
+                option = "--" + name.replace("_", "-")
                 raise ValueError(f"{option} cannot be given with --from-manifest, which records it")
         config, recorded = _load_manifest(args.from_manifest)
         if args.output:
@@ -183,7 +188,8 @@ def cmd_cluster(args) -> int:
         if args.input is None or args.theta is None:
             raise ValueError("cluster requires --input and --theta (or --from-manifest)")
         # the option dests are the field names
-        config = RunConfig(**{field.name: getattr(args, field.name) for field in _PARAMETERS})
+        given = {field.name: getattr(args, field.name) for field in _PARAMETERS}
+        config = RunConfig(**{name: CLUSTER_DEFAULTS.get(name) if v is None else v for name, v in given.items()})
         config.seed, config.seed_generated = _resolve_seed(args.seed)
         config.output = config.output or "tree.json"
         recorded = None
@@ -313,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vec2gc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_args(p):
+    def add_input_args(p, default=CLUSTER_DEFAULTS["format"]):
         p.add_argument("--input", help="embedding file")
-        p.add_argument("--format", choices=sorted(EMBEDDING_FORMATS), default="jsonl", help="embedding file format")
+        p.add_argument("--format", choices=sorted(EMBEDDING_FORMATS), default=default, help="embedding file format")
 
     graph = sub.add_parser("graph", help="export the thresholded similarity graph as TSV edges")
     add_input_args(graph)
@@ -324,17 +330,17 @@ def build_parser() -> argparse.ArgumentParser:
     graph.set_defaults(func=cmd_graph)
 
     cluster = sub.add_parser("cluster", help="build the similarity graph and cluster it recursively")
-    add_input_args(cluster)
+    add_input_args(cluster, None)
     cluster.add_argument("--labels", help="optional id<TAB>label file recorded in the manifest")
     cluster.add_argument(
         "--theta", type=float,
         help="cosine similarity threshold in [0, 1); no default, 0.7 is a reasonable start for unit-normalized document embeddings",
     )
-    cluster.add_argument("--mod-threshold", type=float, default=0.3, help="stop splitting below this modularity")
-    cluster.add_argument("--max-size", type=int, default=500, help="communities above this size are split again")
-    cluster.add_argument("--min-community-size", type=int, default=2, help="smaller communities become non-community items")
+    cluster.add_argument("--mod-threshold", type=float, help="stop splitting below this modularity")
+    cluster.add_argument("--max-size", type=int, help="communities above this size are split again")
+    cluster.add_argument("--min-community-size", type=int, help="smaller communities become non-community items")
     cluster.add_argument("--seed", type=int, help="random seed; generated and printed when omitted")
-    cluster.add_argument("--restarts", type=int, default=RESTARTS, help="seeded optimizer runs per split; the best wins")
+    cluster.add_argument("--restarts", type=int, help="seeded optimizer runs per split; the best wins")
     cluster.add_argument("--output", help="tree JSON path (default tree.json)")
     cluster.add_argument("--manifest", help="manifest path (default: output with .manifest.json suffix)")
     cluster.add_argument("--from-manifest", help="rerun byte-for-byte the configuration of a manifest written by this version")

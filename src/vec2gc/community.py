@@ -88,6 +88,37 @@ def modularity(g, assignment) -> float:
     return float((w_in / two_m - frac * frac).sum())
 
 
+def modularity_bound(g: SimilarityGraph) -> float:
+    """A number that modularity(g, c), as computed, stays below for every assignment c.
+
+    B = A - k k^T / 2m has B·1 = 0, so with community c's indicator written
+    as s_c = (n_c / n)·1 + t_c, t_c ⟂ 1, Q = Σ_c t_c^T B t_c / 2m <=
+    max(λ, 0)·Σ_c |t_c|^2 / 2m, where λ is B's largest eigenvalue and
+    Σ_c |t_c|^2 = n - Σ_c n_c^2 / n <= n - 1 (Newman, "Modularity and
+    community structure in networks", PNAS 103:8577, 2006). eigvalsh
+    reads one triangle of B, so both stored directions of an edge must be
+    equal, as in a similarity graph and its induced subgraphs.
+
+    Rounding, with u = 2^-53 and |B|_2 <= |A|_2 + |k|^2 / 2m <= 2 k_max <= 2·2m:
+    forming B from the stored degrees (row sums within n·u of exact) moves
+    each entry by at most (4n + 2)·u·(A_ab + k_a k_b / 2m), so λ by at most
+    (4n + 2)·u·2k_max; eigvalsh returns the eigenvalues of B + E with
+    |E|_2 <= p(n)·u·|B|_2, p about n in practice, 8n^2 allowed here; and
+    modularity() is within 20·n·u of its assignment's exact Q. The sum,
+    2(n - 1)(8n^2 + 4n + 2)·u + 20·n·u, is below 16·n^3·u for n >= 2; the
+    margin 32·n^3·u also covers evaluating the bound.
+    """
+    if g.total_weight <= 0.0:
+        raise ValueError("modularity is undefined on a graph with no edges")
+    n = g.n
+    b = np.zeros((n, n))
+    b[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = g.weights
+    two_m = float(g.degrees.sum())
+    b -= np.outer(g.degrees, g.degrees) / two_m
+    top = max(float(np.linalg.eigvalsh(b)[-1]), 0.0)
+    return top * (n - 1) / two_m + 32.0 * n**3 * _U
+
+
 def aggregate_graph(g: SimilarityGraph, assignment) -> SimilarityGraph:
     """Collapse communities into super-nodes; intra weight becomes loop mass.
 

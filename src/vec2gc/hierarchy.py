@@ -2,11 +2,15 @@
 
 Each (sub)graph is partitioned by the modularity optimizer. When the
 partition's modularity falls below mod_threshold, or only one community
-emerges, the node becomes a leaf. Otherwise communities larger than
-max_size are recursed into (their induced subgraphs keep the original
-edge weights; the similarity threshold is never re-applied), smaller
-ones become leaf children, and communities below min_community_size join
-the non-community bucket, as do items isolated by the threshold itself.
+emerges, the node becomes a leaf. A graph of at most CERTIFY_MAX_NODES
+nodes whose community.modularity_bound is below mod_threshold becomes
+that leaf without an optimizer call: no partition of it can reach the
+threshold, so the call would make the same leaf. Otherwise communities
+larger than max_size are recursed into (their induced subgraphs keep the
+original edge weights; the similarity threshold is never re-applied),
+smaller ones become leaf children, and communities below
+min_community_size join the non-community bucket, as do items isolated
+by the threshold itself.
 """
 
 from __future__ import annotations
@@ -19,11 +23,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .community import RESTARTS, RestartPool, louvain, members_by_community
+from .community import RESTARTS, RestartPool, louvain, members_by_community, modularity_bound
 from .simgraph import SimilarityGraph, induced_subgraph
 
 REASON_ISOLATED = "isolated"
 REASON_SINGLETON = "singleton_community"
+
+# Largest graph tested against modularity_bound before its optimizer call.
+# Every call the bound proved a leaf in the six benchmark runs (3 workloads,
+# seeds 1 and 7) had 18 to 28 nodes; a 300-node cap also tested nested-deep's
+# six 200-node level-1 calls, which never pass, for about 0.03 s per run.
+CERTIFY_MAX_NODES = 64
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,7 +91,8 @@ def vec2gc_cluster(
     members partition the graph's nodes exactly. Deterministic for fixed
     (graph, mod_threshold, max_size, seed, min_community_size, restarts).
 
-    The tree is built one level at a time. Each level's optimizer calls
+    The tree is built one level at a time. The calls that modularity_bound
+    proves leaves are settled first; the level's other optimizer calls
     are handed together to the run's RestartPool, so sibling calls, and
     the restart chunks of large ones, may run side by side in worker
     processes; each louvain call then reduces the chunks the pool
@@ -109,9 +120,16 @@ def vec2gc_cluster(
     level = [(induced_subgraph(g, active) if active.size < g.n else g, active, seed, root)]
     with RestartPool() as pool:
         while level:
-            started = pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in level], restarts)
+            calls = []
+            for task in level:
+                sub_g, corpus_idx, _, bnode = task
+                if sub_g.n <= CERTIFY_MAX_NODES and modularity_bound(sub_g) < mod_threshold:
+                    bnode.members = sorted(corpus_idx.tolist())
+                else:
+                    calls.append(task)
+            started = pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in calls], restarts)
             next_level = []
-            for (sub_g, corpus_idx, node_seed, bnode), chunks in zip(level, started):
+            for (sub_g, corpus_idx, node_seed, bnode), chunks in zip(calls, started):
                 part = louvain(sub_g, node_seed, restarts, chunks)
                 if part.community_count == 1 or part.modularity < mod_threshold:
                     bnode.members = sorted(corpus_idx.tolist())

@@ -151,7 +151,18 @@ class TestClusterCommand:
         assert calls == {emb_path: 1, labels_path: 1}
 
     def test_optimizer_defaults_are_louvain_configs(self):
-        assert cli.build_parser().parse_args(["cluster"]).restarts == community.RESTARTS
+        # the parser leaves the option unset; cmd_cluster applies the default
+        assert cli.build_parser().parse_args(["cluster"]).restarts is None
+        assert cli.CLUSTER_DEFAULTS["restarts"] == community.RESTARTS
+
+    def test_omitted_options_take_their_defaults(self, tmp_path, planted_files):
+        _, emb_path, _ = planted_files
+        out = tmp_path / "tree.json"
+        assert main(["cluster", "--input", emb_path, "--theta", "0.5", "--seed", "1", "--output", str(out)]) == 0
+        parameters = json.loads((tmp_path / "tree.manifest.json").read_text())["parameters"]
+        assert {name: parameters[name] for name in cli.CLUSTER_DEFAULTS} == {
+            "format": "jsonl", "mod_threshold": 0.3, "max_size": 500, "min_community_size": 2, "restarts": community.RESTARTS
+        }
 
     def test_every_optimizer_setting_is_a_run_parameter(self):
         # so the manifest records every setting of the graph and the tree
@@ -244,7 +255,15 @@ class TestClusterCommand:
         assert capsys.readouterr().err == ""
         assert rerun.read_bytes() == out.read_bytes()
 
-    @pytest.mark.parametrize("option, value", [("--input", "emb.jsonl"), ("--labels", "l.tsv"), ("--theta", "0.6"), ("--seed", "5")])
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--input", "emb.jsonl"), ("--labels", "l.tsv"), ("--theta", "0.6"), ("--seed", "5"),
+            # defaulted options, refused also at their default value
+            ("--format", "jsonl"), ("--format", "csv"), ("--mod-threshold", "0.3"), ("--max-size", "3"),
+            ("--min-community-size", "2"), ("--restarts", "8"),
+        ],
+    )
     def test_a_recorded_option_beside_from_manifest_is_refused(self, tmp_path, planted_files, capsys, monkeypatch, option, value):
         # the rerun would use the recorded value; refused before the manifest is read
         _, emb_path, _ = planted_files

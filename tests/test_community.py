@@ -88,6 +88,28 @@ class TestModularity:
             modularity(g, [0, 1])
 
 
+class TestModularityBound:
+    def test_bounds_every_partition_and_louvains_result(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            wmin, wmax = [(1.0, 5.0), (1e-3, 1e3), (0.5, 0.5)][int(rng.integers(3))]
+            g = random_weighted_graph(rng, n, p=float(rng.uniform(0.2, 1.0)), wmin=wmin, wmax=wmax)
+            bound = community.modularity_bound(g)
+            qstar, _ = best_partition_by_enumeration(dense_from_graph(g))
+            assert bound >= qstar
+            assert bound >= louvain(g, seed=int(rng.integers(2**63))).modularity
+
+    def test_complete_graph_is_bounded_by_the_margin(self):
+        # B = J / 4 - I on K4 with equal weights: largest eigenvalue 0, no split can gain
+        bound = community.modularity_bound(graph_from_edges(4, K4))
+        assert 0.0 < bound < 1e-12
+
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(ValueError, match="no edges"):
+            community.modularity_bound(SimilarityGraph.from_csr(2, np.array([], dtype=np.int64), [], np.array([])))
+
+
 class TestLouvain:
     def test_separates_disjoint_triangles(self):
         g = graph_from_edges(6, TRIANGLES)

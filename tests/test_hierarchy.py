@@ -312,9 +312,12 @@ class TestFrontier:
         def louvain_key(args, part):
             return args[0].n, part.community_count, part.modularity
 
+        def certified(sub_g):
+            return sub_g.n <= hierarchy.CERTIFY_MAX_NODES and community.modularity_bound(sub_g) < 0.2
+
         emb, g = noise_graph()
         ref_louvain, ref_induced = [], []
-        record(oracles, "louvain", ref_louvain, louvain_key)
+        record(oracles, "louvain", ref_louvain, lambda args, part: (louvain_key(args, part), certified(args[0])))
         record(oracles, "induced_subgraph", ref_induced, lambda args, r: r.n)
         reference_cluster(g, 0.2, 5, 17)
         monkeypatch.setattr(community, "_available_cpus", lambda: 2)
@@ -324,10 +327,14 @@ class TestFrontier:
         record(hierarchy, "induced_subgraph", induced_calls, lambda args, r: r.n)
         vec2gc_cluster(g, 0.2, 5, 17)
         assert {pid for pid, _ in louvain_calls + induced_calls} == {os.getpid()}
-        assert collections.Counter(k for _, k in louvain_calls) == collections.Counter(k for _, k in ref_louvain)
+        # the reference runs every call; the parent skips those the bound proves leaves
+        skipped = [key for _, (key, proved) in ref_louvain if proved]
+        assert skipped and all(count == 1 or q < 0.2 for _, count, q in skipped)
+        uncertified = collections.Counter(key for _, (key, proved) in ref_louvain if not proved)
+        assert collections.Counter(k for _, k in louvain_calls) == uncertified
         # one induced subgraph per recursed community; this graph has no isolated item to drop
         assert np.all(np.diff(g.indptr) > 0)
-        assert len(induced_calls) == len(ref_induced) == len(louvain_calls) - 1
+        assert len(induced_calls) == len(ref_induced) == len(ref_louvain) - 1
         assert sorted(k for _, k in induced_calls) == sorted(k for _, k in ref_induced)
 
     def test_a_5000_deep_chain_builds(self, monkeypatch):
@@ -342,7 +349,8 @@ class TestFrontier:
         monkeypatch.setattr(hierarchy, "louvain", split_off_one)
         n = 5001
         g = graph_from_edges(n, [(a, a + 1, 1.0) for a in range(n - 1)])
-        tree, bucket = vec2gc_cluster(g, 0.3, 1, seed=1, min_community_size=1)
+        # at mod_threshold 0 no bound proves a leaf, so the fake louvain sees every path down to 2 nodes
+        tree, bucket = vec2gc_cluster(g, 0.0, 1, seed=1, min_community_size=1)
         depth = [0] * len(tree.nodes)
         for node in tree.nodes[1:]:
             depth[node.id] = depth[node.parent] + 1
@@ -351,6 +359,37 @@ class TestFrontier:
         assert bucket.members == []
         assert sorted(m for leaf in leaves for m in leaf) == list(range(n))
         assert tree.nodes[tree.root].members == list(range(n))
+
+
+class TestCertifiedLeaves:
+    def test_trees_are_byte_identical_without_the_bound(self, monkeypatch):
+        monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+        rng = np.random.default_rng(47)
+        fired = []
+
+        def counted(sub_g):
+            bound = community.modularity_bound(sub_g)
+            fired.append(bound < mod_threshold)
+            return bound
+
+        monkeypatch.setattr(hierarchy, "modularity_bound", counted)
+        for supers, subs, sub_size, cross, theta, max_size, mod_threshold in [
+            (2, 3, 20, 0.6, 0.5, 10, 0.3),
+            (3, 4, 12, 0.55, 0.5, 8, 0.2),
+            (4, 3, 9, 0.6, 0.45, 5, 0.1),
+            (4, 3, 9, 0.6, 0.45, 5, 0.443),  # between the bounds of the 27-node super-groups
+        ]:
+            emb, _, _ = oracles.planted_nested(supers, subs, sub_size, intra=0.9, cross_sub=cross)
+            emb.vectors += rng.normal(scale=0.003, size=emb.vectors.shape).astype(np.float32)
+            g = build_graph(emb, theta)
+            texts = []
+            for cap in (hierarchy.CERTIFY_MAX_NODES, 0):
+                monkeypatch.setattr(hierarchy, "CERTIFY_MAX_NODES", cap)
+                tree, bucket = vec2gc_cluster(g, mod_threshold, max_size, 5)
+                kwargs = dict(theta=theta, mod_threshold=mod_threshold, max_size=max_size, seed=5)
+                texts.append(dumps_tree(tree, bucket, emb.ids, **kwargs))
+            assert texts[0] == texts[1]
+        assert sum(fired) >= 5
 
 
 def depth_first_leaves(tree) -> list[list[int]]:
@@ -388,7 +427,7 @@ class TestFlatClusters:
         monkeypatch.setattr(hierarchy, "louvain", split_off_one)
         n = 5001
         g = graph_from_edges(n, [(a, a + 1, 1.0) for a in range(n - 1)])
-        tree, _ = vec2gc_cluster(g, 0.3, 1, seed=1, min_community_size=1)
+        tree, _ = vec2gc_cluster(g, 0.0, 1, seed=1, min_community_size=1)  # 0: see TestFrontier
         assert len(tree.nodes) == 2 * n - 1
         assert flat_clusters(tree) == depth_first_leaves(tree)
 
