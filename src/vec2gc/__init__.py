@@ -48,7 +48,7 @@ from .evaluation import (
     report_to_json_dict,
 )
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 __all__ = [
     "EmbeddingSet",

@@ -116,7 +116,7 @@ def _read_json(path):
         raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
 
 
-def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
+def _load_manifest(path: str) -> tuple[RunConfig, str]:
     """The run configuration a manifest of this version records, and its input checksum."""
     manifest = _read_json(path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("parameters"), dict):
@@ -146,7 +146,10 @@ def _load_manifest(path: str) -> tuple[RunConfig, str | None]:
     # a rerun keeps the record of whether the run it repeats drew its seed
     if type(seed_generated := manifest.get("seed_generated", False)) is not bool:
         raise ValueError(f"{path}: field 'seed_generated' must be true or false, got {json.dumps(seed_generated)}")
-    return RunConfig(**values, seed_generated=seed_generated), manifest.get("input_sha256")
+    checksum = manifest.get("input_sha256")
+    if not (isinstance(checksum, str) and len(checksum) == 64 and set(checksum) <= set("0123456789abcdef")):
+        raise ValueError(f"{path}: field 'input_sha256' must be 64 lowercase hex digits, got {json.dumps(checksum)}")
+    return RunConfig(**values, seed_generated=seed_generated), checksum
 
 
 def _check_outputs(outputs: dict, inputs: dict) -> None:
@@ -204,6 +207,7 @@ def cmd_cluster(args) -> int:
         {"--output": config.output, "--manifest": manifest_path}, {"--input": config.input, "--labels": config.labels}
     )
     input_sha256 = _sha256(config.input)
+    labels_sha256 = _sha256(config.labels) if config.labels else None
     if recorded and input_sha256 != recorded:
         raise ValueError(f"input file {config.input} does not match the manifest checksum")
     print(f"seed: {config.seed}" + (" (generated)" if config.seed_generated and not args.from_manifest else ""))
@@ -235,7 +239,7 @@ def cmd_cluster(args) -> int:
         "command": "cluster",
         "parameters": config.parameters(),
         "input_sha256": input_sha256,
-        "labels_sha256": _sha256(config.labels) if config.labels else None,
+        "labels_sha256": labels_sha256,
         "seed_generated": config.seed_generated,
         "environment": _environment(),
     }

@@ -72,7 +72,7 @@ def modularity(g, assignment) -> float:
     assignment = np.asarray(assignment, dtype=np.int64)
     if assignment.shape != (g.n,):
         raise ValueError("assignment must cover every node exactly once")
-    if g.total_weight <= 0.0:
+    if g.two_m <= 0.0:
         raise ValueError("modularity is undefined on a graph with no edges")
     n_comm = int(assignment.max()) + 1
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
@@ -83,7 +83,7 @@ def modularity(g, assignment) -> float:
     node_in = np.bincount(rows[same], weights=g.weights[same], minlength=g.n)
     w_in = np.bincount(assignment, weights=node_in, minlength=n_comm)
     k_tot = np.bincount(assignment, weights=g.degrees, minlength=n_comm)
-    two_m = float(k_tot.sum())
+    two_m = float(k_tot.sum())  # not g.two_m: these bits reach split_modularity, so the tree bytes
     frac = k_tot / two_m
     return float((w_in / two_m - frac * frac).sum())
 
@@ -96,27 +96,27 @@ def modularity_bound(g: SimilarityGraph) -> float:
     max(λ, 0)·Σ_c |t_c|^2 / 2m, where λ is B's largest eigenvalue and
     Σ_c |t_c|^2 = n - Σ_c n_c^2 / n <= n - 1 (Newman, "Modularity and
     community structure in networks", PNAS 103:8577, 2006). eigvalsh
-    reads one triangle of B, so both stored directions of an edge must be
-    equal, as in a similarity graph and its induced subgraphs.
+    reads one triangle of B, which is all of A because both stored
+    directions of an edge hold the same bits (SimilarityGraph).
 
     Rounding, with u = 2^-53 and |B|_2 <= |A|_2 + |k|^2 / 2m <= 2 k_max <= 2·2m:
-    forming B from the stored degrees (row sums within n·u of exact) moves
-    each entry by at most (4n + 2)·u·(A_ab + k_a k_b / 2m), so λ by at most
-    (4n + 2)·u·2k_max; eigvalsh returns the eigenvalues of B + E with
-    |E|_2 <= p(n)·u·|B|_2, p about n in practice, 8n^2 allowed here; and
-    modularity() is within 20·n·u of its assignment's exact Q. The sum,
+    the degrees are row sums within n·u of exact and two_m their in-order
+    sum within (n - 1)·u, so forming B moves each entry by at most
+    (4n + 2)·u·(A_ab + k_a k_b / 2m), and λ by at most (4n + 2)·u·2k_max;
+    eigvalsh returns the eigenvalues of B + E with |E|_2 <= p(n)·u·|B|_2,
+    p about n in practice, 8n^2 allowed here; and modularity() is within
+    20·n·u of its assignment's exact Q. The sum,
     2(n - 1)(8n^2 + 4n + 2)·u + 20·n·u, is below 16·n^3·u for n >= 2; the
     margin 32·n^3·u also covers evaluating the bound.
     """
-    if g.total_weight <= 0.0:
+    if g.two_m <= 0.0:
         raise ValueError("modularity is undefined on a graph with no edges")
     n = g.n
     b = np.zeros((n, n))
     b[np.repeat(np.arange(n), np.diff(g.indptr)), g.indices] = g.weights
-    two_m = float(g.degrees.sum())
-    b -= np.outer(g.degrees, g.degrees) / two_m
+    b -= np.outer(g.degrees, g.degrees) / g.two_m
     top = max(float(np.linalg.eigvalsh(b)[-1]), 0.0)
-    return top * (n - 1) / two_m + 32.0 * n**3 * _U
+    return top * (n - 1) / g.two_m + 32.0 * n**3 * _U
 
 
 def aggregate_graph(g: SimilarityGraph, assignment) -> SimilarityGraph:
@@ -132,7 +132,10 @@ def aggregate_graph(g: SimilarityGraph, assignment) -> SimilarityGraph:
     order = np.argsort(key, kind="stable")
     uniq, starts = np.unique(key[order], return_index=True)
     sums = np.add.reduceat(g.weights[order], starts)
-    return SimilarityGraph.from_csr(n_comm, uniq // n_comm, uniq % n_comm, sums)
+    rows, cols = np.divmod(uniq, n_comm)
+    lower = rows > cols  # each takes its mirror's sum, so both directions hold the same bits
+    sums[lower] = sums[np.searchsorted(uniq, cols[lower] * n_comm + rows[lower])]
+    return SimilarityGraph.from_csr(n_comm, rows, cols, sums)
 
 
 def louvain(g, seed: int = 0, restarts: int = RESTARTS, chunks: list | None = None) -> Partition:
@@ -149,7 +152,7 @@ def louvain(g, seed: int = 0, restarts: int = RESTARTS, chunks: list | None = No
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts!r}")
-    if g.total_weight <= 0.0:
+    if g.two_m <= 0.0:
         raise ValueError("community detection requires a graph with at least one edge")
     if chunks is None:
         return _restart_chunk(g, seed, 0, restarts)
@@ -167,7 +170,7 @@ _SEED_MASK = (1 << 64) - 1
 # units (the nested-deep benchmark's level-1 calls, medians of 5, in 3 of
 # 4 runs; the fourth, on a busy host, saved nothing) and 0.8 to 1.45 us on
 # dedup-wide's 24k-unit root call, so single calls break even near
-# 25 ms / 0.54 us = 47k units, with 17k to 100k inside the spread. A level
+# 25 ms / 0.54 us = 47k units, with 17k to 100k inside the range. A level
 # of many small calls saves more per unit, 1.0 to 1.9 us (nested-deep's 46
 # level-2 calls, 97k units), because their per-call setup runs in parallel
 # too; it breaks even at 13k to 31k. 40k stays: it lies inside the
@@ -322,16 +325,6 @@ def _dense_relabel(comm: list[int]) -> tuple[np.ndarray, int]:
     return out, len(mapping)
 
 
-def _left_to_right_total(values) -> float:
-    """Sum added strictly left to right.
-
-    Not sum(): from Python 3.12 it compensates rounding, which would make
-    gains, and so trees, depend on the Python version. Nor ndarray.sum(),
-    which adds pairwise; add.accumulate adds in order.
-    """
-    return float(np.add.accumulate(np.asarray(values, dtype=np.float64))[-1])
-
-
 _U = 2.0**-53  # unit roundoff of float64
 
 
@@ -342,7 +335,7 @@ class _SweepGraph:
     final move phase every restart runs, and once per aggregated level.
     Plain lists for the Python sweep, where element access dominates: the
     CSR arrays, the degrees k (each row summed left to right, see
-    SimilarityGraph.from_csr) and their left-to-right total two_m. numpy
+    SimilarityGraph.from_csr) and their node-order total two_m. numpy
     arrays for the stay certificate (see _slack): the entries without
     self-loops, and per-node rounding margins.
     """
@@ -354,7 +347,7 @@ class _SweepGraph:
         self.nbr = g.indices.tolist()
         self.wt = g.weights.tolist()
         self.k = g.degrees.tolist()
-        self.two_m = _left_to_right_total(g.degrees)
+        self.two_m = g.two_m
         lengths = np.diff(g.indptr)
         rows = np.repeat(np.arange(n), lengths)
         loop_free = rows != g.indices
@@ -362,13 +355,7 @@ class _SweepGraph:
         self.cols = g.indices[loop_free]
         self.weights = g.weights[loop_free]
         self.margin = (5.0 * lengths + (3.0 * n + 32.0)) * _U * g.degrees
-        # Largest ratio between the two stored directions of an edge:
-        # aggregation sums them in different orders, a similarity graph
-        # stores both at the same bits (ratio 1). The (col, row) keys are
-        # unique, so any sort of them gives the transposed order.
-        transposed = np.argsort(g.indices * n + rows)
-        spread = float(np.max(g.weights / g.weights[transposed]))
-        self.scale = 2.0 * _up(_up(1.0 + 2.0 * (n + 4) * _U) * _up(spread))
+        self.scale = 2.0 * _up(1.0 + 2.0 * (n + 4) * _U)
 
 
 def _up(x):
@@ -422,14 +409,13 @@ def _slack(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> 
     monotonically and needs none.
 
     The sweep tests slack_a >= used_a + shift * k_a, where used_a sums
-    the weights of moved neighbours as stored in the movers' rows and
-    shift sums k / 2m over the moves. Those sums, the product and the
-    addition are at most n + 3 roundings of non-negative numbers, and a
-    stored weight is at most `spread` times its reverse entry, so the
-    exact right-hand side is at most scale / 2 times the computed one
-    (_SweepGraph.scale). slack_a = (eps - Q_a - margin_a) / scale, with
-    every operation rounded down, therefore makes a passing test imply
-    the inequality above.
+    the weights of moved neighbours, which the movers' rows store at the
+    bits of a's own entries, and shift sums k / 2m over the moves. Those
+    sums, the product and the addition are at most n + 3 roundings of
+    non-negative numbers, so the exact right-hand side is at most scale / 2
+    times the computed one (_SweepGraph.scale). slack_a = (eps - Q_a -
+    margin_a) / scale, with every operation rounded down, therefore makes
+    a passing test imply the inequality above.
     """
     n = sg.n
     k = sg.g.degrees

@@ -255,8 +255,9 @@ def leaf_clusters_from_document(doc: dict) -> tuple[list[list[str]], list[str]]:
 
     The document is validated before it is walked: integer ids that are
     unique, one root, children that exist and name their parent, no node
-    reached twice or left unreached, and string members. A violation is a
-    ValueError naming the node.
+    reached twice or left unreached, and string members, none of them in
+    two leaves or in a leaf and the bucket. A violation is a ValueError
+    naming the node.
     """
     if not isinstance(doc, dict):
         raise ValueError("tree document must be a JSON object")
@@ -281,7 +282,7 @@ def leaf_clusters_from_document(doc: dict) -> tuple[list[list[str]], list[str]]:
     if by_id and len(roots) != 1:
         raise ValueError(f"tree document needs exactly one root node, found {roots or 'none'}")
 
-    leaves: list[list[str]] = []
+    leaves: dict[int, list[str]] = {}  # in depth-first order
     reached: set[int] = set()
     stack = roots
     while stack:
@@ -299,7 +300,7 @@ def leaf_clusters_from_document(doc: dict) -> tuple[list[list[str]], list[str]]:
         if children:
             stack.extend(reversed(children))
         else:
-            leaves.append(list(node["members"]))
+            leaves[node_id] = list(node["members"])
     for node_id in by_id:
         if node_id not in reached:
             raise ValueError(f"tree node {node_id}: not reachable from the root")
@@ -308,7 +309,13 @@ def leaf_clusters_from_document(doc: dict) -> tuple[list[list[str]], list[str]]:
         raise ValueError('tree document "non_community" must be a JSON object')
     noise = bucket.get("members", [])
     _check_members(noise, "non_community")
-    return leaves, list(noise)
+    seen: dict[str, str] = {}
+    for place, members in [*((f"tree node {i}", m) for i, m in leaves.items()), ("non_community", noise)]:
+        for member in members:
+            if member in seen:
+                raise ValueError(f"{place}: member {member!r} is also in {seen[member]}")
+            seen[member] = place
+    return list(leaves.values()), list(noise)
 
 
 def _check_members(members, where: str) -> None:

@@ -44,11 +44,12 @@ class SimilarityGraph:
 
     The one graph type of the package: thresholded similarity graphs,
     their induced subgraphs and the super-node graphs of aggregation.
-    Neighbor lists are sorted by index. degrees[a] is the weighted degree
-    k_a, the sum of row a; total_weight is m = degrees.sum() / 2. A
-    similarity graph has no self-loops; an aggregated graph stores a loop
-    at its full adjacency-matrix value (twice the loop mass), so degrees
-    stay equal to row sums. Instances are immutable by convention.
+    Neighbor lists are sorted by index, and both directions of an edge
+    hold the same bits. degrees[a] is the weighted degree k_a, the sum of
+    row a; two_m is 2m, the degrees added in node order. A similarity
+    graph has no self-loops; an aggregated graph stores a loop at its full
+    adjacency-matrix value (twice the loop mass), so degrees stay equal to
+    row sums. Instances are immutable by convention.
     """
 
     n: int
@@ -56,7 +57,7 @@ class SimilarityGraph:
     indices: np.ndarray
     weights: np.ndarray
     degrees: np.ndarray
-    total_weight: float
+    two_m: float
 
     @property
     def edge_count(self) -> int:
@@ -66,9 +67,9 @@ class SimilarityGraph:
     def from_csr(cls, n: int, rows, cols, weights) -> "SimilarityGraph":
         """Graph from its CSR entries, sorted by row and then by column.
 
-        Each undirected edge appears in both directions. np.bincount adds
-        each row's weights left to right in entry order; modularity values
-        depend on those degree bits, so the order must not change.
+        Both directions of each edge appear, at the same bits. np.bincount
+        adds each row's weights left to right in entry order; modularity
+        values depend on those degree bits, so the order must not change.
         """
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
@@ -79,7 +80,9 @@ class SimilarityGraph:
             indices=np.asarray(cols, dtype=np.int64),
             weights=weights,
             degrees=degrees,
-            total_weight=float(degrees.sum()) / 2.0,
+            # in node order, as gains and so trees need: sum() compensates
+            # rounding from Python 3.12 on, ndarray.sum() adds pairwise
+            two_m=float(np.add.accumulate(degrees)[-1]) if n else 0.0,
         )
 
 

@@ -135,6 +135,14 @@ class TestClusterCommand:
         assert code == 1
         assert "checksum" in capsys.readouterr().err
 
+    def test_a_missing_labels_file_writes_no_tree(self, tmp_path, planted_files, capsys):
+        # the labels are hashed with the input, before anything is read or written
+        _, emb_path, _ = planted_files
+        code, out = run_cluster(tmp_path, emb_path, ["--labels", str(tmp_path / "nope.tsv")])
+        assert code == 1
+        assert "nope.tsv" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "tree.manifest.json").exists()
+
     def test_a_rerun_hashes_each_input_once(self, tmp_path, planted_files, monkeypatch):
         _, emb_path, labels_path = planted_files
         run_cluster(tmp_path, emb_path, ["--labels", labels_path])
@@ -494,6 +502,25 @@ class TestManifestValidation:
         message = f"field 'seed_generated' must be true or false, got {json.dumps(value)}"
         assert message in self.rerun_error(manifest, capsys)
 
+    @pytest.mark.parametrize(
+        "value", [..., None, "", 5, "0" * 63, "F" * 64], ids=["missing", "null", "empty", "number", "63-digits", "uppercase"]
+    )
+    def test_input_checksum_must_be_a_sha256(self, manifest, capsys, value):
+        # without one, a rerun could not tell a changed input
+        doc = json.loads(manifest.read_text())
+        if value is ...:
+            del doc["input_sha256"]
+        else:
+            doc["input_sha256"] = value
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rerun = manifest.parent / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 1
+        got = "null" if value is ... else json.dumps(value)
+        expected = f"error: {manifest}: field 'input_sha256' must be 64 lowercase hex digits, got {got}\n"
+        assert capsys.readouterr().err == expected
+        assert not rerun.exists()
+
     def test_missing_parameter_names_the_field(self, manifest, capsys):
         doc = json.loads(manifest.read_text())
         del doc["parameters"]["max_size"]
@@ -598,22 +625,24 @@ class TestEvaluateCommand:
         assert f"{deep}: invalid JSON: nested too deeply" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "nodes, message",
+        "nodes, bucket, message",
         [
             (
                 [
                     {"id": 0, "parent": None, "children": [1], "members": ["a"]},
                     {"id": 1, "parent": 0, "children": [0], "members": ["a"]},
                 ],
+                [],
                 "tree node 0",
             ),
-            ([{"id": 0, "parent": None, "children": [7], "members": ["a"]}], "tree node 0: child 7"),
+            ([{"id": 0, "parent": None, "children": [7], "members": ["a"]}], [], "tree node 0: child 7"),
             (
                 [
                     {"id": 0, "parent": None, "children": [1], "members": ["a"]},
                     {"id": 1, "parent": 0, "children": [], "members": ["a"]},
                     {"id": 1, "parent": 0, "children": [], "members": ["a"]},
                 ],
+                [],
                 "tree node 1: duplicate id",
             ),
             (
@@ -622,15 +651,34 @@ class TestEvaluateCommand:
                     {"id": 1, "parent": 0, "children": [], "members": ["a"]},
                     {"id": 2, "parent": 1, "children": [], "members": ["b"]},
                 ],
+                [],
                 "tree node 2",
             ),
+            (
+                [
+                    {"id": 0, "parent": None, "children": [1, 2], "members": ["a", "b", "c"]},
+                    {"id": 1, "parent": 0, "children": [], "members": ["a", "b"]},
+                    {"id": 2, "parent": 0, "children": [], "members": ["a", "c"]},
+                ],
+                [],
+                "tree node 2: member 'a' is also in tree node 1",
+            ),
+            (
+                [
+                    {"id": 0, "parent": None, "children": [1, 2], "members": ["a", "b", "c"]},
+                    {"id": 1, "parent": 0, "children": [], "members": ["a", "b"]},
+                    {"id": 2, "parent": 0, "children": [], "members": ["c"]},
+                ],
+                ["a"],
+                "non_community: member 'a' is also in tree node 1",
+            ),
         ],
-        ids=["cycle", "dangling-child", "duplicate-id", "parent-mismatch"],
+        ids=["cycle", "dangling-child", "duplicate-id", "parent-mismatch", "member-in-two-leaves", "leaf-member-in-bucket"],
     )
-    def test_inconsistent_tree_fails_naming_the_node(self, tmp_path, planted_files, capsys, nodes, message):
+    def test_inconsistent_tree_fails_naming_the_node(self, tmp_path, planted_files, capsys, nodes, bucket, message):
         _, _, labels_path = planted_files
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"nodes": nodes, "non_community": {"members": []}}), encoding="utf-8")
+        bad.write_text(json.dumps({"nodes": nodes, "non_community": {"members": bucket}}), encoding="utf-8")
         code = main(["evaluate", "--tree", str(bad), "--labels", labels_path])
         assert code == 1
         err = capsys.readouterr().err

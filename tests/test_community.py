@@ -225,10 +225,10 @@ def sorted_candidates_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, siz
 class TestMovePhase:
     def test_degree_total_adds_left_to_right(self):
         # sum() compensates rounding from Python 3.12 on and gives 1.0 here
-        k = left_to_right_row_sums(list(range(11)), [0.1] * 10)
-        assert k == [0.1] * 10
-        assert community._left_to_right_total(k) == 0.9999999999999999
-        assert math.fsum(k) == 1.0
+        g = graph_from_edges(10, [(a, a + 1, 0.1) for a in range(0, 10, 2)])
+        assert g.degrees.tolist() == [0.1] * 10
+        assert g.two_m == 0.9999999999999999
+        assert math.fsum(g.degrees) == 1.0
 
     def test_sweep_matches_sorted_candidate_reference(self, monkeypatch):
         # integer weights make equal gains common, so the tie rule is exercised
@@ -446,10 +446,10 @@ class TestAggregation:
             induced = np.arange(agg.n)
             assert modularity(agg, induced) == pytest.approx(modularity(g, assignment), abs=1e-9)
 
-    def test_total_weight_preserved(self):
+    def test_two_m_preserved(self):
         g = graph_from_edges(6, TRIANGLES)
         agg = aggregate_graph(g, [0, 0, 0, 1, 1, 1])
-        assert agg.total_weight == pytest.approx(g.total_weight, rel=1e-12)
+        assert agg.two_m == pytest.approx(g.two_m, rel=1e-12)
         assert agg.n == 2
 
 
@@ -479,9 +479,17 @@ class TestOneGraphType:
         for g in self.graphs():
             assert g.degrees.tolist() == left_to_right_row_sums(g.indptr.tolist(), g.weights.tolist())
 
-    def test_total_weight_is_half_the_degree_sum(self):
+    def test_both_directions_of_an_edge_hold_the_same_bits(self):
         for g in self.graphs():
-            assert g.total_weight == float(g.degrees.sum()) / 2.0 > 0.0
+            rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+            # the (col, row) keys are unique, so any sort of them gives the transposed order
+            transposed = np.argsort(g.indices * g.n + rows)
+            assert list(map(float.hex, g.weights.tolist())) == list(map(float.hex, g.weights[transposed].tolist()))
+
+    def test_two_m_is_the_degrees_added_in_node_order(self):
+        for g in self.graphs():
+            in_order = left_to_right_row_sums([0, g.n], g.degrees.tolist())[0]
+            assert g.two_m == float(np.add.accumulate(g.degrees)[-1]) == in_order > 0.0
 
 
 class TestMembersByCommunity:

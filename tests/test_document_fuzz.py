@@ -89,12 +89,12 @@ def test_any_tree_document_evaluates_or_names_the_file(tmp_path, capsys, doc):
 
 @pytest.fixture
 def recorded(tmp_path):
-    """The parameters a manifest records for a small clustering run."""
+    """The manifest of a small clustering run."""
     emb, _ = planted_groups([8, 8, 8], intra_cs=0.9)
     write_jsonl(emb, tmp_path / "emb.jsonl")
     argv = ["cluster", "--input", str(tmp_path / "emb.jsonl"), "--theta", "0.5", "--seed", "3"]
     assert main(argv + ["--output", str(tmp_path / "tree.json")]) == 0
-    return json.loads((tmp_path / "tree.manifest.json").read_text())["parameters"]
+    return json.loads((tmp_path / "tree.manifest.json").read_text())
 
 
 # what is read from the manifest, and one unknown name; input, labels and format
@@ -127,7 +127,12 @@ def parameter_objects(draw, recorded):
 @given(data=st.data())
 def test_any_manifest_parameters_rerun_or_name_the_file(tmp_path, capsys, recorded, data):
     manifest = tmp_path / "fuzz.manifest.json"
-    doc = {"version": data.draw(VERSIONS), "parameters": data.draw(parameter_objects(recorded))}
+    # the recorded checksum, so that reruns are exercised too
+    doc = {
+        "version": data.draw(VERSIONS),
+        "parameters": data.draw(parameter_objects(recorded["parameters"])),
+        "input_sha256": recorded["input_sha256"],
+    }
     if doc["version"] is None:
         del doc["version"]
     manifest.write_text(json.dumps(doc), encoding="utf-8")

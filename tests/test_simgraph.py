@@ -121,7 +121,7 @@ class TestBuildGraph:
         emb = EmbeddingSet(ids=["a", "b", "c"], vectors=np.array([[1.0, 0.0]] * 3, dtype=np.float32))
         g = build_graph(emb, 0.9)
         assert graph_edges(g) == {(0, 1): 1e9, (0, 2): 1e9, (1, 2): 1e9}
-        assert g.total_weight == 3e9
+        assert g.two_m == 6e9
 
     def test_single_edge_and_isolated_node(self):
         emb = EmbeddingSet(
@@ -182,7 +182,7 @@ class TestBuildGraph:
                     assert np.isfinite(w)
                 assert g.degrees[a] == pytest.approx(float(ws.sum()), rel=1e-12, abs=1e-300)
             if edges:
-                assert sum(g.degrees) == pytest.approx(2.0 * g.total_weight, rel=1e-9)
+                assert sum(g.degrees) == pytest.approx(g.two_m, rel=1e-9)
 
 
 class TestInducedSubgraph:
