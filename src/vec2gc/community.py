@@ -24,8 +24,8 @@ from .simgraph import SimilarityGraph
 # of a gain (about 1e-16 of 2m), so a move never rests on rounding noise.
 GAIN_EPSILON = 1e-9
 
-# Most move sweeps of one phase, a guard against cycling: the 3,352 move
-# phases of the six benchmark runs (3 workloads, seeds 1 and 7) need at most 11.
+# Most move sweeps of one phase, a guard against cycling: the 2,363 move
+# phases of the six benchmark runs (3 workloads, seeds 1 and 7) need at most 14.
 MAX_SWEEPS = 100
 
 # Seeded restarts of one louvain call. Dense weighted graphs have local
@@ -336,7 +336,7 @@ class _SweepGraph:
     Plain lists for the Python sweep, where element access dominates: the
     CSR arrays, the degrees k (each row summed left to right, see
     SimilarityGraph.from_csr) and their node-order total two_m. numpy
-    arrays for the stay certificate (see _slack): the entries without
+    arrays for the stay certificate (see _stays): the entries without
     self-loops, and per-node rounding margins.
     """
 
@@ -355,22 +355,17 @@ class _SweepGraph:
         self.cols = g.indices[loop_free]
         self.weights = g.weights[loop_free]
         self.margin = (5.0 * lengths + (3.0 * n + 32.0)) * _U * g.degrees
-        self.scale = 2.0 * _up(1.0 + 2.0 * (n + 4) * _U)
-
-
-def _up(x):
-    return np.nextafter(x, np.inf)
 
 
 def _down(x):
     return np.nextafter(x, -np.inf)
 
 
-def _slack(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> list[float]:
-    """How far below eps each node's best move provably stays, per unit of the skip test.
+def _stays(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> np.ndarray:
+    """Which nodes provably stay when a sweep from this partition evaluates them before any move.
 
-    Node a of community c stays in a sweep unless max(g_d, 0) - base > eps,
-    where acc_d is a's weight to community d without its self-loop, base =
+    Node a of community c stays unless max(g_d, 0) - base > eps, where
+    acc_d is a's weight to community d without its self-loop, base =
     acc_c - (sigma_c - k_a) * k_a / 2m and g_d = acc_d - sigma_d * k_a / 2m
     for each adjacent community d != c; 0 is the stand-alone option. At
     the start of the sweep this computes Q_a = max(best g_d, 0) - base
@@ -379,27 +374,19 @@ def _slack(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> 
     The 0 also covers every community not adjacent then, whose g_d is
     -sigma_d * k_a / 2m <= 0 because sigma is a fresh sum of degrees.
 
-    Earlier nodes of the same sweep change these numbers. In exact
-    arithmetic, a neighbour of weight w that moves changes acc of two
-    communities by w, which raises max(g_d, 0) - base by at most 2w, and a
-    node of degree k that moves changes two sigmas by k, which raises it by
-    at most 2k * k_a / 2m. So a stays when
-
-        eps - Q_a - margin_a >= 2 * (used_a + D * k_a / 2m)
-
-    with used_a the weight of a's neighbours that moved earlier in the
-    sweep, D the degree sum of all earlier moves, and margin_a a bound on
-    every rounding. With u = 2^-53, L_a the length of a's row, and (n +
-    L_a) * u < 2^-20 (no quantity here is near underflow), the
+    a is marked when eps - Q_a, rounded down, is at least margin_a, a
+    bound on every rounding, so a stays when the sweep evaluates it after
+    nodes that all stayed. With u = 2^-53, L_a the length of a's row, and
+    (n + L_a) * u < 2^-20 (no quantity here is near underflow), the
     magnitudes are |acc| <= 1.05 k_a, |sigma| <= 1.05 * 2m, and:
 
     - each of the four acc sums (here and in the sweep, for c and for d)
       is within 1.03 * L_a * u * k_a of its exact value;
-    - every earlier visit rounds at most two sigma updates (the stay step
-      sigma_c -= k; sigma_c += k, or a move's two updates), each by at
-      most 1.05 * u * 2m, so sigma_c and sigma_d drift from their exact
-      running values by at most 2.1 * n * u * 2m together, which moves
-      the comparison by at most 2.1 * n * u * k_a;
+    - every earlier visit rounds the two sigma updates of its stay step
+      (sigma_c -= k; sigma_c += k), each by at most 1.05 * u * 2m, so
+      sigma_c and sigma_d drift from their exact running values by at
+      most 2.1 * n * u * 2m together, which moves the comparison by at
+      most 2.1 * n * u * k_a;
     - the differences, products and quotients forming g_d, base and Q_a,
       here and in the sweep, add at most 25 * u * k_a.
 
@@ -407,15 +394,6 @@ def _slack(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> 
     3 n + 32) u k_a also covers the rounding of its own evaluation. The
     sweep's last step, gain - base compared with eps, rounds
     monotonically and needs none.
-
-    The sweep tests slack_a >= used_a + shift * k_a, where used_a sums
-    the weights of moved neighbours, which the movers' rows store at the
-    bits of a's own entries, and shift sums k / 2m over the moves. Those
-    sums, the product and the addition are at most n + 3 roundings of
-    non-negative numbers, so the exact right-hand side is at most scale / 2
-    times the computed one (_SweepGraph.scale). slack_a = (eps - Q_a -
-    margin_a) / scale, with every operation rounded down, therefore makes
-    a passing test imply the inequality above.
     """
     n = sg.n
     k = sg.g.degrees
@@ -431,18 +409,21 @@ def _slack(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> 
     nodes, targets = np.divmod(groups, n)
     best = np.zeros(n)
     np.maximum.at(best, nodes, acc - sigma[targets] * k[nodes] / sg.two_m)
-    q = best - base
-    return _down(_down(_down(eps - q) - sg.margin) / sg.scale).tolist()
+    return _down(eps - (best - base)) >= sg.margin
 
 
 def _move_phase(sg: _SweepGraph, rng, init=None, certify_first: bool = False):
     """Single-node move sweeps until no move beats GAIN_EPSILON, at most MAX_SWEEPS.
 
     Returns (community list, whether anything moved). Every sweep after
-    the first is certified: it skips the nodes that _slack proves stay.
-    A first sweep from singletons or from a random partition moves most
-    nodes, so certifying it would only cost; the caller certifies a
-    first sweep whose partition is likely stable already.
+    the first is certified: it visits only the nodes that _stays does not
+    mark at its start, even when an earlier move of the sweep changes a
+    marked node's neighbourhood. The phase still ends only after a sweep
+    that moves nothing, in which every node was evaluated and stayed or
+    is proven to stay. A first sweep from singletons or from a random
+    partition moves most nodes, so certifying it would only cost; the
+    caller certifies a first sweep whose partition is likely stable
+    already.
     """
     n = sg.n
     eps = GAIN_EPSILON * sg.two_m / 2.0
@@ -460,9 +441,10 @@ def _move_phase(sg: _SweepGraph, rng, init=None, certify_first: bool = False):
         # bincount adds in node order, as a Python loop over the nodes would
         sigma = np.bincount(comm_array, weights=sg.g.degrees, minlength=n)
         order = rng.permutation(n)
-        slack = _slack(sg, comm_array, sigma, eps) if sweep or certify_first else None
+        if sweep or certify_first:
+            order = order[~_stays(sg, comm_array, sigma, eps)[order]]
         moves = _sequential_sweep(
-            order.tolist(), sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m, eps, comm, sigma.tolist(), size, free, slack
+            order.tolist(), sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m, eps, comm, sigma.tolist(), size, free
         )
         if moves == 0:
             break
@@ -470,22 +452,14 @@ def _move_phase(sg: _SweepGraph, rng, init=None, certify_first: bool = False):
     return comm, moved_any
 
 
-def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free, slack=None):
-    """One pass of single-node moves in the given order; returns the move count.
+def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free):
+    """One pass of single-node moves over the nodes of order; returns the move count.
 
     Each node leaves its community and takes the adjacent community of
     highest gain, ties to the smallest id; standing alone wins when every
     adjacent gain is negative and the old community keeps members. The
-    node moves only when that beats staying by more than eps. With a
-    slack list (see _slack), a node whose slack covers what the moves
-    before it in this sweep can have changed is not evaluated: it stays,
-    and sigma takes the same stay step, so every result is bit-identical
-    to evaluating it. None evaluates every node.
+    node moves only when that beats staying by more than eps.
     """
-    certify = slack is not None
-    if certify:
-        used = [0.0] * len(k)
-        shift = 0.0
     moves = 0
     for a in order:
         lo, hi = ptr[a], ptr[a + 1]
@@ -494,9 +468,6 @@ def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, fre
         c = comm[a]
         k_a = k[a]
         sigma[c] -= k_a
-        if certify and slack[a] >= used[a] + shift * k_a:
-            sigma[c] += k_a
-            continue
         size[c] -= 1
         acc: dict[int, float] = {}
         for b, w in zip(nbr[lo:hi], wt[lo:hi]):
@@ -523,10 +494,6 @@ def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, fre
             if size[c] == 0:
                 heapq.heappush(free, c)
             moves += 1
-            if certify:
-                shift += k_a / two_m
-                for b, w in zip(nbr[lo:hi], wt[lo:hi]):
-                    used[b] += w
         else:
             sigma[c] += k_a
             size[c] += 1

@@ -2,15 +2,16 @@
 
 Each (sub)graph is partitioned by the modularity optimizer. When the
 partition's modularity falls below mod_threshold, or only one community
-emerges, the node becomes a leaf. A graph of at most CERTIFY_MAX_NODES
-nodes whose community.modularity_bound is below mod_threshold becomes
-that leaf without an optimizer call: no partition of it can reach the
-threshold, so the call would make the same leaf. Otherwise communities
-larger than max_size are recursed into (their induced subgraphs keep the
-original edge weights; the similarity threshold is never re-applied),
-smaller ones become leaf children, and communities below
-min_community_size join the non-community bucket, as do items isolated
-by the threshold itself.
+emerges, the node becomes a leaf. A graph without edges, where
+modularity is undefined, becomes a leaf without an optimizer call, as
+does a graph of at most CERTIFY_MAX_NODES nodes whose
+community.modularity_bound is below mod_threshold: no partition of it
+can reach the threshold, so the call would make the same leaf.
+Otherwise communities larger than max_size are recursed into (their
+induced subgraphs keep the original edge weights; the similarity
+threshold is never re-applied), smaller ones become leaf children, and
+communities below min_community_size join the non-community bucket, as
+do items isolated by the threshold itself.
 """
 
 from __future__ import annotations
@@ -91,12 +92,12 @@ def vec2gc_cluster(
     members partition the graph's nodes exactly. Deterministic for fixed
     (graph, mod_threshold, max_size, seed, min_community_size, restarts).
 
-    The tree is built one level at a time. The calls that modularity_bound
-    proves leaves are settled first; the level's other optimizer calls
-    are handed together to the run's RestartPool, so sibling calls, and
-    the restart chunks of large ones, may run side by side in worker
-    processes; each louvain call then reduces the chunks the pool
-    returned for it. Each result is placed by its node's slot and every
+    The tree is built one level at a time. The edgeless calls and those
+    that modularity_bound proves leaves are settled first; the level's
+    other optimizer calls are handed together to the run's RestartPool,
+    so sibling calls, and the restart chunks of large ones, may run side
+    by side in worker processes; each louvain call then reduces the
+    chunks the pool returned for it. Each result is placed by its node's slot and every
     child seed comes from derive_seed, so the tree bytes do not depend on
     the order in which calls finish, nor on the worker count.
     """
@@ -123,7 +124,7 @@ def vec2gc_cluster(
             calls = []
             for task in level:
                 sub_g, corpus_idx, _, bnode = task
-                if sub_g.n <= CERTIFY_MAX_NODES and modularity_bound(sub_g) < mod_threshold:
+                if sub_g.two_m <= 0.0 or sub_g.n <= CERTIFY_MAX_NODES and modularity_bound(sub_g) < mod_threshold:
                     bnode.members = sorted(corpus_idx.tolist())
                 else:
                     calls.append(task)

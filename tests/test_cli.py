@@ -230,7 +230,7 @@ class TestClusterCommand:
         assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
         assert rerun.read_bytes() == out.read_bytes()
 
-    @pytest.mark.parametrize("version", ["0.3.1", "0.4.0", None, 3])
+    @pytest.mark.parametrize("version", ["0.3.1", "0.4.0", "0.4.2", None, 3])
     def test_a_manifest_of_another_version_is_refused(self, tmp_path, planted_files, capsys, version):
         # another version can write other bytes for the same parameters
         _, emb_path, _ = planted_files
@@ -672,8 +672,34 @@ class TestEvaluateCommand:
                 ["a"],
                 "non_community: member 'a' is also in tree node 1",
             ),
+            (
+                [
+                    {"id": 0, "parent": None, "children": [1, 1], "members": ["a"]},
+                    {"id": 1, "parent": 0, "children": [], "members": ["a"]},
+                ],
+                [],
+                "tree node 1: reached twice",
+            ),
+            (
+                [
+                    {"id": 0, "parent": None, "children": [], "members": ["a"]},
+                    {"id": 1, "parent": 2, "children": [2], "members": ["b"]},
+                    {"id": 2, "parent": 1, "children": [1], "members": ["b"]},
+                ],
+                [],
+                "tree node 1: not reachable from the root",
+            ),
         ],
-        ids=["cycle", "dangling-child", "duplicate-id", "parent-mismatch", "member-in-two-leaves", "leaf-member-in-bucket"],
+        ids=[
+            "cycle",
+            "dangling-child",
+            "duplicate-id",
+            "parent-mismatch",
+            "member-in-two-leaves",
+            "leaf-member-in-bucket",
+            "child-listed-twice",
+            "cycle-beside-the-root",
+        ],
     )
     def test_inconsistent_tree_fails_naming_the_node(self, tmp_path, planted_files, capsys, nodes, bucket, message):
         _, _, labels_path = planted_files
@@ -760,6 +786,13 @@ class TestBaselineCommand:
         assert captured.err == message + "\n"
         assert captured.out == ""
 
+    def test_csv_without_labels_is_refused(self, tmp_path, planted_files, capsys):
+        emb, _, _ = planted_files
+        csv = tmp_path / "emb.csv"
+        csv.write_text("".join(",".join(map(str, [i, *v])) + "\n" for i, v in zip(emb.ids, emb.vectors.tolist())), encoding="utf-8")
+        assert main(["baseline", "kmedoids", "--input", str(csv), "--format", "csv", "--k", "3", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: baseline evaluation needs labels (--labels or jsonl label fields)\n"
+
     def test_zero_iterations_are_accepted(self, planted_files, capsys):
         _, emb_path, labels_path = planted_files
         argv = ["baseline", "kmedoids", "--input", emb_path, "--format", "jsonl", "--labels", labels_path]
@@ -774,6 +807,11 @@ class TestEvaluateSettings:
         argv = ["evaluate", "--tree", missing, "--labels", missing, "--purity-thresholds", thresholds]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: purity threshold out of (0, 1]: got ")
+
+    def test_an_empty_threshold_list_is_refused_before_the_tree_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["evaluate", "--tree", missing, "--labels", missing, "--purity-thresholds", ","]) == 1
+        assert capsys.readouterr().err == "error: no purity thresholds given\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -183,11 +183,8 @@ class TestLouvain:
             louvain(g, seed=0)
 
 
-def sorted_candidates_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free, slack=None):
-    """The sweep as first written: candidates scanned in ascending id order.
-
-    It evaluates every node, whatever slack the optimizer passes.
-    """
+def sorted_candidates_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free):
+    """The sweep as first written: candidates scanned in ascending id order."""
     moves = 0
     for a in order:
         if ptr[a] == ptr[a + 1]:
@@ -258,10 +255,6 @@ def certificate_graphs(rng, count):
             yield aggregate_graph(g, np.unique(rng.integers(0, max(2, n // 3), size=n), return_inverse=True)[1])
 
 
-def bits(values):
-    return [float(v).hex() for v in values]
-
-
 class TestCertifiedSweep:
     @pytest.mark.parametrize("restarts", [0, -5])
     def test_louvain_rejects_fewer_than_one_restart(self, restarts):
@@ -270,59 +263,37 @@ class TestCertifiedSweep:
             louvain(g, restarts=restarts)
 
     @staticmethod
-    def sweep_states(monkeypatch, g, seed, gain_epsilon, restarts):
-        """Every sweep's starting state on the input graph during one louvain call."""
+    def certified_states(monkeypatch, g, seed, gain_epsilon):
+        """The starting state of every certified sweep, at every level, during one louvain call."""
         states = []
-        real = community._sequential_sweep
+        real = community._stays
 
-        def recording_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free, slack=None):
-            if len(ptr) == g.n + 1:
-                states.append((eps, list(comm), list(sigma), list(size), list(free)))
-            return real(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free, slack)
+        def recording_stays(sg, comm, sigma, eps):
+            marked = real(sg, comm, sigma, eps)
+            states.append((sg, comm.tolist(), sigma.tolist(), eps, np.flatnonzero(marked)))
+            return marked
 
-        monkeypatch.setattr(community, "_sequential_sweep", recording_sweep)
+        monkeypatch.setattr(community, "_stays", recording_stays)
         monkeypatch.setattr(community, "GAIN_EPSILON", gain_epsilon)
-        louvain(g, seed=seed, restarts=restarts)
+        louvain(g, seed=seed, restarts=3)
         monkeypatch.undo()
         return states
 
-    def test_certified_sweep_leaves_the_plain_sweeps_state(self, monkeypatch):
-        # states taken mid-Louvain: converged ones (their sweep moves
-        # nothing) and near-converged ones (later sweeps of a phase)
+    def test_no_marked_node_moves(self, monkeypatch):
+        # a certified sweep skips the marked nodes, so evaluating them one
+        # after another, in any order, from the sweep's state moves none
         rng = np.random.default_rng(18)
-        checked = skippable = 0
-        for i, g in enumerate(certificate_graphs(rng, 24)):
-            gain_epsilon = [0.0, 1e-9, 1e-3, 0.05][i % 4]
-            sg = community._SweepGraph(g)
-            for eps, comm, sigma, size, free in self.sweep_states(monkeypatch, g, i, gain_epsilon, 3):
-                slack = community._slack(sg, np.array(comm), np.array(sigma), eps)
-                skippable += sum(s >= 0.0 for s in slack)
-                order = rng.permutation(g.n).tolist()
-                after = []
-                for passed in (slack, None):
-                    state = (list(comm), list(sigma), list(size), list(free))
-                    moves = community._sequential_sweep(order, sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m, eps, *state, passed)
-                    after.append((moves, state[0], bits(state[1]), state[2], state[3]))
-                assert after[0] == after[1]
-                checked += 1
-        assert checked > 200 and skippable > 1000
-
-    def test_partitions_are_bit_identical_to_evaluating_every_node(self, monkeypatch):
-        rng = np.random.default_rng(19)
-        calls = []
-        for i, g in enumerate(certificate_graphs(rng, 1000)):
-            gain_epsilon, restarts = [0.0, 1e-9, 1e-3, 0.05][i % 4], int(rng.integers(1, 4))
-            calls.append((g, int(rng.integers(2**63)), gain_epsilon, restarts))
-        certified = []
-        for g, seed, gain_epsilon, restarts in calls:
-            monkeypatch.setattr(community, "GAIN_EPSILON", gain_epsilon)
-            certified.append(louvain(g, seed=seed, restarts=restarts))
-        monkeypatch.setattr(community, "_slack", lambda *args: None)
-        for (g, seed, gain_epsilon, restarts), part in zip(calls, certified):
-            monkeypatch.setattr(community, "GAIN_EPSILON", gain_epsilon)
-            plain = louvain(g, seed=seed, restarts=restarts)
-            assert np.array_equal(part.assignment, plain.assignment)
-            assert part.modularity == plain.modularity
+        states = marked_nodes = 0
+        for i, g in enumerate(certificate_graphs(rng, 80)):
+            for sg, comm, sigma, eps, marked in self.certified_states(monkeypatch, g, i, [0.0, 1e-9, 1e-3, 0.05][i % 4]):
+                size = np.bincount(comm, minlength=sg.n).tolist()
+                free = [c for c in range(sg.n) if size[c] == 0]
+                order = rng.permutation(marked).tolist()
+                moves = community._sequential_sweep(order, sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m, eps, comm, sigma, size, free)
+                assert moves == 0
+                states += 1
+                marked_nodes += marked.size
+        assert states >= 200 and marked_nodes >= 1000
 
 
 def force_pool(monkeypatch, workers):

@@ -51,6 +51,11 @@ class TestWord2vecText:
         with pytest.raises(FormatError, match="declares 3 rows"):
             load_embeddings(path, "word2vec")
 
+    def test_header_of_no_items(self, tmp_path):
+        path = write(tmp_path / "emb.txt", "0 3\n")
+        with pytest.raises(FormatError, match="line 1: header declares 0 items of dimension 3"):
+            load_embeddings(path, "word2vec")
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path / "emb.txt", "hello\na 1.0\n")
         with pytest.raises(FormatError, match="line 1"):
@@ -106,6 +111,22 @@ class TestJsonl:
         with pytest.raises(FormatError, match="vector"):
             load_embeddings(path, "jsonl")
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("[1]", "record is not a JSON object"),
+            ('{"id": 5, "vector": [1.0]}', 'missing or non-string "id"'),
+            ('{"id": "a", "vector": [1.0, true]}', "non-numeric vector entry for id 'a'"),
+            ('{"id": "a", "vector": [1.0], "label": ""}', "label for id 'a' must be a non-empty string"),
+        ],
+        ids=["not-an-object", "integer-id", "boolean-entry", "empty-label"],
+    )
+    def test_malformed_record_names_its_fault(self, tmp_path, record, message):
+        path = write(tmp_path / "emb.jsonl", record + "\n")
+        with pytest.raises(FormatError) as err:
+            load_embeddings(path, "jsonl")
+        assert str(err.value) == f"{path}, line 1: {message}"
+
     def test_unknown_format_rejected(self, tmp_path):
         path = write(tmp_path / "emb.jsonl", '{"id": "a", "vector": [1.0]}\n')
         with pytest.raises(ValueError, match="unknown embedding format"):
@@ -147,6 +168,11 @@ class TestLabels:
     def test_empty_label_rejected(self, tmp_path):
         path = write(tmp_path / "labels.tsv", "a\t\n")
         with pytest.raises(FormatError, match="empty label"):
+            load_labels(path)
+
+    def test_empty_id_after_a_blank_line(self, tmp_path):
+        path = write(tmp_path / "labels.tsv", "a\tx\n\n\tb\n")
+        with pytest.raises(FormatError, match="line 3: empty id"):
             load_labels(path)
 
     def test_header_flag(self, tmp_path):

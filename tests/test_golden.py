@@ -67,14 +67,15 @@ CASES = {
     "noise": (lambda: noise_edges(60, seed=5), 8),
 }
 
-# sha256 of each tree's text; recorded with vec2gc 0.3.0
+# sha256 of each tree's text; flat and nested recorded with vec2gc 0.3.0, noise
+# with 0.5.0, whose certified sweeps skip nodes proven to stay
 GOLDEN = {
     ("flat", 1): "885be7602d4e729e0f84de7ce66e1be51e39dfa1b1134e8c4e452ed862f157c6",
     ("flat", 2**40 + 3): "97a5c12b9db6324b2fd88f8feaf0c61f10237aa8fd1844214991582726d08936",
     ("nested", 1): "15cfa4baad7a283067c95d5cab1cb0f45bc6663d3eaf27b94b33cc8e829a92d6",
     ("nested", 2**40 + 3): "2cd3b35f835eb138f6c59ca580ebf86d19a7967ad4f269bd276cadb3fb05a389",
-    ("noise", 1): "4e6e8ca4f27b0036a57625954aa19593c0e11500480f8c09463093d356e90d67",
-    ("noise", 2**40 + 3): "67cd130fdb856fb4b916f6fae34628610b00191fe349a388b899348c2ca5dafd",
+    ("noise", 1): "69be5474c9dbf24a37d9e713a97700bf5c4800b8722d9feafc5375620c26caca",
+    ("noise", 2**40 + 3): "3652bdcbce327bea60ffbe74538633954f7d1d933313f49e42ed3ae058e45c1b",
 }
 
 

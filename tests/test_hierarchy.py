@@ -11,6 +11,7 @@ import pytest
 from oracles import graph_from_edges, planted_groups, reference_cluster, reference_graph_edges
 import oracles
 from vec2gc import (
+    MAX_EDGE_WEIGHT,
     EmbeddingSet,
     Partition,
     SimilarityGraph,
@@ -18,6 +19,7 @@ from vec2gc import (
     derive_seed,
     dumps_tree,
     flat_clusters,
+    induced_subgraph,
     leaf_clusters_from_document,
     vec2gc_cluster,
 )
@@ -85,6 +87,18 @@ class TestVec2gcCluster:
         assert bucket.members == [30, 31]
         assert set(bucket.reasons.values()) == {"singleton_community"}
         assert sorted(len(leaf) for leaf in flat_clusters(tree)) == [15, 15]
+
+    def test_an_edgeless_community_above_max_size_becomes_a_leaf(self):
+        # 2m is near 6e9, so moves must gain 3: a random restart's groups of
+        # weakly linked nodes stay together, and one reaches a level edgeless
+        rng = np.random.default_rng(8)
+        edges = [(0, 1, MAX_EDGE_WEIGHT), (2, 3, MAX_EDGE_WEIGHT), (4, 5, MAX_EDGE_WEIGHT)]
+        edges += [(6 + a, 6 + b, 2.0) for a in range(40) for b in range(a + 1, 40) if rng.random() < 0.05]
+        g = graph_from_edges(46, edges)
+        tree, bucket = vec2gc_cluster(g, 0.3, 3, 3)
+        leaves = flat_clusters(tree)
+        assert sorted([m for leaf in leaves for m in leaf] + bucket.members) == list(range(46))
+        assert any(len(leaf) > 3 and induced_subgraph(g, np.array(leaf)).two_m == 0.0 for leaf in leaves)
 
     def test_low_modularity_leaf_may_exceed_max_size(self):
         # a single uniform group cannot be split, so the stop branch keeps
