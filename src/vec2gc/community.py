@@ -156,7 +156,7 @@ def louvain(g, seed: int = 0, restarts: int = RESTARTS, chunks: list | None = No
         raise ValueError("community detection requires a graph with at least one edge")
     if chunks is None:
         return _restart_chunk(g, seed, 0, restarts)
-    return _earliest_best(chunk.get() for chunk in chunks)
+    return max((chunk.get() for chunk in chunks), key=lambda p: p.modularity)
 
 
 _SEED_MASK = (1 << 64) - 1
@@ -171,12 +171,15 @@ _SEED_MASK = (1 << 64) - 1
 # 4 runs; the fourth, on a busy host, saved nothing) and 0.8 to 1.45 us on
 # dedup-wide's 24k-unit root call, so single calls break even near
 # 25 ms / 0.54 us = 47k units, with 17k to 100k inside the range. A level
-# of many small calls saves more per unit, 1.0 to 1.9 us (nested-deep's 46
-# level-2 calls, 97k units), because their per-call setup runs in parallel
-# too; it breaks even at 13k to 31k. 40k stays: it lies inside the
-# single-call range, and the benchmark corpora's levels are below 5.1k or
-# above 94k, except dedup-wide's one 24k call, which saves about what
-# opening the pool costs (24k x 1.1 us = 26 ms).
+# of many small calls saves more per unit, 1.0 to 1.9 us (nested-deep's
+# level 2 before certified leaves: 46 calls, 97k units), because their
+# per-call setup runs in parallel too; it breaks even at 13k to 31k. 40k
+# stays, inside the single-call range. Levels at seed 1: topics-dense 988k
+# (1 call); nested-deep 140k (root), 140k (6 calls of 21.6k to 25.5k), 52k
+# (26 calls) and 2.7k (2 calls, in-process); dedup-wide 24k (1 call,
+# in-process, saving at most what opening the pool costs: 24k x 1.1 us =
+# 26 ms). At 60k nested-deep's 52k level runs in-process, and its clustering
+# slowed from 0.111-0.119 to 0.129-0.138 s (min of 7, 3 pairs, same trees).
 POOL_MIN_WORK = 40_000
 
 
@@ -266,48 +269,33 @@ def _ignore_sigint() -> None:
 
 
 def _restart_chunk(g, seed: int, start: int, stop: int) -> Partition:
-    """Best partition of restarts start..stop-1."""
+    """Best partition of restarts start..stop-1; max keeps the earliest of a tie."""
     sweep_graph = _SweepGraph(g)
-    return _earliest_best(_restart(sweep_graph, seed, r) for r in range(start, stop))
-
-
-def _earliest_best(parts) -> Partition:
-    """Highest-modularity partition; a tie keeps the earliest."""
-    best = None
-    for part in parts:
-        if best is None or part.modularity > best.modularity:
-            best = part
-    return best
+    return max((_restart(sweep_graph, seed, r) for r in range(start, stop)), key=lambda p: p.modularity)
 
 
 def _restart(sg: _SweepGraph, seed: int, restart: int) -> Partition:
+    """One multi-level pass, restart 0 from singletons, the others from a seeded random partition."""
     rng = np.random.default_rng((int(seed) & _SEED_MASK, restart))
-    if restart == 0:
-        init = None
-    else:
+    init = None
+    if restart:
         groups = int(rng.integers(2, sg.n + 1)) if sg.n > 1 else 1
         init, _ = _dense_relabel(rng.integers(0, groups, size=sg.n).tolist())
-    return _louvain_pass(sg, rng, init)
-
-
-def _louvain_pass(sg: _SweepGraph, rng, init) -> Partition:
-    g = sg.g
-    level = sg
-    node_map = np.arange(g.n)
-    if init is not None:
-        comm, _ = _move_phase(sg, rng, init=init)
-        node_map, n_comm = _dense_relabel(comm)
-        if n_comm < g.n:
-            level = _SweepGraph(aggregate_graph(g, node_map))
-    while True:  # ends: a level that continues has fewer nodes than the one before
-        comm, moved = _move_phase(level, rng)
-        if not moved:
+    # A random start is the first level: it is aggregated even when nothing
+    # moved, and the levels then run from singletons. A later level that
+    # continues has fewer nodes than the one before, so the loop ends.
+    level, node_map = sg, np.arange(sg.n)
+    while True:
+        comm, moved = _move_phase(level, rng, init=init)
+        if not moved and init is None:
             break
         dense, n_comm = _dense_relabel(comm)
         node_map = dense[node_map]
-        if n_comm == level.n:
+        if n_comm < level.n:
+            level = _SweepGraph(aggregate_graph(level.g, dense))
+        elif init is None:
             break
-        level = _SweepGraph(aggregate_graph(level.g, dense))
+        init = None
 
     # Refinement against the original graph: aggregation only guarantees
     # super-node optimality, single nodes may still have good moves left.
@@ -315,7 +303,7 @@ def _louvain_pass(sg: _SweepGraph, rng, init) -> Partition:
     # already, so its first sweep is certified too.
     final_comm, _ = _move_phase(sg, rng, init=node_map, certify_first=True)
     assignment, count = _dense_relabel(final_comm)
-    return Partition(assignment=assignment, community_count=count, modularity=modularity(g, assignment))
+    return Partition(assignment=assignment, community_count=count, modularity=modularity(sg.g, assignment))
 
 
 def _dense_relabel(comm: list[int]) -> tuple[np.ndarray, int]:
@@ -432,8 +420,7 @@ def _move_phase(sg: _SweepGraph, rng, init=None, certify_first: bool = False):
     size = [0] * n
     for c in comm:
         size[c] += 1
-    free = [c for c in range(n) if size[c] == 0]
-    heapq.heapify(free)
+    free = [c for c in range(n) if size[c] == 0]  # ascending, so already a heap
 
     moved_any = False
     for sweep in range(MAX_SWEEPS):

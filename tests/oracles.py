@@ -122,6 +122,18 @@ def row(g, a):
     return g.indices[lo:hi], g.weights[lo:hi]
 
 
+def fresh(path):
+    """path, with any file there removed, for a property test to write an example to.
+
+    Hypothesis runs every example of a test in the same tmp_path. Opening a
+    file that already has blocks for writing truncates it, which can wait
+    on the filesystem for tens of milliseconds; a new file costs well under
+    one.
+    """
+    path.unlink(missing_ok=True)
+    return path
+
+
 def write_jsonl(emb, path) -> None:
     """Write an EmbeddingSet as JSON lines; reloading reproduces the vectors bit-exact.
 

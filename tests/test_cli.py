@@ -746,6 +746,17 @@ class TestBaselineCommand:
         table = capsys.readouterr().out
         assert "Fraction of clusters @ k% purity" in table
 
+    def test_kmedoids_writes_the_printed_report(self, tmp_path, planted_files, capsys):
+        _, emb_path, labels_path = planted_files
+        out = tmp_path / "r.json"
+        argv = ["baseline", "kmedoids", "--input", emb_path, "--format", "jsonl", "--labels", labels_path]
+        assert main([*argv, "--k", "3", "--seed", "11", "--output", str(out)]) == 0
+        seed, header, *rows, count = capsys.readouterr().out.splitlines()
+        report = json.loads(out.read_text())
+        assert report["n_clusters"] == 3 and count.startswith("N = 3 clusters")
+        assert rows == [f"{round(float(t) * 100):>3d}%          {f:.2f}" for t, f in report["fractions"].items()]
+        assert len(rows) == 3
+
     def test_inline_jsonl_labels_are_used(self, tmp_path, planted_files, capsys):
         _, emb_path, _ = planted_files
         code = main(

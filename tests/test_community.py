@@ -321,11 +321,12 @@ class TestRestartPool:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_restart_ties_go_to_the_earliest_chunk(self, monkeypatch, workers):
         # every restart scores 0 or 1, so later chunks tie the best of earlier ones
-        def coin_pass(sweep_graph, rng, init):
+        def coin_restart(sweep_graph, seed, restart):
+            rng = np.random.default_rng((seed, restart))
             assignment, count = community._dense_relabel(rng.integers(0, 3, size=sweep_graph.n).tolist())
             return Partition(assignment, count, float(rng.integers(0, 2)))
 
-        monkeypatch.setattr(community, "_louvain_pass", coin_pass)
+        monkeypatch.setattr(community, "_restart", coin_restart)
         g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
         restarts = community.RESTARTS
         sweep_graph = community._SweepGraph(g)
@@ -344,12 +345,12 @@ class TestRestartPool:
 
     def test_ties_go_to_the_earliest_chunk_when_it_finishes_last(self, monkeypatch):
         # restart 0, in chunk 0, is held back, so chunk 1's tying winner arrives first
-        def coin_pass(sweep_graph, rng, init):
-            if init is None:
+        def coin_restart(sweep_graph, seed, restart):
+            if restart == 0:
                 time.sleep(0.5)
             return Partition(np.zeros(sweep_graph.n, dtype=np.int64), 1, 1.0)
 
-        monkeypatch.setattr(community, "_louvain_pass", coin_pass)
+        monkeypatch.setattr(community, "_restart", coin_restart)
         g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
         force_pool(monkeypatch, 2)
         with community.RestartPool() as pool:

@@ -8,12 +8,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-from oracles import planted_groups, write_jsonl  # noqa: E402
+from oracles import fresh, planted_groups, write_jsonl  # noqa: E402
 
 from vec2gc import __version__  # noqa: E402
 from vec2gc.cli import main  # noqa: E402
 
-# derandomized so that a tier-1 run is repeatable; tmp_path is shared by the examples
+# derandomized so that a tier-1 run is repeatable; tmp_path is shared by the examples (see fresh)
 FUZZ = settings(
     max_examples=100,
     deadline=None,
@@ -80,9 +80,9 @@ def outcome(argv, capsys, path) -> None:
 @FUZZ
 @given(doc=TREE)
 def test_any_tree_document_evaluates_or_names_the_file(tmp_path, capsys, doc):
-    labels = tmp_path / "labels.tsv"
+    labels = fresh(tmp_path / "labels.tsv")
     labels.write_text("a\tx\nb\tx\nc\ty\n", encoding="utf-8")
-    tree = tmp_path / "tree.json"
+    tree = fresh(tmp_path / "tree.json")
     tree.write_text(json.dumps(doc), encoding="utf-8")
     outcome(["evaluate", "--tree", str(tree), "--labels", str(labels)], capsys, tree)
 
@@ -126,7 +126,7 @@ def parameter_objects(draw, recorded):
 @FUZZ
 @given(data=st.data())
 def test_any_manifest_parameters_rerun_or_name_the_file(tmp_path, capsys, recorded, data):
-    manifest = tmp_path / "fuzz.manifest.json"
+    manifest = fresh(tmp_path / "fuzz.manifest.json")
     # the recorded checksum, so that reruns are exercised too
     doc = {
         "version": data.draw(VERSIONS),

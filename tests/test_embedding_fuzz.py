@@ -8,11 +8,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from oracles import fresh  # noqa: E402
 from test_embedding_io import FORMATS, render, write_rows  # noqa: E402
 
 from vec2gc import EmbeddingSet, FormatError, embedding_io, load_embeddings  # noqa: E402
 
-# derandomized so that a tier-1 run is repeatable; tmp_path is rewritten by each example
+# derandomized so that a tier-1 run is repeatable; tmp_path is shared by the examples (see fresh)
 FUZZ = settings(
     max_examples=100,
     deadline=None,
@@ -63,7 +64,7 @@ def line_count(data: bytes) -> int:
 @FUZZ
 @given(data=FILE_BYTES)
 def test_any_bytes_load_or_fail_at_a_line_of_the_file(tmp_path, fmt, data):
-    path = tmp_path / "emb"
+    path = fresh(tmp_path / "emb")
     path.write_bytes(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -109,7 +110,7 @@ def outcomes_by_chunk_size(path, fmt):
 @FUZZ
 @given(data=FILE_BYTES)
 def test_any_bytes_load_alike_at_every_chunk_size(tmp_path, fmt, data):
-    path = tmp_path / "emb"
+    path = fresh(tmp_path / "emb")
     path.write_bytes(data)
     outcomes = outcomes_by_chunk_size(str(path), fmt)
     assert outcomes[1:] == outcomes[:-1]

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import write_jsonl
+from oracles import fresh, write_jsonl
 from vec2gc import EmbeddingSet, FormatError, load_embeddings, load_labels
 from vec2gc import embedding_io
 
@@ -206,6 +207,20 @@ class TestEmbeddingSetInvariants:
         with pytest.raises(ValueError, match="no items"):
             EmbeddingSet(ids=[], vectors=np.zeros((0, 3), dtype=np.float32))
 
+    @pytest.mark.parametrize(
+        "ids, vectors, labels, message",
+        [
+            (["a", "b"], np.ones(2), None, "vectors must form a 2-d array"),
+            (["a"], np.ones((2, 2)), None, "ids and vectors disagree on item count"),
+            (["a", "b"], np.ones((2, 0)), None, "vectors have zero dimensions"),
+            (["a"], np.ones((1, 2)), {"a": ""}, "empty label for id 'a'"),
+        ],
+        ids=["1-d", "count-mismatch", "zero-dimensions", "empty-label"],
+    )
+    def test_rejects_malformed_construction(self, ids, vectors, labels, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EmbeddingSet(ids=ids, vectors=vectors, labels=labels)
+
     def test_vectors_stored_float32(self):
         emb = EmbeddingSet(ids=["a"], vectors=np.array([[1.0, 2.0]]))
         assert emb.vectors.dtype == np.float32
@@ -230,7 +245,7 @@ NAN = {"word2vec": "nan", "csv": "nan", "jsonl": "NaN"}
 
 def write_rows(tmp_path, fmt, rows):
     text, offset = render(fmt, rows)
-    path = tmp_path / f"emb.{fmt}"
+    path = fresh(tmp_path / f"emb.{fmt}")
     path.write_text(text, encoding="utf-8")
     return str(path), offset
 

@@ -202,6 +202,12 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, [1, 2])
         assert graph_edges(sub) == {(0, 1): graph_edges(g)[(1, 2)]}
 
+    @pytest.mark.parametrize("nodes", [[0, 3], [-1, 0]], ids=["past-the-end", "negative"])
+    def test_nodes_outside_the_graph_are_refused(self, nodes):
+        emb, _ = planted_groups([3], intra_cs=0.9)
+        with pytest.raises(ValueError, match="subgraph nodes outside node range"):
+            induced_subgraph(build_graph(emb, 0.5), nodes)
+
 
 class TestEdgeTsv:
     def test_format(self, tmp_path):
@@ -226,6 +232,13 @@ class TestEdgeTsv:
         path = tmp_path / "edges.tsv"
         with pytest.raises(ValueError, match=f"id {re.escape(repr(f'm{brk}id'))} has a tab or a line break"):
             write_edges_tsv(build_graph(emb, 0.5), emb.ids, path)
+        assert not path.exists()
+
+    def test_an_id_list_of_another_length_is_refused_before_writing(self, tmp_path):
+        emb, _ = planted_groups([3], intra_cs=0.9)
+        path = tmp_path / "edges.tsv"
+        with pytest.raises(ValueError, match="id list does not match graph size"):
+            write_edges_tsv(build_graph(emb, 0.5), emb.ids[:2], path)
         assert not path.exists()
 
 
