@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .community import RESTARTS, _available_cpus
-from .embedding_io import EMBEDDING_FORMATS, FormatError, _utf8_error, load_embeddings, load_labels, open_utf8
+from .embedding_io import EMBEDDING_FORMATS, FormatError, _utf8_error, load_embeddings, load_labels, open_utf8, rewrite_utf8
 from .evaluation import DEFAULT_THRESHOLDS, format_report_table, kmedoids, purity_report, report_to_json_dict
 from .hierarchy import _check_cluster_parameters, dumps_tree, leaf_clusters_from_document, vec2gc_cluster
 from .simgraph import _check_theta, build_graph, write_edges_tsv
@@ -89,7 +89,7 @@ def _environment() -> dict:
 
 
 def _write_json(path, document) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with rewrite_utf8(path) as fh:
         fh.write(json.dumps(document, indent=2) + "\n")
 
 
@@ -155,8 +155,10 @@ def _load_manifest(path: str) -> tuple[RunConfig, str]:
 def _check_outputs(outputs: dict, inputs: dict) -> None:
     """Refuse an output path that names a data input or an earlier output; keys are the option names.
 
-    A device such as /dev/null may take every output. This runs before
-    any input is read, so a refused command changes no file.
+    Two paths name the same file if they resolve to one path or, when both
+    exist, are links to one inode. A device such as /dev/null may take
+    every output. This runs before any input is read, so a refused command
+    changes no file.
     """
     named = [(option, os.path.realpath(path)) for option, path in inputs.items() if path]
     for option, path in outputs.items():
@@ -164,7 +166,7 @@ def _check_outputs(outputs: dict, inputs: dict) -> None:
             continue
         real = os.path.realpath(path)
         for other, seen in named:
-            if real == seen:
+            if real == seen or os.path.exists(real) and os.path.exists(seen) and os.path.samefile(real, seen):
                 raise ValueError(f"{option} and {other} name the same file, {path}")
         named.append((option, real))
 
@@ -230,7 +232,7 @@ def cmd_cluster(args) -> int:
         max_size=config.max_size,
         seed=config.seed,
     )
-    with open(config.output, "w", encoding="utf-8") as fh:
+    with rewrite_utf8(config.output) as fh:
         fh.write(text)
 
     manifest = {

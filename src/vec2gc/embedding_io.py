@@ -8,8 +8,11 @@ records. Gold labels can also arrive separately as a two-column TSV.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -38,6 +41,28 @@ class FormatError(ValueError):
 def open_utf8(path):
     """A UTF-8 text file opened for reading; an undecodable byte 0xNN reads as U+DCNN (see _utf8_error)."""
     return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+@contextlib.contextmanager
+def rewrite_utf8(path):
+    """A UTF-8 text file written over from its first byte, then cut to the bytes written.
+
+    open(path, "w") empties an existing file before writing, and freeing
+    its blocks can wait on the filesystem (tens of milliseconds on ext4
+    mounted with discard); writing over them does not. A write that
+    raises leaves what was written before it and none of the old bytes.
+    A device, FIFO or terminal is written as "w" writes it, and not cut.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:
+                fd = fh.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _utf8_error(text: str) -> tuple[int, str] | None:

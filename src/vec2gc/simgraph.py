@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding_io import MIN_VECTOR_NORM, EmbeddingSet
+from .embedding_io import MIN_VECTOR_NORM, EmbeddingSet, rewrite_utf8
 
 SIMILARITY_CAP = 1.0 - 1e-9
 MAX_EDGE_WEIGHT = 1e9
@@ -239,7 +239,7 @@ def write_edges_tsv(g: SimilarityGraph, ids: list[str], path) -> None:
     rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
     upper = g.indices > rows
     src, dst, w = rows[upper], g.indices[upper], g.weights[upper]
-    with open(path, "w", encoding="utf-8") as fh:
+    with rewrite_utf8(path) as fh:
         for lo in range(0, src.size, _WRITE_LINES):
             hi = lo + _WRITE_LINES
             fh.write("".join(

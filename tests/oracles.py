@@ -125,10 +125,10 @@ def row(g, a):
 def fresh(path):
     """path, with any file there removed, for a property test to write an example to.
 
-    Hypothesis runs every example of a test in the same tmp_path. Opening a
-    file that already has blocks for writing truncates it, which can wait
-    on the filesystem for tens of milliseconds; a new file costs well under
-    one.
+    Hypothesis runs every example of a test in the same tmp_path. The tests
+    write their files with Path.write_bytes, write_text or open(path, "w"),
+    which truncate a file that already has blocks, and that can wait on the
+    filesystem for tens of milliseconds; a new file costs well under one.
     """
     path.unlink(missing_ok=True)
     return path

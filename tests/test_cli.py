@@ -2,6 +2,7 @@ import collections
 import inspect
 import json
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import fields
@@ -837,6 +838,21 @@ class TestEvaluateSettings:
         assert cli._parse_thresholds(args.purity_thresholds) == list(DEFAULT_THRESHOLDS)
 
 
+# Each command's output options.
+OUTPUTS = {"graph": ["--output"], "cluster": ["--output", "--manifest"], "evaluate": ["--output"], "baseline": ["--output"]}
+
+
+def output_command_argv(emb_path, labels_path, tree_path):
+    """argv(command, {output option: path}): the command run on these files, with those outputs."""
+    commands = {
+        "graph": ["graph", "--input", emb_path, "--theta", "0.5"],
+        "cluster": ["cluster", "--input", emb_path, "--labels", labels_path, "--theta", "0.5", "--seed", "1"],
+        "evaluate": ["evaluate", "--tree", tree_path, "--labels", labels_path],
+        "baseline": ["baseline", "kmedoids", "--input", emb_path, "--labels", labels_path, "--k", "3", "--seed", "1"],
+    }
+    return lambda command, outputs: commands[command] + [arg for item in outputs.items() for arg in item]
+
+
 class TestOutputPaths:
     """No command writes over a file it reads as data, or one of its outputs over the other."""
 
@@ -905,12 +921,81 @@ class TestOutputPaths:
         argv = ["baseline", "kmedoids", "--input", files["--input"], "--labels", files["--labels"], "--k", "3"]
         self.refused(argv + ["--seed", "1", "--output", files[in_option]], capsys, files, "--output", in_option)
 
-    def test_a_device_may_take_both_outputs(self, files):
-        argv = ["cluster", "--input", files["--input"], "--theta", "0.5", "--seed", "1"]
-        assert main(argv + ["--output", os.devnull, "--manifest", os.devnull]) == 0
+    @pytest.mark.parametrize(
+        "command, out_option, in_option",
+        [
+            ("cluster", "--output", "--input"),
+            ("cluster", "--output", "--labels"),
+            ("cluster", "--manifest", "--input"),
+            ("cluster", "--manifest", "--labels"),
+            ("graph", "--output", "--input"),
+            ("evaluate", "--output", "--tree"),
+            ("evaluate", "--output", "--labels"),
+            ("baseline", "--output", "--input"),
+            ("baseline", "--output", "--labels"),
+        ],
+    )
+    def test_a_hard_link_is_the_file_it_names(self, tmp_path, files, capsys, command, out_option, in_option):
+        link = tmp_path / "link"
+        os.link(files[in_option], link)
+        argv = output_command_argv(files["--input"], files["--labels"], files["--tree"])(
+            command, {option: str(tmp_path / f"new{option}") for option in OUTPUTS[command]}
+        )
+        argv[argv.index(out_option) + 1] = str(link)
+        self.refused(argv, capsys, files, out_option, in_option)
+
+    @pytest.mark.parametrize("command", OUTPUTS)
+    def test_a_device_may_take_every_output(self, files, command):
+        argv = output_command_argv(files["--input"], files["--labels"], files["--tree"])
+        assert main(argv(command, dict.fromkeys(OUTPUTS[command], os.devnull))) == 0
 
     def test_a_rerun_may_rewrite_its_manifest(self, tmp_path, files):
         manifest = tmp_path / "tree.manifest.json"
         before = open(files["--tree"], "rb").read()
         assert main(["cluster", "--from-manifest", str(manifest), "--manifest", str(manifest)]) == 0
         assert open(files["--tree"], "rb").read() == before
+
+
+class TestRewrittenOutputs:
+    """An output is written over an existing file in place and cut to its new length."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, planted_files):
+        _, emb_path, labels_path = planted_files
+        tree = tmp_path / "given-tree.json"
+        assert main(["cluster", "--input", emb_path, "--theta", "0.5", "--seed", "1", "--output", str(tree)]) == 0
+        return output_command_argv(emb_path, labels_path, str(tree))
+
+    @staticmethod
+    def read(paths) -> dict:
+        return {path: open(path, "rb").read() for path in paths}
+
+    @pytest.mark.parametrize("command", OUTPUTS)
+    def test_a_longer_or_shorter_file_ends_as_a_fresh_path_does(self, tmp_path, argv, command):
+        outputs = {option: str(tmp_path / f"out{option}") for option in OUTPUTS[command]}
+        assert main(argv(command, outputs)) == 0
+        fresh = self.read(outputs.values())
+        for old_size in (lambda size: size + 4096, lambda size: size // 2):
+            for path, new in fresh.items():
+                with open(path, "wb") as fh:
+                    fh.write(b"\xff" * old_size(len(new)))
+            assert main(argv(command, outputs)) == 0
+            assert self.read(outputs.values()) == fresh
+
+    def test_an_existing_output_keeps_its_mode(self, tmp_path, argv):
+        out = tmp_path / "edges.tsv"
+        out.write_bytes(b"\xff" * 100_000)
+        out.chmod(0o640)
+        assert main(argv("graph", {"--output": str(out)})) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.stat().st_size < 100_000
+
+    def test_a_symlinked_output_is_written_through_the_link(self, tmp_path, argv):
+        fresh = tmp_path / "fresh.tsv"
+        assert main(argv("graph", {"--output": str(fresh)})) == 0
+        target, link = tmp_path / "target.tsv", tmp_path / "link.tsv"
+        target.write_bytes(b"\xff" * 100_000)
+        link.symlink_to(target)
+        assert main(argv("graph", {"--output": str(link)})) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()

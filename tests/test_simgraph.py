@@ -241,6 +241,32 @@ class TestEdgeTsv:
             write_edges_tsv(build_graph(emb, 0.5), emb.ids[:2], path)
         assert not path.exists()
 
+    def test_a_write_that_raises_leaves_the_lines_before_it_and_no_old_bytes(self, tmp_path, monkeypatch):
+        import vec2gc.simgraph as simgraph
+
+        class FailingId(str):
+            """An id whose formatting raises on the 15th call: the source id of edge 7."""
+
+            calls = 0
+
+            def __format__(self, spec):
+                FailingId.calls += 1
+                if FailingId.calls == 15:
+                    raise RuntimeError("formatting failed")
+                return str.__format__(self, spec)
+
+        emb = random_embeddings(np.random.default_rng(24), 60, 6)
+        g = build_graph(emb, 0.3)
+        path = tmp_path / "edges.tsv"
+        write_edges_tsv(g, emb.ids, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"\xff" * 2 * len(b"".join(lines)))
+        monkeypatch.setattr(simgraph, "_WRITE_LINES", 3)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            write_edges_tsv(g, [FailingId(i) for i in emb.ids], path)
+        # edge 7 is in the third chunk of 3 lines, so the first two chunks were written
+        assert path.read_bytes() == b"".join(lines[:6])
+
 
 class TestTiledKernel:
     """build_graph screens pairs in row blocks x column windows; the tiling must not show."""
