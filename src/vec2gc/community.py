@@ -5,8 +5,10 @@ moves until none improves modularity by more than GAIN_EPSILON, then
 aggregation of communities into super-nodes, repeated until a level
 stops improving. A final move phase runs against the original graph so
 the returned partition is locally optimal node-by-node, not only
-super-node-by-super-node. The independent seeded restarts of one call
-can run on the worker processes of a RestartPool.
+super-node-by-super-node. The calls of one tree level run as one pass
+over their graphs laid side by side, each graph's result the bits of a
+call of its own, and the pass's seeded restarts can run on the worker
+processes of a RestartPool.
 """
 
 from __future__ import annotations
@@ -146,40 +148,41 @@ def louvain(g, seed: int = 0, restarts: int = RESTARTS, chunks: list | None = No
     partitions. Deterministic for a fixed seed: node visit order is a
     seeded shuffle per sweep, equal-gain targets resolve to the smallest
     community id, and restart ties to the earliest restart. Without
-    chunks the restarts run here. chunks are the restart chunks that
-    RestartPool.start submitted for this call; their winners are compared
-    in chunk order, so the result is the same at every worker count.
+    chunks the restarts run here. chunks are this call's handles from
+    RestartPool.start, one per restart chunk of its level's pass; their
+    winners are compared in chunk order, so the result is the same at
+    every worker count.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts!r}")
     if g.two_m <= 0.0:
         raise ValueError("community detection requires a graph with at least one edge")
     if chunks is None:
-        return _restart_chunk(g, seed, 0, restarts)
+        return _restart_chunk([g], [seed], 0, restarts)[0]
     return max((chunk.get() for chunk in chunks), key=lambda p: p.modularity)
 
 
 _SEED_MASK = (1 << 64) - 1
 
 # Smallest work (CSR entries x restarts, summed over the calls of one
-# level) that runs on worker processes. Measured on 2 CPUs, Python 3.11,
-# 8 restarts: the first pool of a process costs 20 to 31 ms (median 25 of
-# 9 runs) to import multiprocessing, fork two workers, run a first task
-# and close them. Once open, two workers save, per unit and after
-# pickling, 0.3 to 0.75 us (median 0.54) on single calls of 18k to 28k
-# units (the nested-deep benchmark's level-1 calls, medians of 5, in 3 of
-# 4 runs; the fourth, on a busy host, saved nothing) and 0.8 to 1.45 us on
-# dedup-wide's 24k-unit root call, so single calls break even near
-# 25 ms / 0.54 us = 47k units, with 17k to 100k inside the range. A level
-# of many small calls saves more per unit, 1.0 to 1.9 us (nested-deep's
-# level 2 before certified leaves: 46 calls, 97k units), because their
-# per-call setup runs in parallel too; it breaks even at 13k to 31k. 40k
-# stays, inside the single-call range. Levels at seed 1: topics-dense 988k
-# (1 call); nested-deep 140k (root), 140k (6 calls of 21.6k to 25.5k), 52k
-# (26 calls) and 2.7k (2 calls, in-process); dedup-wide 24k (1 call,
-# in-process, saving at most what opening the pool costs: 24k x 1.1 us =
-# 26 ms). At 60k nested-deep's 52k level runs in-process, and its clustering
-# slowed from 0.111-0.119 to 0.129-0.138 s (min of 7, 3 pairs, same trees).
+# level) that opens the worker processes; once open, every later level of
+# the run uses them. Measured on 2 CPUs, Python 3.11, 8 restarts: the
+# first pool of a process costs 20 to 31 ms (median 25 of 9 runs) to
+# import multiprocessing, fork two workers, run a first task and close
+# them. Once open, two workers save, per unit and after pickling, 0.3 to
+# 0.75 us (median 0.54) on single calls of 18k to 28k units (the
+# nested-deep benchmark's level-1 calls, medians of 5, in 3 of 4 runs; the
+# fourth, on a busy host, saved nothing) and 0.8 to 1.45 us on
+# dedup-wide's 24k-unit root call, so a run whose largest level is one
+# call breaks even near 25 ms / 0.54 us = 47k units, with 17k to 100k
+# inside the range. 40k stays, inside that range. Levels at seed 1:
+# topics-dense 988k (1 call); nested-deep 140k (root, which opens the
+# pool), 140k (6 calls), 52k (26 calls) and 2.7k (2 calls); dedup-wide 24k
+# (1 call, in-process, saving at most what opening the pool costs: 24k x
+# 1.1 us = 26 ms). Small levels stay on an open pool: nested-deep's
+# 2.7k-unit level took 8.1 to 8.7 ms in-process after the fork, most of
+# it copy-on-write faults on pages shared with the workers, and 2.4 to 2.6
+# ms on the workers.
 POOL_MIN_WORK = 40_000
 
 
@@ -187,14 +190,17 @@ class RestartPool:
     """Worker processes that run the restarts of louvain calls.
 
     One pool serves the calls of one clustering run, which starts each
-    level of its recursion at once: start() submits the level's calls in
-    contiguous restart chunks, a call's share of the chunks following its
-    share of the level's work, and returns each call's chunks for louvain
-    to reduce. So sibling calls run side by side, and a large call's
-    chunks run on every worker. The workers are forked by the first level
-    whose work reaches POOL_MIN_WORK, reused by later levels, and ended by
-    close(). With one CPU, without the fork start method, or inside a
-    daemonic process, every call runs in-process.
+    level of its recursion at once. start() lays the level's graphs side
+    by side as the blocks of one graph and runs the restarts over all of
+    them in one pass (_restart_chunk), each block drawing and stopping as
+    its graph's own call would; each call then reduces its own block's
+    results. On the workers the pass is split into one contiguous restart
+    chunk per worker, so every call's restarts run on every worker. The
+    workers are forked by the first level whose work reaches
+    POOL_MIN_WORK, used by every later level, and ended by close(). Until
+    then, and with one CPU, without the fork start method or inside a
+    daemonic process, a level's pass runs in-process, inside its first
+    louvain call.
     """
 
     def __init__(self):
@@ -208,29 +214,24 @@ class RestartPool:
         self.close()
 
     def start(self, calls, restarts: int) -> list:
-        """Submit the (graph, seed) louvain calls of one level; one entry per call.
+        """Start the (graph, seed) louvain calls of one level as one pass; one entry per call.
 
-        An entry is the call's list of restart chunks, or None when the
-        level runs in-process: its work is below POOL_MIN_WORK, or the
-        pool has no workers.
+        An entry is the call's handles, one per restart chunk: get() on a
+        handle returns the call's best partition of that chunk. On the
+        workers the chunks run now; in-process, the one chunk of every
+        restart runs on the level's first get().
         """
-        works = [g.indices.size * restarts for g, _ in calls]
-        level_work = sum(works)
-        in_process = [None] * len(calls)
-        if not level_work or level_work < POOL_MIN_WORK:
-            return in_process
-        if self._workers is None:
+        graphs, seeds = [g for g, _ in calls], [seed for _, seed in calls]
+        work = sum(g.indices.size for g in graphs) * restarts
+        if self._workers is None and work and work >= POOL_MIN_WORK:
             self._open(restarts)
         if self._pool is None:
-            return in_process
-        started = []
-        for (g, seed), work in zip(calls, works):
-            chunks = min(restarts, max(1, -(-self._workers * work // level_work)))
-            cuts = [restarts * i // chunks for i in range(chunks + 1)]
-            started.append(
-                [self._pool.apply_async(_restart_chunk, (g, seed, cuts[i], cuts[i + 1])) for i in range(chunks)]
-            )
-        return started
+            chunks = [_Deferred(graphs, seeds, restarts)]
+        else:
+            count = min(self._workers, restarts)
+            cuts = [restarts * i // count for i in range(count + 1)]
+            chunks = [self._pool.apply_async(_restart_chunk, (graphs, seeds, lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+        return [[_BlockResult(chunk, block) for chunk in chunks] for block in range(len(calls))]
 
     def _open(self, restarts: int) -> None:
         import multiprocessing  # here, so runs without a call this large never import it
@@ -255,6 +256,31 @@ class RestartPool:
             pool.join()
 
 
+class _Deferred:
+    """An in-process restart chunk of a whole level, run on its first get()."""
+
+    def __init__(self, graphs, seeds, restarts: int):
+        self._args = (graphs, seeds, 0, restarts)
+        self._result = None
+
+    def get(self) -> list[Partition]:
+        if self._result is None:
+            self._result = _restart_chunk(*self._args)
+            self._args = None
+        return self._result
+
+
+class _BlockResult:
+    """One call's handle on a restart chunk of its level: the chunk's partition of block `block`."""
+
+    def __init__(self, chunk, block: int):
+        self.chunk = chunk
+        self.block = block
+
+    def get(self) -> Partition:
+        return self.chunk.get()[self.block]
+
+
 def _available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
@@ -268,42 +294,78 @@ def _ignore_sigint() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _restart_chunk(g, seed: int, start: int, stop: int) -> Partition:
-    """Best partition of restarts start..stop-1; max keeps the earliest of a tie."""
-    sweep_graph = _SweepGraph(g)
-    return max((_restart(sweep_graph, seed, r) for r in range(start, stop)), key=lambda p: p.modularity)
+def _side_by_side(graphs) -> SimilarityGraph:
+    """The block-diagonal graph of graphs: each graph's nodes numbered after those of the graphs before it."""
+    if len(graphs) == 1:
+        return graphs[0]
+    lengths = np.concatenate([np.diff(g.indptr) for g in graphs])
+    offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
+    cols = np.concatenate([g.indices + offset for g, offset in zip(graphs, offsets)])
+    weights = np.concatenate([g.weights for g in graphs])
+    return SimilarityGraph.from_csr(lengths.size, np.repeat(np.arange(lengths.size), lengths), cols, weights)
 
 
-def _restart(sg: _SweepGraph, seed: int, restart: int) -> Partition:
-    """One multi-level pass, restart 0 from singletons, the others from a seeded random partition."""
-    rng = np.random.default_rng((int(seed) & _SEED_MASK, restart))
+def _restart_chunk(graphs, seeds, start: int, stop: int) -> list[Partition]:
+    """Per graph, the best partition of its restarts start..stop-1, the earliest of a tie.
+
+    The graphs are the blocks of one level (_side_by_side), and each
+    block's partitions have the bits of louvain calls on its graph alone.
+    """
+    sg = _SweepGraph(_side_by_side(graphs), [g.n for g in graphs])
+    best = _restart(sg, graphs, seeds, start)
+    for r in range(start + 1, stop):
+        best = [new if new.modularity > old.modularity else old for old, new in zip(best, _restart(sg, graphs, seeds, r))]
+    return best
+
+
+def _restart(sg: _SweepGraph, graphs, seeds, restart: int) -> list[Partition]:
+    """One multi-level pass of every block; restart 0 from singletons, the others from seeded random partitions.
+
+    Block b draws from its own generator, seeded (seeds[b], restart), what
+    a pass over graphs[b] alone draws, stops where that pass stops, and
+    its partition is scored on graphs[b].
+    """
+    rngs = [np.random.default_rng((int(seed) & _SEED_MASK, restart)) for seed in seeds]
     init = None
     if restart:
-        groups = int(rng.integers(2, sg.n + 1)) if sg.n > 1 else 1
-        init, _ = _dense_relabel(rng.integers(0, groups, size=sg.n).tolist())
+        init = []
+        for rng, size, start in zip(rngs, sg.sizes, sg.starts):
+            groups = int(rng.integers(2, size + 1)) if size > 1 else 1
+            local, _ = _dense_relabel(rng.integers(0, groups, size=size).tolist())
+            init.extend((local + start).tolist())
     # A random start is the first level: it is aggregated even when nothing
     # moved, and the levels then run from singletons. A later level that
-    # continues has fewer nodes than the one before, so the loop ends.
-    level, node_map = sg, np.arange(sg.n)
+    # continues has fewer nodes than the one before, so every block stops.
+    # A stopped block stays in the levels as singletons, which aggregate to
+    # the same bits, so block b is always the level's block b.
+    level, running = sg, range(len(seeds))
+    node_map = np.arange(sg.n)
     while True:
-        comm, moved = _move_phase(level, rng, init=init)
-        if not moved and init is None:
-            break
+        comm, moved = _move_phase(level, rngs, running, init=init)
+        # first-occurrence ids number the blocks' communities one block
+        # after another, each block's in its own first-occurrence order
         dense, n_comm = _dense_relabel(comm)
         node_map = dense[node_map]
-        if n_comm < level.n:
-            level = _SweepGraph(aggregate_graph(level.g, dense))
-        elif init is None:
+        counts = np.diff([*dense[level.starts[:-1]].tolist(), n_comm]).tolist()
+        running = [b for b in running if init is not None or (moved[b] and counts[b] < level.sizes[b])]
+        if not running:
             break
+        level = _SweepGraph(aggregate_graph(level.g, dense), counts)
         init = None
 
     # Refinement against the original graph: aggregation only guarantees
     # super-node optimality, single nodes may still have good moves left.
     # Its partition comes from the levels above and is usually stable
     # already, so its first sweep is certified too.
-    final_comm, _ = _move_phase(sg, rng, init=node_map, certify_first=True)
-    assignment, count = _dense_relabel(final_comm)
-    return Partition(assignment=assignment, community_count=count, modularity=modularity(sg.g, assignment))
+    refine = node_map + np.repeat(np.subtract(sg.starts[:-1], level.starts[:-1]), sg.sizes)
+    final_comm, _ = _move_phase(sg, rngs, range(len(seeds)), init=refine, certify_first=True)
+    dense, _ = _dense_relabel(final_comm)
+    parts = []
+    for g, lo, hi in zip(graphs, sg.starts, sg.starts[1:]):
+        # Q on the block's own graph: its sums over communities are pairwise, so they depend on the array length
+        assignment = dense[lo:hi] - dense[lo]
+        parts.append(Partition(assignment, int(assignment.max()) + 1, modularity(g, assignment)))
+    return parts
 
 
 def _dense_relabel(comm: list[int]) -> tuple[np.ndarray, int]:
@@ -317,45 +379,56 @@ _U = 2.0**-53  # unit roundoff of float64
 
 
 class _SweepGraph:
-    """What the move sweeps of one graph read, built once per graph.
+    """What the move sweeps of one level read, built once per level.
 
-    A restart chunk builds it once for its input graph, whose first and
+    A level is blocks of sizes[b] nodes, block b starting at node
+    starts[b], with no edge between blocks: the graphs of a level's
+    louvain calls laid side by side, or their super-node graphs. A
+    restart chunk builds it once for its input level, whose first and
     final move phase every restart runs, and once per aggregated level.
     Plain lists for the Python sweep, where element access dominates: the
     CSR arrays, the degrees k (each row summed left to right, see
-    SimilarityGraph.from_csr) and their node-order total two_m. numpy
-    arrays for the stay certificate (see _stays): the entries without
-    self-loops, and per-node rounding margins.
+    SimilarityGraph.from_csr) and two_m, each block's 2m. numpy arrays for
+    the stay certificate (see _stays): the entries without self-loops,
+    each node's block 2m, and per-node rounding margins.
     """
 
-    def __init__(self, g: SimilarityGraph):
+    def __init__(self, g: SimilarityGraph, sizes: list[int]):
         self.g = g
-        self.n = n = g.n
+        self.n = g.n
+        self.sizes = sizes
+        self.starts = np.cumsum([0, *sizes]).tolist()
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        # bincount adds each block's degrees in node order from 0.0, the
+        # bits SimilarityGraph.from_csr gives the block's 2m on its own
+        two_m = np.bincount(block, weights=g.degrees, minlength=len(sizes))
+        self.two_m = two_m.tolist()
+        self.node_two_m = two_m[block]
         self.ptr = g.indptr.tolist()
         self.nbr = g.indices.tolist()
         self.wt = g.weights.tolist()
         self.k = g.degrees.tolist()
-        self.two_m = g.two_m
         lengths = np.diff(g.indptr)
-        rows = np.repeat(np.arange(n), lengths)
+        rows = np.repeat(np.arange(g.n), lengths)
         loop_free = rows != g.indices
         self.rows = rows[loop_free]
         self.cols = g.indices[loop_free]
         self.weights = g.weights[loop_free]
-        self.margin = (5.0 * lengths + (3.0 * n + 32.0)) * _U * g.degrees
+        self.margin = (5.0 * lengths + (3.0 * np.repeat(sizes, sizes) + 32.0)) * _U * g.degrees
 
 
 def _down(x):
     return np.nextafter(x, -np.inf)
 
 
-def _stays(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> np.ndarray:
+def _stays(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Which nodes provably stay when a sweep from this partition evaluates them before any move.
 
     Node a of community c stays unless max(g_d, 0) - base > eps, where
     acc_d is a's weight to community d without its self-loop, base =
     acc_c - (sigma_c - k_a) * k_a / 2m and g_d = acc_d - sigma_d * k_a / 2m
-    for each adjacent community d != c; 0 is the stand-alone option. At
+    for each adjacent community d != c; 0 is the stand-alone option. 2m
+    and eps are those of a's block, elementwise the sweep's scalars. At
     the start of the sweep this computes Q_a = max(best g_d, 0) - base
     with the sweep's own operations: np.bincount adds each (node,
     community) group in CSR order, and sigma was summed in node order.
@@ -364,17 +437,19 @@ def _stays(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> 
 
     a is marked when eps - Q_a, rounded down, is at least margin_a, a
     bound on every rounding, so a stays when the sweep evaluates it after
-    nodes that all stayed. With u = 2^-53, L_a the length of a's row, and
-    (n + L_a) * u < 2^-20 (no quantity here is near underflow), the
-    magnitudes are |acc| <= 1.05 k_a, |sigma| <= 1.05 * 2m, and:
+    nodes that all stayed. With u = 2^-53, L_a the length of a's row, n
+    and 2m the node count and 2m of a's block, and (n + L_a) * u < 2^-20
+    (no quantity here is near underflow), the magnitudes are |acc| <=
+    1.05 k_a, |sigma| <= 1.05 * 2m, and:
 
     - each of the four acc sums (here and in the sweep, for c and for d)
       is within 1.03 * L_a * u * k_a of its exact value;
-    - every earlier visit rounds the two sigma updates of its stay step
-      (sigma_c -= k; sigma_c += k), each by at most 1.05 * u * 2m, so
-      sigma_c and sigma_d drift from their exact running values by at
-      most 2.1 * n * u * 2m together, which moves the comparison by at
-      most 2.1 * n * u * k_a;
+    - every earlier visit to a node of the block rounds the two sigma
+      updates of its stay step (sigma_c -= k; sigma_c += k), each by at
+      most 1.05 * u * 2m, so sigma_c and sigma_d drift from their exact
+      running values by at most 2.1 * n * u * 2m together, which moves
+      the comparison by at most 2.1 * n * u * k_a; visits to other blocks
+      touch only their own communities;
     - the differences, products and quotients forming g_d, base and Q_a,
       here and in the sweep, add at most 25 * u * k_a.
 
@@ -385,58 +460,69 @@ def _stays(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: float) -> 
     """
     n = sg.n
     k = sg.g.degrees
+    two_m = sg.node_two_m
     neighbour_comm = comm[sg.cols]
     own = neighbour_comm == comm[sg.rows]
     # adding 0.0 for the other entries leaves every sum's bits as they are
     acc_own = np.bincount(sg.rows, weights=sg.weights * own, minlength=n)
-    base = acc_own - (sigma[comm] - k) * k / sg.two_m
+    base = acc_own - (sigma[comm] - k) * k / two_m
     other = ~own
     nodes = sg.rows[other]
     groups, group_of = np.unique(nodes * n + neighbour_comm[other], return_inverse=True)
     acc = np.bincount(group_of, weights=sg.weights[other], minlength=groups.size)
     nodes, targets = np.divmod(groups, n)
     best = np.zeros(n)
-    np.maximum.at(best, nodes, acc - sigma[targets] * k[nodes] / sg.two_m)
+    np.maximum.at(best, nodes, acc - sigma[targets] * k[nodes] / two_m[nodes])
     return _down(eps - (best - base)) >= sg.margin
 
 
-def _move_phase(sg: _SweepGraph, rng, init=None, certify_first: bool = False):
-    """Single-node move sweeps until no move beats GAIN_EPSILON, at most MAX_SWEEPS.
+def _move_phase(sg: _SweepGraph, rngs, running, init=None, certify_first: bool = False):
+    """Single-node move sweeps of the running blocks until one moves nothing, at most MAX_SWEEPS.
 
-    Returns (community list, whether anything moved). Every sweep after
-    the first is certified: it visits only the nodes that _stays does not
-    mark at its start, even when an earlier move of the sweep changes a
-    marked node's neighbourhood. The phase still ends only after a sweep
-    that moves nothing, in which every node was evaluated and stayed or
-    is proven to stay. A first sweep from singletons or from a random
-    partition moves most nodes, so certifying it would only cost; the
-    caller certifies a first sweep whose partition is likely stable
-    already.
+    rngs[b] is block b's generator. Returns (community list, per block
+    whether anything moved). A sweep visits each running block in turn, in
+    the block's own seeded order, with the block's 2m and eps; a block
+    stops after its own sweep that moves nothing. Blocks share no
+    community, so a block's sweeps are those of its graph alone. Every
+    sweep after the first is certified: it visits only the nodes that
+    _stays does not mark at its start, even when an earlier move of the
+    sweep changes a marked node's neighbourhood. A block still stops only
+    after a sweep that moves nothing, in which every node was evaluated
+    and stayed or is proven to stay. A first sweep from singletons or from
+    a random partition moves most nodes, so certifying it would only
+    cost; the caller certifies a first sweep whose partition is likely
+    stable already.
     """
     n = sg.n
-    eps = GAIN_EPSILON * sg.two_m / 2.0
-
+    eps = [GAIN_EPSILON * two_m / 2.0 for two_m in sg.two_m]
     comm = list(range(n)) if init is None else [int(c) for c in init]
     size = [0] * n
     for c in comm:
         size[c] += 1
-    free = [c for c in range(n) if size[c] == 0]  # ascending, so already a heap
+    # a node that stands alone takes its own block's smallest free id; ascending, so already heaps
+    free = [[c for c in range(lo, hi) if size[c] == 0] for lo, hi in zip(sg.starts, sg.starts[1:])]
 
-    moved_any = False
+    moved = [False] * len(rngs)
     for sweep in range(MAX_SWEEPS):
         comm_array = np.array(comm, dtype=np.int64)
         # bincount adds in node order, as a Python loop over the nodes would
         sigma = np.bincount(comm_array, weights=sg.g.degrees, minlength=n)
-        order = rng.permutation(n)
-        if sweep or certify_first:
-            order = order[~_stays(sg, comm_array, sigma, eps)[order]]
-        moves = _sequential_sweep(
-            order.tolist(), sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m, eps, comm, sigma.tolist(), size, free
-        )
-        if moves == 0:
+        certified = sweep or certify_first
+        if certified:
+            visit = ~_stays(sg, comm_array, sigma, GAIN_EPSILON * sg.node_two_m / 2.0)
+        sigma = sigma.tolist()
+        still = []
+        for b in running:
+            order = rngs[b].permutation(sg.sizes[b]) + sg.starts[b]
+            if certified:
+                order = order[visit[order]]
+            if _sequential_sweep(order.tolist(), sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m[b], eps[b], comm, sigma, size, free[b]):
+                moved[b] = True
+                still.append(b)
+        running = still
+        if not running:
             break
-        moved_any = True
-    return comm, moved_any
+    return comm, moved
 
 
 def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free):

@@ -5,6 +5,7 @@ double loops, exhaustive enumeration) so the package's CSR/optimizer
 paths are checked against code that shares none of their machinery.
 """
 
+import heapq
 import json
 import math
 
@@ -21,7 +22,8 @@ from vec2gc import (
     louvain,
     members_by_community,
 )
-from vec2gc.community import RESTARTS
+from vec2gc import community
+from vec2gc.community import RESTARTS, _dense_relabel, aggregate_graph, modularity
 
 
 def set_partitions(n):
@@ -441,3 +443,144 @@ def _reference_fill_members(bnode):
         merged.sort()
         bnode.members = merged
     return bnode.members
+
+
+# The optimizer as it ran one graph per call, before the calls of a tree
+# level ran as one block-diagonal pass. GAIN_EPSILON and MAX_SWEEPS are
+# read from vec2gc.community at call time, so a test that patches them
+# there patches both.
+
+
+def reference_restart_chunk(g, seed, start, stop):
+    """Best partition of restarts start..stop-1 of one graph; max keeps the earliest of a tie."""
+    sweep_graph = ReferenceSweepGraph(g)
+    return max((reference_restart(sweep_graph, seed, r) for r in range(start, stop)), key=lambda p: p.modularity)
+
+
+def reference_restart(sg, seed, restart):
+    """One multi-level pass, restart 0 from singletons, the others from a seeded random partition."""
+    rng = np.random.default_rng((int(seed) & ((1 << 64) - 1), restart))
+    init = None
+    if restart:
+        groups = int(rng.integers(2, sg.n + 1)) if sg.n > 1 else 1
+        init, _ = _dense_relabel(rng.integers(0, groups, size=sg.n).tolist())
+    level, node_map = sg, np.arange(sg.n)
+    while True:
+        comm, moved = reference_move_phase(level, rng, init=init)
+        if not moved and init is None:
+            break
+        dense, n_comm = _dense_relabel(comm)
+        node_map = dense[node_map]
+        if n_comm < level.n:
+            level = ReferenceSweepGraph(aggregate_graph(level.g, dense))
+        elif init is None:
+            break
+        init = None
+    final_comm, _ = reference_move_phase(sg, rng, init=node_map, certify_first=True)
+    assignment, count = _dense_relabel(final_comm)
+    return community.Partition(assignment=assignment, community_count=count, modularity=modularity(sg.g, assignment))
+
+
+class ReferenceSweepGraph:
+    """What the move sweeps of one graph read: CSR lists, degrees, 2m and the stay margins."""
+
+    def __init__(self, g):
+        self.g = g
+        self.n = n = g.n
+        self.ptr = g.indptr.tolist()
+        self.nbr = g.indices.tolist()
+        self.wt = g.weights.tolist()
+        self.k = g.degrees.tolist()
+        self.two_m = g.two_m
+        lengths = np.diff(g.indptr)
+        rows = np.repeat(np.arange(n), lengths)
+        loop_free = rows != g.indices
+        self.rows = rows[loop_free]
+        self.cols = g.indices[loop_free]
+        self.weights = g.weights[loop_free]
+        self.margin = (5.0 * lengths + (3.0 * n + 32.0)) * 2.0**-53 * g.degrees
+
+
+def reference_stays(sg, comm, sigma, eps):
+    """Which nodes provably stay when a sweep from this partition evaluates them before any move."""
+    n = sg.n
+    k = sg.g.degrees
+    neighbour_comm = comm[sg.cols]
+    own = neighbour_comm == comm[sg.rows]
+    acc_own = np.bincount(sg.rows, weights=sg.weights * own, minlength=n)
+    base = acc_own - (sigma[comm] - k) * k / sg.two_m
+    other = ~own
+    nodes = sg.rows[other]
+    groups, group_of = np.unique(nodes * n + neighbour_comm[other], return_inverse=True)
+    acc = np.bincount(group_of, weights=sg.weights[other], minlength=groups.size)
+    nodes, targets = np.divmod(groups, n)
+    best = np.zeros(n)
+    np.maximum.at(best, nodes, acc - sigma[targets] * k[nodes] / sg.two_m)
+    return np.nextafter(eps - (best - base), -np.inf) >= sg.margin
+
+
+def reference_move_phase(sg, rng, init=None, certify_first=False):
+    """Single-node move sweeps until no move beats GAIN_EPSILON; every sweep after the first certified."""
+    n = sg.n
+    eps = community.GAIN_EPSILON * sg.two_m / 2.0
+    comm = list(range(n)) if init is None else [int(c) for c in init]
+    size = [0] * n
+    for c in comm:
+        size[c] += 1
+    free = [c for c in range(n) if size[c] == 0]
+    moved_any = False
+    for sweep in range(community.MAX_SWEEPS):
+        comm_array = np.array(comm, dtype=np.int64)
+        sigma = np.bincount(comm_array, weights=sg.g.degrees, minlength=n)
+        order = rng.permutation(n)
+        if sweep or certify_first:
+            order = order[~reference_stays(sg, comm_array, sigma, eps)[order]]
+        moves = reference_sequential_sweep(
+            order.tolist(), sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m, eps, comm, sigma.tolist(), size, free
+        )
+        if moves == 0:
+            break
+        moved_any = True
+    return comm, moved_any
+
+
+def reference_sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free):
+    """One pass of single-node moves over the nodes of order; returns the move count."""
+    moves = 0
+    for a in order:
+        lo, hi = ptr[a], ptr[a + 1]
+        if lo == hi:
+            continue
+        c = comm[a]
+        k_a = k[a]
+        sigma[c] -= k_a
+        size[c] -= 1
+        acc = {}
+        for b, w in zip(nbr[lo:hi], wt[lo:hi]):
+            if b != a:
+                d = comm[b]
+                if d in acc:
+                    acc[d] += w
+                else:
+                    acc[d] = w
+        base = acc.pop(c, 0.0) - sigma[c] * k_a / two_m
+        target, gain = c, base
+        for d, w in acc.items():
+            g = w - sigma[d] * k_a / two_m
+            if g > gain or (g == gain and target != c and d < target):
+                target, gain = d, g
+        if size[c] > 0 and 0.0 > gain:
+            target, gain = -1, 0.0
+        if (gain - base) > eps and target != c:
+            if target == -1:
+                target = heapq.heappop(free)
+            comm[a] = target
+            sigma[target] += k_a
+            size[target] += 1
+            if size[c] == 0:
+                heapq.heappush(free, c)
+            moves += 1
+        else:
+            sigma[c] += k_a
+            size[c] += 1
+    return moves

@@ -319,6 +319,40 @@ class TestClusterWorkers:
             monkeypatch.setattr(community, "_available_cpus", lambda: workers)
             assert self.cluster_bytes(tmp_path, noise_file, f"workers{workers}") == expected
 
+    def test_a_pooled_run_writes_nothing_after_main_returns(self, tmp_path, noise_file):
+        # a caller that runs main in its own process, as a benchmark harness does, prints its
+        # own result after it: nothing may follow from an exit hook, a finalizer or a worker
+        src = os.path.dirname(os.path.dirname(community.__file__))
+        code = """
+import math, multiprocessing, sys
+sys.path.insert(0, sys.argv[1])
+from vec2gc import cli, community, hierarchy
+community.POOL_MIN_WORK = 0
+community._available_cpus = lambda: 2
+scores, pooled = [], []
+louvain = hierarchy.louvain
+def recorded(*args, **kwargs):
+    part = louvain(*args, **kwargs)
+    scores.append(part.modularity)
+    pooled.append(bool(multiprocessing.active_children()))
+    return part
+hierarchy.louvain = recorded
+argv = ["cluster", "--input", sys.argv[2], "--format", "jsonl", "--theta", "0.6", "--max-size", "20"]
+assert cli.main(argv + ["--seed", "8", "--output", sys.argv[3]]) == 0
+assert len(scores) > 1 and all(pooled), pooled
+assert all(type(q) is float and math.isfinite(q) for q in scores), scores
+assert multiprocessing.active_children() == []
+print("end of caller output")
+"""
+        # a surviving child that holds the pipes open would run into the timeout
+        run = subprocess.run(
+            [sys.executable, "-c", code, src, noise_file, str(tmp_path / "tree.json")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.stderr == ""
+        assert run.returncode == 0
+        assert run.stdout.splitlines()[-1] == "end of caller output"
+
     def test_threads_manifest_is_refused_by_version(self, tmp_path, noise_file, capsys):
         # 0.1.0 recorded the graph kernel's thread count and no restart count;
         # the version is compared before any parameter is read

@@ -17,6 +17,7 @@ from oracles import (
     modularity_dense,
     modularity_double_sum,
     random_weighted_graph,
+    reference_restart_chunk,
     row,
 )
 from vec2gc import (
@@ -263,37 +264,47 @@ class TestCertifiedSweep:
             louvain(g, restarts=restarts)
 
     @staticmethod
-    def certified_states(monkeypatch, g, seed, gain_epsilon):
-        """The starting state of every certified sweep, at every level, during one louvain call."""
+    def certified_states(monkeypatch, graphs, seeds, gain_epsilon):
+        """The starting state of every certified sweep, at every level, of one level's pass over graphs."""
         states = []
         real = community._stays
 
         def recording_stays(sg, comm, sigma, eps):
             marked = real(sg, comm, sigma, eps)
-            states.append((sg, comm.tolist(), sigma.tolist(), eps, np.flatnonzero(marked)))
+            states.append((sg, comm.tolist(), sigma.tolist(), eps, marked))
             return marked
 
         monkeypatch.setattr(community, "_stays", recording_stays)
         monkeypatch.setattr(community, "GAIN_EPSILON", gain_epsilon)
-        louvain(g, seed=seed, restarts=3)
+        community._restart_chunk(graphs, seeds, 0, 3)
         monkeypatch.undo()
         return states
 
     def test_no_marked_node_moves(self, monkeypatch):
-        # a certified sweep skips the marked nodes, so evaluating them one
-        # after another, in any order, from the sweep's state moves none
+        # a certified sweep skips the marked nodes, so evaluating a block's
+        # marked nodes one after another, in any order, from the sweep's
+        # state, with the block's own 2m, eps and free ids, moves none
         rng = np.random.default_rng(18)
-        states = marked_nodes = 0
-        for i, g in enumerate(certificate_graphs(rng, 80)):
-            for sg, comm, sigma, eps, marked in self.certified_states(monkeypatch, g, i, [0.0, 1e-9, 1e-3, 0.05][i % 4]):
+        graphs = list(certificate_graphs(rng, 80))
+        blocks = marked_nodes = 0
+        cuts = [0, *np.cumsum(rng.integers(1, 7, size=40)).tolist()]
+        levels = [graphs[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if lo < len(graphs)]
+        for i, level in enumerate(levels):
+            seeds = [int(s) for s in rng.integers(2**63, size=len(level))]
+            for sg, comm, sigma, eps, marked in self.certified_states(monkeypatch, level, seeds, [0.0, 1e-9, 1e-3, 0.05][i % 4]):
                 size = np.bincount(comm, minlength=sg.n).tolist()
-                free = [c for c in range(sg.n) if size[c] == 0]
-                order = rng.permutation(marked).tolist()
-                moves = community._sequential_sweep(order, sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m, eps, comm, sigma, size, free)
-                assert moves == 0
-                states += 1
-                marked_nodes += marked.size
-        assert states >= 200 and marked_nodes >= 1000
+                for b, (lo, hi) in enumerate(zip(sg.starts, sg.starts[1:])):
+                    assert np.all(eps[lo:hi] == eps[lo])
+                    free = [c for c in range(lo, hi) if size[c] == 0]
+                    order = (rng.permutation(np.flatnonzero(marked[lo:hi])) + lo).tolist()
+                    # blocks share no community, so one block's sweep leaves the others' state as it is
+                    moves = community._sequential_sweep(
+                        order, sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m[b], float(eps[lo]), comm, sigma, size, free
+                    )
+                    assert moves == 0
+                    blocks += 1
+                    marked_nodes += len(order)
+        assert len(levels) >= 15 and blocks >= 1000 and marked_nodes >= 20000
 
 
 def force_pool(monkeypatch, workers):
@@ -318,69 +329,107 @@ class TestRestartPool:
             assert (pool._pool is not None) == (workers > 1)
         assert multiprocessing.active_children() == []
 
+    @staticmethod
+    def coin_restart(sg, graphs, seeds, restart):
+        """Per block, a random partition scoring 0 or 1, so later chunks tie the best of earlier ones."""
+        parts = []
+        for size, seed in zip(sg.sizes, seeds):
+            rng = np.random.default_rng((seed, restart))
+            assignment, count = community._dense_relabel(rng.integers(0, 3, size=size).tolist())
+            parts.append(Partition(assignment, count, float(rng.integers(0, 2))))
+        return parts
+
     @pytest.mark.parametrize("workers", [2, 3])
     def test_restart_ties_go_to_the_earliest_chunk(self, monkeypatch, workers):
-        # every restart scores 0 or 1, so later chunks tie the best of earlier ones
-        def coin_restart(sweep_graph, seed, restart):
-            rng = np.random.default_rng((seed, restart))
-            assignment, count = community._dense_relabel(rng.integers(0, 3, size=sweep_graph.n).tolist())
-            return Partition(assignment, count, float(rng.integers(0, 2)))
-
-        monkeypatch.setattr(community, "_restart", coin_restart)
-        g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
+        monkeypatch.setattr(community, "_restart", self.coin_restart)
+        rng = np.random.default_rng(15)
+        graphs = [random_weighted_graph(rng, int(rng.integers(10, 40)), p=0.3) for _ in range(4)]
+        seeds = [5, 6, 7, 8]
         restarts = community.RESTARTS
-        sweep_graph = community._SweepGraph(g)
-        runs = [community._restart(sweep_graph, 5, r) for r in range(restarts)]
-        best = max(p.modularity for p in runs)
-        winners = [r for r, p in enumerate(runs) if p.modularity == best]
-        first_chunk_end = restarts // workers
-        assert winners[0] < first_chunk_end and winners[-1] >= first_chunk_end
+        sg = community._SweepGraph(community._side_by_side(graphs), [g.n for g in graphs])
+        runs = [self.coin_restart(sg, graphs, seeds, r) for r in range(restarts)]
         force_pool(monkeypatch, workers)
         with community.RestartPool() as pool:
-            [chunks] = pool.start([(g, 5)], restarts)
-            part = louvain(g, seed=5, restarts=restarts, chunks=chunks)
+            started = pool.start(list(zip(graphs, seeds)), restarts)
             assert pool._pool is not None
-        assert np.array_equal(part.assignment, runs[winners[0]].assignment)
-        assert part.modularity == best
+            parts = [louvain(g, seed, restarts, chunks) for g, seed, chunks in zip(graphs, seeds, started)]
+        first_chunk_end = restarts // workers
+        spans = 0
+        for b, part in enumerate(parts):
+            best = max(run[b].modularity for run in runs)
+            winners = [r for r, run in enumerate(runs) if run[b].modularity == best]
+            spans += winners[0] < first_chunk_end <= winners[-1]
+            assert np.array_equal(part.assignment, runs[winners[0]][b].assignment)
+            assert part.modularity == best
+        assert spans >= 2  # blocks whose tying winners fall in different chunks
 
     def test_ties_go_to_the_earliest_chunk_when_it_finishes_last(self, monkeypatch):
-        # restart 0, in chunk 0, is held back, so chunk 1's tying winner arrives first
-        def coin_restart(sweep_graph, seed, restart):
+        # restart 0, in chunk 0, is held back, so chunk 1's tying winners arrive first
+        def coin_restart(sg, graphs, seeds, restart):
             if restart == 0:
                 time.sleep(0.5)
-            return Partition(np.zeros(sweep_graph.n, dtype=np.int64), 1, 1.0)
+            return [Partition(np.zeros(size, dtype=np.int64), 1, 1.0) for size in sg.sizes]
 
         monkeypatch.setattr(community, "_restart", coin_restart)
-        g = random_weighted_graph(np.random.default_rng(15), 30, p=0.3)
+        rng = np.random.default_rng(15)
+        calls = [(random_weighted_graph(rng, 30, p=0.3), 5), (random_weighted_graph(rng, 12, p=0.3), 6)]
         force_pool(monkeypatch, 2)
         with community.RestartPool() as pool:
-            [chunks] = pool.start([(g, 5)], community.RESTARTS)
-            chunks[1].wait(timeout=60)
-            assert chunks[1].ready() and not chunks[0].ready()
-            part = louvain(g, seed=5, chunks=chunks)
-        assert part is chunks[0].get()
+            started = pool.start(calls, community.RESTARTS)
+            for chunks in started:
+                chunks[1].chunk.wait(timeout=60)
+                assert chunks[1].chunk.ready() and not chunks[0].chunk.ready()
+            parts = [louvain(g, seed, chunks=chunks) for (g, seed), chunks in zip(calls, started)]
+        for part, chunks in zip(parts, started):
+            assert part is chunks[0].get()
 
-    def test_a_level_splits_its_chunks_by_work(self, monkeypatch):
+    def test_each_call_of_a_mixed_level_gets_a_chunk_per_worker_and_its_separate_result(self, monkeypatch):
         rng = np.random.default_rng(18)
         big = random_weighted_graph(rng, 60, p=0.5)
         small = [random_weighted_graph(rng, 8, p=0.5) for _ in range(3)]
         calls = [(small[0], 1), (big, 2), (small[1], 3), (small[2], 4)]
-        expected = [louvain(g, seed=s) for g, s in calls]
         force_pool(monkeypatch, 3)
-        with community.RestartPool() as pool:
-            started = pool.start(calls, community.RESTARTS)
-            assert [len(chunks) for chunks in started] == [1, 3, 1, 1]
-            for (g, s), chunks, want in zip(calls, started, expected):
-                part = louvain(g, seed=s, chunks=chunks)
-                assert np.array_equal(part.assignment, want.assignment) and part.modularity == want.modularity
+        for restarts in (community.RESTARTS, 2):
+            expected = [louvain(g, seed=s, restarts=restarts) for g, s in calls]
+            with community.RestartPool() as pool:
+                started = pool.start(calls, restarts)
+                assert [len(chunks) for chunks in started] == [min(3, restarts)] * len(calls)
+                for (g, s), chunks, want in zip(calls, started, expected):
+                    part = louvain(g, seed=s, restarts=restarts, chunks=chunks)
+                    assert np.array_equal(part.assignment, want.assignment) and part.modularity == want.modularity
 
     def test_small_calls_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(community, "_available_cpus", lambda: 2)
         g = random_weighted_graph(np.random.default_rng(16), 20, p=0.3)
+        expected = louvain(g, seed=1)
         with community.RestartPool() as pool:
-            assert pool.start([(g, 1)], community.RESTARTS) == [None]
+            [chunks] = pool.start([(g, 1)], community.RESTARTS)
+            part = louvain(g, seed=1, chunks=chunks)
+            assert len(chunks) == 1 and np.array_equal(part.assignment, expected.assignment)
             assert pool._pool is None
             assert multiprocessing.active_children() == []
+
+    def test_an_in_process_level_runs_in_its_first_louvain_call(self, monkeypatch):
+        # start() does no optimizer work, so a caller that never reduces a call pays for none
+        passes = []
+        real = community._restart_chunk
+
+        def counted(*args):
+            passes.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(community, "_restart_chunk", counted)
+        monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+        rng = np.random.default_rng(19)
+        calls = [(random_weighted_graph(rng, 20, p=0.3), seed) for seed in range(3)]
+        with community.RestartPool() as pool:
+            started = pool.start(calls, community.RESTARTS)
+            assert passes == []
+            parts = [louvain(g, seed, chunks=chunks) for (g, seed), chunks in zip(calls, started)]
+            assert passes == [3]
+        monkeypatch.undo()
+        for (g, seed), part in zip(calls, parts):
+            assert np.array_equal(part.assignment, louvain(g, seed).assignment)
 
     def test_package_import_loads_no_process_modules(self):
         # a pool imports multiprocessing, and its workers signal, only when a level is large enough
@@ -391,6 +440,62 @@ class TestRestartPool:
         )
         run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
         assert run.stdout == "[]\n"
+
+
+def loop_heavy_graph(rng):
+    """Super-nodes whose self-loops outweigh their edges: nodes leave a random start to stand alone."""
+    groups, size = int(rng.integers(2, 9)), 3
+    n = groups * size
+    edges = [(a, b, 5.0) for a in range(n) for b in range(a + 1, n) if a // size == b // size]
+    edges += [(a, b, float(rng.uniform(0.1, 2.0))) for a in range(n) for b in range(a + 1, n) if a // size != b // size and rng.random() < 0.3]
+    return aggregate_graph(graph_from_edges(n, edges), np.arange(n) // size)
+
+
+def level_graphs(rng, count):
+    """certificate_graphs, some swapped for loop-heavy graphs or ones that aggregate down to one node, in random order."""
+    graphs = list(certificate_graphs(rng, count))
+    for i in np.flatnonzero(rng.random(count) < 0.4).tolist():
+        if i % 2:
+            graphs[i] = loop_heavy_graph(rng)
+        else:
+            graphs[i] = random_weighted_graph(rng, int(rng.integers(2, 7)), p=1.0, wmin=1.0, wmax=float(rng.choice([1.0, 2.0])))
+    return [graphs[i] for i in rng.permutation(count)]
+
+
+class TestLevelPass:
+    @pytest.mark.parametrize("max_sweeps, gain_epsilon", [(None, None), (1, None), (2, None), (None, 0.05)])
+    def test_each_block_has_the_bits_of_its_separate_call(self, monkeypatch, max_sweeps, gain_epsilon):
+        # the per-graph optimizer each call ran before levels ran as one pass is the reference;
+        # MAX_SWEEPS 1 and 2 stop blocks at the cap, at different sweeps of one phase, and a
+        # large GAIN_EPSILON makes each block's eps, a share of its own 2m, decide moves
+        if max_sweeps is not None:
+            monkeypatch.setattr(community, "MAX_SWEEPS", max_sweeps)
+        if gain_epsilon is not None:
+            monkeypatch.setattr(community, "GAIN_EPSILON", gain_epsilon)
+        rng = np.random.default_rng(31 + (max_sweeps or 0) + 5 * (gain_epsilon is not None))
+        levels = []
+        for count in [1, 30, *rng.integers(1, 31, size=6).tolist()]:
+            graphs = level_graphs(rng, count)
+            levels.append(([(g, int(s)) for g, s in zip(graphs, rng.integers(2**63, size=count))], int(rng.integers(1, 5))))
+        expected = [[reference_restart_chunk(g, s, 0, restarts) for g, s in calls] for calls, restarts in levels]
+        assert any(want.community_count == 1 for level in expected for want in level)
+        for workers in (None, 1, 2, 3):
+            if workers is None:
+                monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+            else:
+                force_pool(monkeypatch, workers)
+            with community.RestartPool() as pool:
+                for (calls, restarts), want in zip(levels, expected):
+                    started = pool.start(calls, restarts)
+                    assert (pool._pool is not None) == (workers not in (None, 1))
+                    chunk_count = 1 if pool._pool is None else min(pool._workers, restarts)
+                    assert [len(chunks) for chunks in started] == [chunk_count] * len(calls)
+                    for (g, seed), chunks, ref in zip(calls, started, want):
+                        part = louvain(g, seed, restarts, chunks)
+                        assert np.array_equal(part.assignment, ref.assignment)
+                        assert part.community_count == ref.community_count
+                        assert part.modularity.hex() == ref.modularity.hex()
+            assert multiprocessing.active_children() == []
 
 
 class TestDenseRelabel:
