@@ -153,18 +153,25 @@ def _load_manifest(path: str) -> tuple[RunConfig, str]:
 
 
 def _check_outputs(outputs: dict, inputs: dict) -> None:
-    """Refuse an output path that names a data input or an earlier output; keys are the option names.
+    """Refuse an output path that cannot be written or names a data input or an earlier output; keys are the option names.
 
-    Two paths name the same file if they resolve to one path or, when both
-    exist, are links to one inode. A device such as /dev/null may take
-    every output. This runs before any input is read, so a refused command
-    changes no file.
+    An output cannot be written if it names a directory or its directory
+    does not exist. Two paths name the same file if they resolve to one path
+    or, when both exist, are links to one inode. A device such as
+    /dev/null may take every output. This runs before any input is read,
+    so a refused command changes no file.
     """
     named = [(option, os.path.realpath(path)) for option, path in inputs.items() if path]
     for option, path in outputs.items():
-        if not path or os.path.exists(path) and not os.path.isfile(path):
+        if not path:
             continue
         real = os.path.realpath(path)
+        if os.path.isdir(path) or path.endswith(os.sep):
+            raise ValueError(f"{option} names a directory, {path}")
+        if not os.path.isdir(os.path.dirname(real)):
+            raise ValueError(f"{option} names a file in a directory that does not exist, {path}")
+        if os.path.exists(path) and not os.path.isfile(path):
+            continue
         for other, seen in named:
             if real == seen or os.path.exists(real) and os.path.exists(seen) and os.path.samefile(real, seen):
                 raise ValueError(f"{option} and {other} name the same file, {path}")

@@ -13,6 +13,7 @@ processes of a RestartPool.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 from dataclasses import dataclass
@@ -140,7 +141,7 @@ def aggregate_graph(g: SimilarityGraph, assignment) -> SimilarityGraph:
     return SimilarityGraph.from_csr(n_comm, rows, cols, sums)
 
 
-def louvain(g, seed: int = 0, restarts: int = RESTARTS, chunks: list | None = None) -> Partition:
+def louvain(g, seed: int = 0, restarts: int = RESTARTS, started=None) -> Partition:
     """Modularity-maximizing partition of a weighted graph.
 
     The best of restarts runs of the whole multi-level pass (see
@@ -148,18 +149,18 @@ def louvain(g, seed: int = 0, restarts: int = RESTARTS, chunks: list | None = No
     partitions. Deterministic for a fixed seed: node visit order is a
     seeded shuffle per sweep, equal-gain targets resolve to the smallest
     community id, and restart ties to the earliest restart. Without
-    chunks the restarts run here. chunks are this call's handles from
-    RestartPool.start, one per restart chunk of its level's pass; their
-    winners are compared in chunk order, so the result is the same at
+    started the restarts run here. started is this call's handle from
+    RestartPool.start, which returns the call's best partition; its
+    restarts are compared in restart order, so the result is the same at
     every worker count.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts!r}")
     if g.two_m <= 0.0:
         raise ValueError("community detection requires a graph with at least one edge")
-    if chunks is None:
-        return _restart_chunk([g], [seed], 0, restarts)[0]
-    return max((chunk.get() for chunk in chunks), key=lambda p: p.modularity)
+    if started is None:
+        return _best([functools.partial(_restarts, [g], [seed], 0, restarts)], 0)
+    return started()
 
 
 _SEED_MASK = (1 << 64) - 1
@@ -192,15 +193,14 @@ class RestartPool:
     One pool serves the calls of one clustering run, which starts each
     level of its recursion at once. start() lays the level's graphs side
     by side as the blocks of one graph and runs the restarts over all of
-    them in one pass (_restart_chunk), each block drawing and stopping as
-    its graph's own call would; each call then reduces its own block's
-    results. On the workers the pass is split into one contiguous restart
-    chunk per worker, so every call's restarts run on every worker. The
-    workers are forked by the first level whose work reaches
-    POOL_MIN_WORK, used by every later level, and ended by close(). Until
-    then, and with one CPU, without the fork start method or inside a
-    daemonic process, a level's pass runs in-process, inside its first
-    louvain call.
+    them in one pass (_restarts), each block drawing and stopping as its
+    graph's own call would. On the workers the pass is split into one
+    contiguous chunk of restarts per worker, so every call's restarts run
+    on every worker. The workers are forked by the first level whose work
+    reaches POOL_MIN_WORK, used by every later level, and ended by
+    close(). Until then, and with one CPU, without the fork start method
+    or inside a daemonic process, a level's pass runs in-process, inside
+    its first louvain call.
     """
 
     def __init__(self):
@@ -214,24 +214,24 @@ class RestartPool:
         self.close()
 
     def start(self, calls, restarts: int) -> list:
-        """Start the (graph, seed) louvain calls of one level as one pass; one entry per call.
+        """Start the (graph, seed) louvain calls of one level as one pass; one handle per call.
 
-        An entry is the call's handles, one per restart chunk: get() on a
-        handle returns the call's best partition of that chunk. On the
-        workers the chunks run now; in-process, the one chunk of every
-        restart runs on the level's first get().
+        Calling a handle returns its call's best partition, the earliest
+        restart's of a tie (_best). On the workers the restart chunks run
+        now; in-process, the level's one chunk runs on its first handle's
+        call.
         """
         graphs, seeds = [g for g, _ in calls], [seed for _, seed in calls]
         work = sum(g.indices.size for g in graphs) * restarts
         if self._workers is None and work and work >= POOL_MIN_WORK:
             self._open(restarts)
         if self._pool is None:
-            chunks = [_Deferred(graphs, seeds, restarts)]
+            chunks = [functools.cache(functools.partial(_restarts, graphs, seeds, 0, restarts))]
         else:
             count = min(self._workers, restarts)
             cuts = [restarts * i // count for i in range(count + 1)]
-            chunks = [self._pool.apply_async(_restart_chunk, (graphs, seeds, lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-        return [[_BlockResult(chunk, block) for chunk in chunks] for block in range(len(calls))]
+            chunks = [self._pool.apply_async(_restarts, (graphs, seeds, lo, hi)).get for lo, hi in zip(cuts, cuts[1:])]
+        return [functools.partial(_best, chunks, block) for block in range(len(calls))]
 
     def _open(self, restarts: int) -> None:
         import multiprocessing  # here, so runs without a call this large never import it
@@ -254,31 +254,6 @@ class RestartPool:
             pool, self._pool = self._pool, None
             pool.terminate()
             pool.join()
-
-
-class _Deferred:
-    """An in-process restart chunk of a whole level, run on its first get()."""
-
-    def __init__(self, graphs, seeds, restarts: int):
-        self._args = (graphs, seeds, 0, restarts)
-        self._result = None
-
-    def get(self) -> list[Partition]:
-        if self._result is None:
-            self._result = _restart_chunk(*self._args)
-            self._args = None
-        return self._result
-
-
-class _BlockResult:
-    """One call's handle on a restart chunk of its level: the chunk's partition of block `block`."""
-
-    def __init__(self, chunk, block: int):
-        self.chunk = chunk
-        self.block = block
-
-    def get(self) -> Partition:
-        return self.chunk.get()[self.block]
 
 
 def _available_cpus() -> int:
@@ -305,17 +280,19 @@ def _side_by_side(graphs) -> SimilarityGraph:
     return SimilarityGraph.from_csr(lengths.size, np.repeat(np.arange(lengths.size), lengths), cols, weights)
 
 
-def _restart_chunk(graphs, seeds, start: int, stop: int) -> list[Partition]:
-    """Per graph, the best partition of its restarts start..stop-1, the earliest of a tie.
+def _restarts(graphs, seeds, start: int, stop: int) -> list[list[Partition]]:
+    """Restarts start..stop-1 of one level's pass, in order, each a partition per graph.
 
     The graphs are the blocks of one level (_side_by_side), and each
     block's partitions have the bits of louvain calls on its graph alone.
     """
     sg = _SweepGraph(_side_by_side(graphs), [g.n for g in graphs])
-    best = _restart(sg, graphs, seeds, start)
-    for r in range(start + 1, stop):
-        best = [new if new.modularity > old.modularity else old for old, new in zip(best, _restart(sg, graphs, seeds, r))]
-    return best
+    return [_restart(sg, graphs, seeds, r) for r in range(start, stop)]
+
+
+def _best(chunks, block: int) -> Partition:
+    """Block block's best partition over the chunks' restarts, in restart order; a tie goes to the earliest."""
+    return max((parts[block] for chunk in chunks for parts in chunk()), key=lambda p: p.modularity)
 
 
 def _restart(sg: _SweepGraph, graphs, seeds, restart: int) -> list[Partition]:
@@ -383,9 +360,9 @@ class _SweepGraph:
 
     A level is blocks of sizes[b] nodes, block b starting at node
     starts[b], with no edge between blocks: the graphs of a level's
-    louvain calls laid side by side, or their super-node graphs. A
-    restart chunk builds it once for its input level, whose first and
-    final move phase every restart runs, and once per aggregated level.
+    louvain calls laid side by side, or their super-node graphs.
+    _restarts builds it once for its input level, whose first and final
+    move phase every restart runs, and _restart once per aggregated level.
     Plain lists for the Python sweep, where element access dominates: the
     CSR arrays, the degrees k (each row summed left to right, see
     SimilarityGraph.from_csr) and two_m, each block's 2m. numpy arrays for

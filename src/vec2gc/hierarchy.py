@@ -95,11 +95,11 @@ def vec2gc_cluster(
     The tree is built one level at a time. The edgeless calls and those
     that modularity_bound proves leaves are settled first; the level's
     other optimizer calls are handed together to the run's RestartPool,
-    so sibling calls, and the restart chunks of large ones, may run side
-    by side in worker processes; each louvain call then reduces the
-    chunks the pool returned for it. Each result is placed by its node's slot and every
-    child seed comes from derive_seed, so the tree bytes do not depend on
-    the order in which calls finish, nor on the worker count.
+    whose worker processes may run their restarts side by side; each
+    louvain call then takes its result from the handle the pool returned
+    for it. Each result is placed by its node's slot and every child seed
+    comes from derive_seed, so the tree bytes do not depend on the order
+    in which calls finish, nor on the worker count.
     """
     _check_cluster_parameters(mod_threshold, max_size, min_community_size, restarts)
 
@@ -130,8 +130,8 @@ def vec2gc_cluster(
                     calls.append(task)
             started = pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in calls], restarts)
             next_level = []
-            for (sub_g, corpus_idx, node_seed, bnode), chunks in zip(calls, started):
-                part = louvain(sub_g, node_seed, restarts, chunks)
+            for (sub_g, corpus_idx, node_seed, bnode), handle in zip(calls, started):
+                part = louvain(sub_g, node_seed, restarts, handle)
                 if part.community_count == 1 or part.modularity < mod_threshold:
                     bnode.members = sorted(corpus_idx.tolist())
                     continue

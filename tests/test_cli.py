@@ -979,6 +979,22 @@ class TestOutputPaths:
         self.refused(argv, capsys, files, out_option, in_option)
 
     @pytest.mark.parametrize("command", OUTPUTS)
+    @pytest.mark.parametrize("unwritable", ["a directory", "a file in a directory that does not exist"])
+    def test_an_unwritable_output_is_refused_before_any_input_is_read(self, tmp_path, capsys, command, unwritable):
+        # every input is malformed, so a command that read one first would report it instead
+        bad = tmp_path / "bad"
+        bad.write_text("{not valid\n")
+        argv = output_command_argv(str(bad), str(bad), str(bad))
+        fresh = {option: str(tmp_path / f"new{option}") for option in OUTPUTS[command]}
+        assert main(argv(command, fresh)) == 1
+        assert not capsys.readouterr().err.startswith("error: --")
+        for option in OUTPUTS[command]:
+            path = str(tmp_path) if unwritable == "a directory" else str(tmp_path / "missing" / "out.json")
+            assert main(argv(command, {**fresh, option: path})) == 1
+            assert capsys.readouterr() == ("", f"error: {option} names {unwritable}, {path}\n")
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("command", OUTPUTS)
     def test_a_device_may_take_every_output(self, files, command):
         argv = output_command_argv(files["--input"], files["--labels"], files["--tree"])
         assert main(argv(command, dict.fromkeys(OUTPUTS[command], os.devnull))) == 0

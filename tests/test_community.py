@@ -1,6 +1,8 @@
+import collections
 import heapq
 import math
 import multiprocessing
+import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -30,6 +32,7 @@ from vec2gc import (
     louvain,
     members_by_community,
     modularity,
+    vec2gc_cluster,
 )
 from vec2gc import community
 
@@ -276,7 +279,7 @@ class TestCertifiedSweep:
 
         monkeypatch.setattr(community, "_stays", recording_stays)
         monkeypatch.setattr(community, "GAIN_EPSILON", gain_epsilon)
-        community._restart_chunk(graphs, seeds, 0, 3)
+        community._restarts(graphs, seeds, 0, 3)
         monkeypatch.undo()
         return states
 
@@ -312,6 +315,19 @@ def force_pool(monkeypatch, workers):
     monkeypatch.setattr(community, "POOL_MIN_WORK", 0)
 
 
+def record_submissions(monkeypatch) -> list:
+    """The AsyncResult of every apply_async on a worker pool from now on, in submission order: one per restart chunk."""
+    submitted = []
+    real = multiprocessing.pool.Pool.apply_async
+
+    def recording(self, *args, **kwargs):
+        submitted.append(real(self, *args, **kwargs))
+        return submitted[-1]
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording)
+    return submitted
+
+
 class TestRestartPool:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pooled_partition_is_bit_identical(self, monkeypatch, workers):
@@ -321,8 +337,8 @@ class TestRestartPool:
         force_pool(monkeypatch, workers)
         with community.RestartPool() as pool:
             for i, g in enumerate(graphs):
-                [chunks] = pool.start([(g, 21 + i)], community.RESTARTS)
-                part = louvain(g, seed=21 + i, chunks=chunks)
+                [handle] = pool.start([(g, 21 + i)], community.RESTARTS)
+                part = louvain(g, seed=21 + i, started=handle)
                 assert np.array_equal(part.assignment, expected[i].assignment)
                 assert part.community_count == expected[i].community_count
                 assert part.modularity == expected[i].modularity
@@ -352,7 +368,7 @@ class TestRestartPool:
         with community.RestartPool() as pool:
             started = pool.start(list(zip(graphs, seeds)), restarts)
             assert pool._pool is not None
-            parts = [louvain(g, seed, restarts, chunks) for g, seed, chunks in zip(graphs, seeds, started)]
+            parts = [louvain(g, seed, restarts, handle) for g, seed, handle in zip(graphs, seeds, started)]
         first_chunk_end = restarts // workers
         spans = 0
         for b, part in enumerate(parts):
@@ -374,14 +390,15 @@ class TestRestartPool:
         rng = np.random.default_rng(15)
         calls = [(random_weighted_graph(rng, 30, p=0.3), 5), (random_weighted_graph(rng, 12, p=0.3), 6)]
         force_pool(monkeypatch, 2)
+        submitted = record_submissions(monkeypatch)
         with community.RestartPool() as pool:
             started = pool.start(calls, community.RESTARTS)
-            for chunks in started:
-                chunks[1].chunk.wait(timeout=60)
-                assert chunks[1].chunk.ready() and not chunks[0].chunk.ready()
-            parts = [louvain(g, seed, chunks=chunks) for (g, seed), chunks in zip(calls, started)]
-        for part, chunks in zip(parts, started):
-            assert part is chunks[0].get()
+            first, second = submitted
+            second.wait(timeout=60)
+            assert second.ready() and not first.ready()
+            parts = [louvain(g, seed, started=handle) for (g, seed), handle in zip(calls, started)]
+        for block, part in enumerate(parts):
+            assert part is first.get()[0][block]  # restart 0's partition
 
     def test_each_call_of_a_mixed_level_gets_a_chunk_per_worker_and_its_separate_result(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -389,43 +406,46 @@ class TestRestartPool:
         small = [random_weighted_graph(rng, 8, p=0.5) for _ in range(3)]
         calls = [(small[0], 1), (big, 2), (small[1], 3), (small[2], 4)]
         force_pool(monkeypatch, 3)
+        submitted = record_submissions(monkeypatch)
         for restarts in (community.RESTARTS, 2):
             expected = [louvain(g, seed=s, restarts=restarts) for g, s in calls]
             with community.RestartPool() as pool:
+                submitted.clear()
                 started = pool.start(calls, restarts)
-                assert [len(chunks) for chunks in started] == [min(3, restarts)] * len(calls)
-                for (g, s), chunks, want in zip(calls, started, expected):
-                    part = louvain(g, seed=s, restarts=restarts, chunks=chunks)
+                assert len(submitted) == min(3, restarts) and len(started) == len(calls)
+                for (g, s), handle, want in zip(calls, started, expected):
+                    part = louvain(g, seed=s, restarts=restarts, started=handle)
                     assert np.array_equal(part.assignment, want.assignment) and part.modularity == want.modularity
 
     def test_small_calls_stay_in_process(self, monkeypatch):
         monkeypatch.setattr(community, "_available_cpus", lambda: 2)
         g = random_weighted_graph(np.random.default_rng(16), 20, p=0.3)
         expected = louvain(g, seed=1)
+        submitted = record_submissions(monkeypatch)
         with community.RestartPool() as pool:
-            [chunks] = pool.start([(g, 1)], community.RESTARTS)
-            part = louvain(g, seed=1, chunks=chunks)
-            assert len(chunks) == 1 and np.array_equal(part.assignment, expected.assignment)
-            assert pool._pool is None
+            [handle] = pool.start([(g, 1)], community.RESTARTS)
+            part = louvain(g, seed=1, started=handle)
+            assert np.array_equal(part.assignment, expected.assignment)
+            assert pool._pool is None and submitted == []
             assert multiprocessing.active_children() == []
 
     def test_an_in_process_level_runs_in_its_first_louvain_call(self, monkeypatch):
         # start() does no optimizer work, so a caller that never reduces a call pays for none
         passes = []
-        real = community._restart_chunk
+        real = community._restarts
 
         def counted(*args):
             passes.append(len(args[0]))
             return real(*args)
 
-        monkeypatch.setattr(community, "_restart_chunk", counted)
+        monkeypatch.setattr(community, "_restarts", counted)
         monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
         rng = np.random.default_rng(19)
         calls = [(random_weighted_graph(rng, 20, p=0.3), seed) for seed in range(3)]
         with community.RestartPool() as pool:
             started = pool.start(calls, community.RESTARTS)
             assert passes == []
-            parts = [louvain(g, seed, chunks=chunks) for (g, seed), chunks in zip(calls, started)]
+            parts = [louvain(g, seed, started=handle) for (g, seed), handle in zip(calls, started)]
             assert passes == [3]
         monkeypatch.undo()
         for (g, seed), part in zip(calls, parts):
@@ -479,6 +499,7 @@ class TestLevelPass:
             levels.append(([(g, int(s)) for g, s in zip(graphs, rng.integers(2**63, size=count))], int(rng.integers(1, 5))))
         expected = [[reference_restart_chunk(g, s, 0, restarts) for g, s in calls] for calls, restarts in levels]
         assert any(want.community_count == 1 for level in expected for want in level)
+        submitted = record_submissions(monkeypatch)
         for workers in (None, 1, 2, 3):
             if workers is None:
                 monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
@@ -486,12 +507,13 @@ class TestLevelPass:
                 force_pool(monkeypatch, workers)
             with community.RestartPool() as pool:
                 for (calls, restarts), want in zip(levels, expected):
+                    submitted.clear()
                     started = pool.start(calls, restarts)
                     assert (pool._pool is not None) == (workers not in (None, 1))
-                    chunk_count = 1 if pool._pool is None else min(pool._workers, restarts)
-                    assert [len(chunks) for chunks in started] == [chunk_count] * len(calls)
-                    for (g, seed), chunks, ref in zip(calls, started, want):
-                        part = louvain(g, seed, restarts, chunks)
+                    assert len(submitted) == (0 if pool._pool is None else min(pool._workers, restarts))
+                    assert len(started) == len(calls)
+                    for (g, seed), handle, ref in zip(calls, started, want):
+                        part = louvain(g, seed, restarts, handle)
                         assert np.array_equal(part.assignment, ref.assignment)
                         assert part.community_count == ref.community_count
                         assert part.modularity.hex() == ref.modularity.hex()
@@ -574,3 +596,47 @@ class TestMembersByCommunity:
         assignment = np.array([1, 0, 1, 2, 0])
         groups = members_by_community(assignment)
         assert [g.tolist() for g in groups] == [[1, 4], [0, 2], [3]]
+
+
+def pieces(g, nodes) -> int:
+    """How many connected pieces the graph g induces on nodes, by breadth-first search."""
+    inside, seen, count = set(nodes), set(), 0
+    for start in nodes:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        queue = collections.deque([start])
+        while queue:
+            a = queue.popleft()
+            for b in g.indices[g.indptr[a] : g.indptr[a + 1]].tolist():
+                if b in inside and b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+    return count
+
+
+class TestConnectedCommunities:
+    @staticmethod
+    def gaussian_trial():
+        """Trial 41 of a scan of random Gaussian inputs, where a community of 4 nodes comes in two pieces."""
+        rng = np.random.default_rng(123)
+        for _ in range(42):
+            n, d, theta = int(rng.integers(60, 401)), int(rng.integers(3, 13)), float(rng.uniform(0.3, 0.8))
+            vectors = rng.standard_normal((n, d))
+        emb = EmbeddingSet(ids=[f"v{i}" for i in range(n)], vectors=vectors.astype(np.float32))
+        return (n, d, theta), build_graph(emb, theta)
+
+    def test_the_trial_is_the_scanned_input(self):
+        (n, d, theta), g = self.gaussian_trial()
+        assert (n, d, theta) == (382, 6, 0.7040115389960708)
+        assert g.edge_count == 2913 and np.all(np.diff(g.indptr) > 0)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="Louvain's moves can leave a community in pieces")
+    def test_every_community_and_leaf_is_connected(self):
+        _, g = self.gaussian_trial()
+        communities = [c.tolist() for c in members_by_community(louvain(g, 41).assignment)]
+        tree, _ = vec2gc_cluster(g, 0.3, 20, 41)
+        split_communities = [len(c) for c in communities if pieces(g, c) > 1]
+        split_leaves = [node.id for node in tree.nodes if node.is_leaf and pieces(g, node.members) > 1]
+        assert (split_communities, split_leaves) == ([], [])  # on 0.5.0: ([4], [52])
