@@ -179,6 +179,7 @@ def _check_outputs(outputs: dict, inputs: dict) -> None:
 
 
 def cmd_graph(args) -> int:
+    _check_theta(args.theta)  # before the input is read
     _check_outputs({"--output": args.output}, {"--input": args.input})
     emb = load_embeddings(args.input, args.format)
     g = build_graph(emb, args.theta)

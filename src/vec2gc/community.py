@@ -163,11 +163,13 @@ def louvain(g, seed: int = 0, restarts: int = RESTARTS, started=None) -> Partiti
     return started()
 
 
-_SEED_MASK = (1 << 64) - 1
+_MASK64 = (1 << 64) - 1  # a seed's low 64 bits, as its generator and hierarchy.derive_seed read it
 
 # Smallest work (CSR entries x restarts, summed over the calls of one
-# level) that opens the worker processes; once open, every later level of
-# the run uses them. Measured on 2 CPUs, Python 3.11, 8 restarts: the
+# level) that opens the worker processes, which serve every later level.
+# A level's graphs are induced subgraphs of communities of the level
+# above, so its work never exceeds that one's: the root level opens the
+# pool or none does. Measured on 2 CPUs, Python 3.11, 8 restarts: the
 # first pool of a process costs 20 to 31 ms (median 25 of 9 runs) to
 # import multiprocessing, fork two workers, run a first task and close
 # them. Once open, two workers save, per unit and after pickling, 0.3 to
@@ -196,11 +198,11 @@ class RestartPool:
     them in one pass (_restarts), each block drawing and stopping as its
     graph's own call would. On the workers the pass is split into one
     contiguous chunk of restarts per worker, so every call's restarts run
-    on every worker. The workers are forked by the first level whose work
-    reaches POOL_MIN_WORK, used by every later level, and ended by
-    close(). Until then, and with one CPU, without the fork start method
-    or inside a daemonic process, a level's pass runs in-process, inside
-    its first louvain call.
+    on every worker. The first level whose work reaches POOL_MIN_WORK, the
+    root level or none, forks the workers; they serve every later level
+    until close(). Without them, with one CPU, without the fork start
+    method or inside a daemonic process, a level's pass runs in-process,
+    inside its first louvain call.
     """
 
     def __init__(self):
@@ -217,9 +219,9 @@ class RestartPool:
         """Start the (graph, seed) louvain calls of one level as one pass; one handle per call.
 
         Calling a handle returns its call's best partition, the earliest
-        restart's of a tie (_best). On the workers the restart chunks run
-        now; in-process, the level's one chunk runs on its first handle's
-        call.
+        restart's of a tie (_best). On the workers, which the root level
+        opens or none does, the restart chunks run now; in-process, the
+        level's one chunk runs on its first handle's call.
         """
         graphs, seeds = [g for g, _ in calls], [seed for _, seed in calls]
         work = sum(g.indices.size for g in graphs) * restarts
@@ -302,7 +304,7 @@ def _restart(sg: _SweepGraph, graphs, seeds, restart: int) -> list[Partition]:
     a pass over graphs[b] alone draws, stops where that pass stops, and
     its partition is scored on graphs[b].
     """
-    rngs = [np.random.default_rng((int(seed) & _SEED_MASK, restart)) for seed in seeds]
+    rngs = [np.random.default_rng((int(seed) & _MASK64, restart)) for seed in seeds]
     init = None
     if restart:
         init = []
@@ -363,11 +365,13 @@ class _SweepGraph:
     louvain calls laid side by side, or their super-node graphs.
     _restarts builds it once for its input level, whose first and final
     move phase every restart runs, and _restart once per aggregated level.
-    Plain lists for the Python sweep, where element access dominates: the
-    CSR arrays, the degrees k (each row summed left to right, see
-    SimilarityGraph.from_csr) and two_m, each block's 2m. numpy arrays for
-    the stay certificate (see _stays): the entries without self-loops,
-    each node's block 2m, and per-node rounding margins.
+    The sweep and the stay certificate (see _stays) read one set of
+    entries, the level's without self-loops: the sweep as the plain CSR
+    lists ptr, nbr and wt, where element access dominates, the certificate
+    as the numpy arrays rows, cols and weights. Lists also for the degrees
+    k (each row summed left to right, see SimilarityGraph.from_csr) and
+    two_m, each block's 2m; arrays for each node's block 2m and per-node
+    rounding margins.
     """
 
     def __init__(self, g: SimilarityGraph, sizes: list[int]):
@@ -381,21 +385,17 @@ class _SweepGraph:
         two_m = np.bincount(block, weights=g.degrees, minlength=len(sizes))
         self.two_m = two_m.tolist()
         self.node_two_m = two_m[block]
-        self.ptr = g.indptr.tolist()
-        self.nbr = g.indices.tolist()
-        self.wt = g.weights.tolist()
-        self.k = g.degrees.tolist()
         lengths = np.diff(g.indptr)
         rows = np.repeat(np.arange(g.n), lengths)
         loop_free = rows != g.indices
         self.rows = rows[loop_free]
         self.cols = g.indices[loop_free]
         self.weights = g.weights[loop_free]
+        self.ptr = [0, *np.cumsum(np.bincount(self.rows, minlength=g.n)).tolist()]
+        self.nbr = self.cols.tolist()
+        self.wt = self.weights.tolist()
+        self.k = g.degrees.tolist()
         self.margin = (5.0 * lengths + (3.0 * np.repeat(sizes, sizes) + 32.0)) * _U * g.degrees
-
-
-def _down(x):
-    return np.nextafter(x, -np.inf)
 
 
 def _stays(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -450,7 +450,7 @@ def _stays(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: np.ndarray
     nodes, targets = np.divmod(groups, n)
     best = np.zeros(n)
     np.maximum.at(best, nodes, acc - sigma[targets] * k[nodes] / two_m[nodes])
-    return _down(eps - (best - base)) >= sg.margin
+    return np.nextafter(eps - (best - base), -np.inf) >= sg.margin
 
 
 def _move_phase(sg: _SweepGraph, rngs, running, init=None, certify_first: bool = False):
@@ -513,20 +513,17 @@ def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, fre
     moves = 0
     for a in order:
         lo, hi = ptr[a], ptr[a + 1]
-        if lo == hi:
-            continue
         c = comm[a]
         k_a = k[a]
         sigma[c] -= k_a
         size[c] -= 1
         acc: dict[int, float] = {}
         for b, w in zip(nbr[lo:hi], wt[lo:hi]):
-            if b != a:
-                d = comm[b]
-                if d in acc:
-                    acc[d] += w
-                else:
-                    acc[d] = w
+            d = comm[b]
+            if d in acc:
+                acc[d] += w
+            else:
+                acc[d] = w
         base = acc.pop(c, 0.0) - sigma[c] * k_a / two_m
         target, gain = c, base
         for d, w in acc.items():

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .community import RESTARTS, RestartPool, louvain, members_by_community, modularity_bound
+from .community import _MASK64, RESTARTS, RestartPool, louvain, members_by_community, modularity_bound
 from .simgraph import SimilarityGraph, induced_subgraph
 
 REASON_ISOLATED = "isolated"
@@ -35,8 +35,6 @@ REASON_SINGLETON = "singleton_community"
 # seeds 1 and 7) had 18 to 28 nodes; a 300-node cap also tested nested-deep's
 # six 200-node level-1 calls, which never pass, for about 0.03 s per run.
 CERTIFY_MAX_NODES = 64
-
-_MASK64 = (1 << 64) - 1
 
 
 def derive_seed(parent_seed: int, child_index: int) -> int:

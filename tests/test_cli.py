@@ -598,6 +598,14 @@ class TestGraphCommand:
             src, dst, w = line.split("\t")
             assert float(w) > 0
 
+    @pytest.mark.parametrize("theta, message", [("2", "theta out of [0, 1): got 2.0"), ("-0.1", "theta out of [0, 1): got -0.1")])
+    def test_out_of_range_theta_is_refused_before_the_input_is_read(self, tmp_path, capsys, theta, message):
+        # the input file does not exist
+        out = tmp_path / "edges.tsv"
+        assert main(["graph", "--input", str(tmp_path / "nope.jsonl"), "--theta", theta, "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_id_with_a_tab_exits_1_without_writing(self, tmp_path, capsys):
         emb_path = tmp_path / "emb.jsonl"
         emb_path.write_text('{"id": "a\\tb", "vector": [1, 0]}\n{"id": "c", "vector": [1, 0.1]}\n', encoding="utf-8")
@@ -724,6 +732,20 @@ class TestEvaluateCommand:
                 [],
                 "tree node 1: not reachable from the root",
             ),
+            ([{"id": 0, "parent": None, "children": [], "members": ["a"]}, 7], [], 'entry 1 of "nodes" must be a JSON object'),
+            (
+                [{"id": 0, "parent": 0, "children": [], "members": ["a"]}],
+                [],
+                "tree document needs exactly one root node, found none",
+            ),
+            (
+                [
+                    {"id": 0, "parent": None, "children": [], "members": ["a"]},
+                    {"id": 1, "parent": None, "children": [], "members": ["b"]},
+                ],
+                [],
+                "tree document needs exactly one root node, found [0, 1]",
+            ),
         ],
         ids=[
             "cycle",
@@ -734,6 +756,9 @@ class TestEvaluateCommand:
             "leaf-member-in-bucket",
             "child-listed-twice",
             "cycle-beside-the-root",
+            "node-not-an-object",
+            "no-root",
+            "two-roots",
         ],
     )
     def test_inconsistent_tree_fails_naming_the_node(self, tmp_path, planted_files, capsys, nodes, bucket, message):

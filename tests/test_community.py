@@ -520,6 +520,32 @@ class TestLevelPass:
             assert multiprocessing.active_children() == []
 
 
+def graph_with_a_loop_only_node(rng):
+    """5 to 11 nodes, one of which has its self-loop as its only entry, as a super-node of an aggregated graph can."""
+    n, lone = int(rng.integers(5, 12)), int(rng.integers(5))
+    others = [a for a in range(n) if a != lone]
+    edges = [(a, b, float(rng.uniform(1.0, 5.0))) for i, a in enumerate(others) for b in others[i + 1 :] if rng.random() < 0.5]
+    g = graph_from_edges(n, edges or [(others[0], others[1], 1.0)])
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    at = int(g.indptr[lone])  # the lone node's row is empty; its loop goes there
+    loop = float(rng.uniform(1.0, 10.0))
+    return SimilarityGraph.from_csr(n, np.insert(rows, at, lone), np.insert(g.indices, at, lone), np.insert(g.weights, at, loop))
+
+
+class TestLoopOnlyNode:
+    def test_the_sweep_evaluates_a_node_whose_only_entry_is_its_loop(self):
+        # a random start can put the node in a community it has no edge to; the sweep,
+        # which reads rows without self-loops, evaluates its empty row like any other,
+        # so the node leaves to stand alone as the per-graph reference's node does
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            g = graph_with_a_loop_only_node(rng)
+            for seed in range(3):
+                part, ref = louvain(g, seed, 4), reference_restart_chunk(g, seed, 0, 4)
+                assert np.array_equal(part.assignment, ref.assignment)
+                assert part.modularity.hex() == ref.modularity.hex()
+
+
 class TestDenseRelabel:
     def test_equals_the_dict_loop(self):
         rng = np.random.default_rng(21)

@@ -239,6 +239,33 @@ class TestRestartWorkers:
         assert multiprocessing.active_children() == []
         assert not any(p.is_alive() for p in seen)
 
+    def test_no_level_has_more_pool_work_than_the_one_above(self, monkeypatch):
+        # a level's graphs are induced subgraphs of communities of the level above, so the
+        # work each level hands RestartPool.start never grows: the root level opens the
+        # pool or no level does
+        monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+        works = []
+        start = community.RestartPool.start
+
+        def recording(pool, calls, restarts):
+            works.append(sum(g.indices.size for g, _ in calls) * restarts)
+            return start(pool, calls, restarts)
+
+        monkeypatch.setattr(community.RestartPool, "start", recording)
+        rng = np.random.default_rng(53)
+        runs = [(oracles.planted_nested(3, 4, 12, intra=0.9, cross_sub=0.55)[0], 0.5, 0.2, 8, 5), (noise_graph()[0], 0.6, 0.2, 5, 17)]
+        graphs = [(build_graph(emb, theta), *rest) for emb, theta, *rest in runs]
+        graphs += [(planted_graph(rng), 0.05, int(rng.integers(2, 4)), int(rng.integers(2**63))) for _ in range(60)]
+        deep = 0
+        for g, mod_threshold, max_size, seed in graphs:
+            works.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                vec2gc_cluster(g, mod_threshold, max_size, seed, restarts=int(rng.integers(1, 5)))
+            assert works == sorted(works, reverse=True)
+            deep += sum(work > 0 for work in works) >= 3
+        assert deep >= 10
+
 
 def planted_graph(rng) -> SimilarityGraph:
     """Random two-level planted groups: dense sub-groups inside looser super-groups.
