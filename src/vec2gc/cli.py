@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +41,6 @@ class RunConfig:
     seed: int
     restarts: int
     output: str
-    seed_generated: bool = False
-
-    def parameters(self) -> dict:
-        return {field.name: getattr(self, field.name) for field in _PARAMETERS}
-
-
-# The manifest's "parameters", in field order; seed_generated is recorded beside them.
-_PARAMETERS = [field for field in fields(RunConfig) if field.name != "seed_generated"]
 
 # cluster's defaulted options. Their parser default is None, so beside
 # --from-manifest a given one can be told from one left out.
@@ -116,8 +108,8 @@ def _read_json(path):
         raise ValueError(f"{path}: invalid JSON: nested too deeply") from None
 
 
-def _load_manifest(path: str) -> tuple[RunConfig, str]:
-    """The run configuration a manifest of this version records, and its input checksum."""
+def _load_manifest(path: str) -> tuple[RunConfig, bool, str]:
+    """The run configuration a manifest of this version records, whether its seed was generated, and its input checksum."""
     manifest = _read_json(path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("parameters"), dict):
         raise ValueError(f"{path}: a manifest is a JSON object whose 'parameters' field is an object")
@@ -129,7 +121,7 @@ def _load_manifest(path: str) -> tuple[RunConfig, str]:
         )
     params = dict(manifest["parameters"])
     values = {}
-    for field in _PARAMETERS:
+    for field in fields(RunConfig):
         if field.name not in params:
             raise ValueError(f"{path}: parameters lack the field '{field.name}'")
         value = params.pop(field.name)
@@ -149,7 +141,7 @@ def _load_manifest(path: str) -> tuple[RunConfig, str]:
     checksum = manifest.get("input_sha256")
     if not (isinstance(checksum, str) and len(checksum) == 64 and set(checksum) <= set("0123456789abcdef")):
         raise ValueError(f"{path}: field 'input_sha256' must be 64 lowercase hex digits, got {json.dumps(checksum)}")
-    return RunConfig(**values, seed_generated=seed_generated), checksum
+    return RunConfig(**values), seed_generated, checksum
 
 
 def _check_outputs(outputs: dict, inputs: dict) -> None:
@@ -158,13 +150,16 @@ def _check_outputs(outputs: dict, inputs: dict) -> None:
     An output cannot be written if it names a directory or its directory
     does not exist. Two paths name the same file if they resolve to one path
     or, when both exist, are links to one inode. A device such as
-    /dev/null may take every output. This runs before any input is read,
-    so a refused command changes no file.
+    /dev/null may take every output. An output that is None was not asked
+    for; an empty one is refused. This runs before any input is read, so a
+    refused command changes no file.
     """
     named = [(option, os.path.realpath(path)) for option, path in inputs.items() if path]
     for option, path in outputs.items():
-        if not path:
+        if path is None:
             continue
+        if not path:
+            raise ValueError(f"{option} is empty; give a file path")
         real = os.path.realpath(path)
         if os.path.isdir(path) or path.endswith(os.sep):
             raise ValueError(f"{option} names a directory, {path}")
@@ -194,17 +189,17 @@ def cmd_cluster(args) -> int:
             if getattr(args, name) is not None:
                 option = "--" + name.replace("_", "-")
                 raise ValueError(f"{option} cannot be given with --from-manifest, which records it")
-        config, recorded = _load_manifest(args.from_manifest)
-        if args.output:
+        config, seed_generated, recorded = _load_manifest(args.from_manifest)
+        if args.output is not None:
             config.output = args.output
     else:
         if args.input is None or args.theta is None:
             raise ValueError("cluster requires --input and --theta (or --from-manifest)")
         # the option dests are the field names
-        given = {field.name: getattr(args, field.name) for field in _PARAMETERS}
+        given = {field.name: getattr(args, field.name) for field in fields(RunConfig)}
         config = RunConfig(**{name: CLUSTER_DEFAULTS.get(name) if v is None else v for name, v in given.items()})
-        config.seed, config.seed_generated = _resolve_seed(args.seed)
-        config.output = config.output or "tree.json"
+        config.seed, seed_generated = _resolve_seed(args.seed)
+        config.output = "tree.json" if args.output is None else args.output
         recorded = None
 
     try:  # before the input is read
@@ -212,7 +207,9 @@ def cmd_cluster(args) -> int:
         _check_cluster_parameters(config.mod_threshold, config.max_size, config.min_community_size, config.restarts)
     except ValueError as exc:
         raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest else str(exc)) from None
-    manifest_path = args.manifest or str(Path(config.output).with_suffix(".manifest.json"))
+    manifest_path = args.manifest
+    if manifest_path is None and Path(config.output).name:  # an output without a file name is refused below
+        manifest_path = str(Path(config.output).with_suffix(".manifest.json"))
     _check_outputs(
         {"--output": config.output, "--manifest": manifest_path}, {"--input": config.input, "--labels": config.labels}
     )
@@ -220,7 +217,7 @@ def cmd_cluster(args) -> int:
     labels_sha256 = _sha256(config.labels) if config.labels else None
     if recorded and input_sha256 != recorded:
         raise ValueError(f"input file {config.input} does not match the manifest checksum")
-    print(f"seed: {config.seed}" + (" (generated)" if config.seed_generated and not args.from_manifest else ""))
+    print(f"seed: {config.seed}" + (" (generated)" if seed_generated and not args.from_manifest else ""))
     emb = load_embeddings(config.input, config.format)
     g = build_graph(emb, config.theta)
     tree, bucket = vec2gc_cluster(
@@ -247,10 +244,10 @@ def cmd_cluster(args) -> int:
         "tool": "vec2gc",
         "version": __version__,
         "command": "cluster",
-        "parameters": config.parameters(),
+        "parameters": asdict(config),
         "input_sha256": input_sha256,
         "labels_sha256": labels_sha256,
-        "seed_generated": config.seed_generated,
+        "seed_generated": seed_generated,
         "environment": _environment(),
     }
     _write_json(manifest_path, manifest)

@@ -313,20 +313,21 @@ def _restart(sg: _SweepGraph, graphs, seeds, restart: int) -> list[Partition]:
             local, _ = _dense_relabel(rng.integers(0, groups, size=size).tolist())
             init.extend((local + start).tolist())
     # A random start is the first level: it is aggregated even when nothing
-    # moved, and the levels then run from singletons. A later level that
-    # continues has fewer nodes than the one before, so every block stops.
+    # moved, and the levels then run from singletons. A block swept from
+    # singletons continues only with fewer communities than nodes, which
+    # it cannot have if nothing moved, so every block stops.
     # A stopped block stays in the levels as singletons, which aggregate to
     # the same bits, so block b is always the level's block b.
     level, running = sg, range(len(seeds))
     node_map = np.arange(sg.n)
     while True:
-        comm, moved = _move_phase(level, rngs, running, init=init)
+        comm = _move_phase(level, rngs, running, init=init)
         # first-occurrence ids number the blocks' communities one block
         # after another, each block's in its own first-occurrence order
         dense, n_comm = _dense_relabel(comm)
         node_map = dense[node_map]
         counts = np.diff([*dense[level.starts[:-1]].tolist(), n_comm]).tolist()
-        running = [b for b in running if init is not None or (moved[b] and counts[b] < level.sizes[b])]
+        running = [b for b in running if init is not None or counts[b] < level.sizes[b]]
         if not running:
             break
         level = _SweepGraph(aggregate_graph(level.g, dense), counts)
@@ -337,7 +338,7 @@ def _restart(sg: _SweepGraph, graphs, seeds, restart: int) -> list[Partition]:
     # Its partition comes from the levels above and is usually stable
     # already, so its first sweep is certified too.
     refine = node_map + np.repeat(np.subtract(sg.starts[:-1], level.starts[:-1]), sg.sizes)
-    final_comm, _ = _move_phase(sg, rngs, range(len(seeds)), init=refine, certify_first=True)
+    final_comm = _move_phase(sg, rngs, range(len(seeds)), init=refine, certify_first=True)
     dense, _ = _dense_relabel(final_comm)
     parts = []
     for g, lo, hi in zip(graphs, sg.starts, sg.starts[1:]):
@@ -456,30 +457,26 @@ def _stays(sg: _SweepGraph, comm: np.ndarray, sigma: np.ndarray, eps: np.ndarray
 def _move_phase(sg: _SweepGraph, rngs, running, init=None, certify_first: bool = False):
     """Single-node move sweeps of the running blocks until one moves nothing, at most MAX_SWEEPS.
 
-    rngs[b] is block b's generator. Returns (community list, per block
-    whether anything moved). A sweep visits each running block in turn, in
-    the block's own seeded order, with the block's 2m and eps; a block
-    stops after its own sweep that moves nothing. Blocks share no
-    community, so a block's sweeps are those of its graph alone. Every
-    sweep after the first is certified: it visits only the nodes that
-    _stays does not mark at its start, even when an earlier move of the
-    sweep changes a marked node's neighbourhood. A block still stops only
-    after a sweep that moves nothing, in which every node was evaluated
-    and stayed or is proven to stay. A first sweep from singletons or from
-    a random partition moves most nodes, so certifying it would only
-    cost; the caller certifies a first sweep whose partition is likely
-    stable already.
+    rngs[b] is block b's generator. Returns the community list. A sweep
+    visits each running block in turn, in the block's own seeded order,
+    with the block's 2m and eps; a block stops after its own sweep that
+    moves nothing. Blocks share no community, so a block's sweeps are
+    those of its graph alone. Every sweep after the first is certified: it
+    visits only the nodes that _stays does not mark at its start, even
+    when an earlier move of the sweep changes a marked node's
+    neighbourhood. A block still stops only after a sweep that moves
+    nothing, in which every node was evaluated and stayed or is proven to
+    stay. A first sweep from singletons or from a random partition moves
+    most nodes, so certifying it would only cost; the caller certifies a
+    first sweep whose partition is likely stable already.
     """
     n = sg.n
     eps = [GAIN_EPSILON * two_m / 2.0 for two_m in sg.two_m]
     comm = list(range(n)) if init is None else [int(c) for c in init]
-    size = [0] * n
-    for c in comm:
-        size[c] += 1
+    size = np.bincount(comm, minlength=n).tolist()
     # a node that stands alone takes its own block's smallest free id; ascending, so already heaps
     free = [[c for c in range(lo, hi) if size[c] == 0] for lo, hi in zip(sg.starts, sg.starts[1:])]
 
-    moved = [False] * len(rngs)
     for sweep in range(MAX_SWEEPS):
         comm_array = np.array(comm, dtype=np.int64)
         # bincount adds in node order, as a Python loop over the nodes would
@@ -494,12 +491,11 @@ def _move_phase(sg: _SweepGraph, rngs, running, init=None, certify_first: bool =
             if certified:
                 order = order[visit[order]]
             if _sequential_sweep(order.tolist(), sg.ptr, sg.nbr, sg.wt, sg.k, sg.two_m[b], eps[b], comm, sigma, size, free[b]):
-                moved[b] = True
                 still.append(b)
         running = still
         if not running:
             break
-    return comm, moved
+    return comm
 
 
 def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, free):
@@ -520,10 +516,7 @@ def _sequential_sweep(order, ptr, nbr, wt, k, two_m, eps, comm, sigma, size, fre
         acc: dict[int, float] = {}
         for b, w in zip(nbr[lo:hi], wt[lo:hi]):
             d = comm[b]
-            if d in acc:
-                acc[d] += w
-            else:
-                acc[d] = w
+            acc[d] = acc.get(d, 0.0) + w
         base = acc.pop(c, 0.0) - sigma[c] * k_a / two_m
         target, gain = c, base
         for d, w in acc.items():

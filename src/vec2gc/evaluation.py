@@ -181,23 +181,20 @@ def kmedoids(emb: EmbeddingSet, k: int, seed: int, max_iters: int = 100) -> KMed
     rng = np.random.default_rng(int(seed))
     medoids = [int(rng.integers(n))]
     nearest = np.full(n, np.inf)  # each item's distance to its nearest chosen medoid
-    while True:
+    while len(medoids) < k:
         for start, block in _distance_blocks(unit, medoids[-1:]):
             part = nearest[start : start + len(block)]
             np.minimum(part, block[:, 0], out=part)
-        if len(medoids) == k:
-            break
         d2 = nearest ** 2
         total = float(d2.sum())
-        nxt = None
         if total > 0.0:
-            nxt = int(rng.choice(n, p=d2 / total))
-        if nxt is None or nxt in medoids:
+            # a chosen medoid's distance is exactly 0, and choice never draws a p of 0
+            medoids.append(int(rng.choice(n, p=d2 / total)))
+        else:
             # all remaining points coincide with a medoid: take the
             # smallest index not yet chosen
             chosen = set(medoids)
-            nxt = next(i for i in range(n) if i not in chosen)
-        medoids.append(nxt)
+            medoids.append(next(i for i in range(n) if i not in chosen))
     medoids.sort()
 
     history: list[float] = []

@@ -105,17 +105,17 @@ def vec2gc_cluster(
 
     degree_counts = np.diff(g.indptr)
     for a in np.nonzero(degree_counts == 0)[0].tolist():
-        bucket.members.append(a)
         bucket.reasons[a] = REASON_ISOLATED
 
     active = np.nonzero(degree_counts > 0)[0]
     if active.size == 0:
         warnings.warn("similarity graph has no edges; every item is non-community")
-        bucket.members.sort()
+        bucket.members = sorted(bucket.reasons)
         return ClusterTree(), bucket
 
     root = _BuildNode(None, [], None)
     split_nodes: list[_BuildNode] = []
+    # corpus_idx ascends at every level: active does, and so does each members_by_community group
     level = [(induced_subgraph(g, active) if active.size < g.n else g, active, seed, root)]
     with RestartPool() as pool:
         while level:
@@ -123,7 +123,7 @@ def vec2gc_cluster(
             for task in level:
                 sub_g, corpus_idx, _, bnode = task
                 if sub_g.two_m <= 0.0 or sub_g.n <= CERTIFY_MAX_NODES and modularity_bound(sub_g) < mod_threshold:
-                    bnode.members = sorted(corpus_idx.tolist())
+                    bnode.members = corpus_idx.tolist()
                 else:
                     calls.append(task)
             started = pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in calls], restarts)
@@ -131,7 +131,7 @@ def vec2gc_cluster(
             for (sub_g, corpus_idx, node_seed, bnode), handle in zip(calls, started):
                 part = louvain(sub_g, node_seed, restarts, handle)
                 if part.community_count == 1 or part.modularity < mod_threshold:
-                    bnode.members = sorted(corpus_idx.tolist())
+                    bnode.members = corpus_idx.tolist()
                     continue
                 bnode.split_modularity = part.modularity
                 split_nodes.append(bnode)
@@ -139,16 +139,15 @@ def vec2gc_cluster(
                     corpus = corpus_idx[local]
                     if corpus.size < min_community_size:
                         for a in corpus.tolist():
-                            bucket.members.append(a)
                             bucket.reasons[a] = REASON_SINGLETON
                     elif corpus.size <= max_size:
-                        bnode.children.append(_BuildNode(sorted(corpus.tolist()), [], None))
+                        bnode.children.append(_BuildNode(corpus.tolist(), [], None))
                     else:
                         child = _BuildNode(None, [], None)
                         bnode.children.append(child)
                         next_level.append((induced_subgraph(sub_g, local), corpus, derive_seed(node_seed, ci), child))
             level = next_level
-    bucket.members.sort()
+    bucket.members = sorted(bucket.reasons)
     _prune(split_nodes)
     if root.members is None:
         warnings.warn("every community fell below min_community_size; tree is empty")

@@ -1019,6 +1019,31 @@ class TestOutputPaths:
             assert capsys.readouterr() == ("", f"error: {option} names {unwritable}, {path}\n")
         assert list(tmp_path.iterdir()) == [bad]
 
+    @pytest.mark.parametrize("command, option", [(c, o) for c, options in OUTPUTS.items() for o in options])
+    def test_an_empty_output_is_refused_before_any_input_is_read(self, tmp_path, monkeypatch, capsys, command, option):
+        # every input is missing, so a command that read one first would report it instead;
+        # in the working directory, a command that took "" as absent would write its default there
+        monkeypatch.chdir(tmp_path)
+        argv = output_command_argv("missing.jsonl", "missing.tsv", "missing.json")
+        assert main(argv(command, {option: ""})) == 1
+        assert capsys.readouterr() == ("", f"error: {option} is empty; give a file path\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_output_without_a_file_name_is_refused_as_a_directory(self, tmp_path, monkeypatch, capsys):
+        # cluster derives its default manifest path from --output, which has no file name here
+        monkeypatch.chdir(tmp_path)
+        assert main(["cluster", "--input", "missing.jsonl", "--theta", "0.5", "--output", "."]) == 1
+        assert capsys.readouterr() == ("", "error: --output names a directory, .\n")
+
+    def test_a_rerun_refuses_an_empty_output(self, tmp_path, files, monkeypatch, capsys):
+        os.remove(files["--input"])
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["cluster", "--from-manifest", "tree.manifest.json", "--output", ""]) == 1
+        assert capsys.readouterr() == ("", "error: --output is empty; give a file path\n")
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("command", OUTPUTS)
     def test_a_device_may_take_every_output(self, files, command):
         argv = output_command_argv(files["--input"], files["--labels"], files["--tree"])

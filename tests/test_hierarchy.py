@@ -137,6 +137,8 @@ class TestVec2gcCluster:
                 tree, bucket = vec2gc_cluster(g, 0.3, int(rng.integers(3, 40)), seed=int(rng.integers(2**63)))
             leaf_members = [m for leaf in flat_clusters(tree) for m in leaf]
             assert sorted(leaf_members + bucket.members) == list(range(n))
+            for members in [*(node.members for node in tree.nodes), bucket.members]:
+                assert all(a < b for a, b in zip(members, members[1:]))
 
     def test_internal_nodes_record_qualifying_modularity(self):
         emb, g, tree, bucket = cluster_planted([20, 20, 20], intra_cs=0.95, max_size=21, mod_threshold=0.3)
