@@ -128,6 +128,8 @@ def _load_manifest(path: str) -> tuple[RunConfig, bool, str]:
         kind, accepts = _PARAMETER_TYPES[field.type]
         if not accepts(value):
             raise ValueError(f"{path}: parameter '{field.name}' must be {kind}, got {json.dumps(value)}")
+        if value == "" and field.name in ("input", "labels"):
+            raise ValueError(f"{path}: parameter '{field.name}' is empty; give a file path")
         values[field.name] = float(value) if field.type == "float" else value
     if params:
         raise ValueError(f"{path}: unknown parameter '{sorted(params)[0]}'")
@@ -150,16 +152,17 @@ def _check_outputs(outputs: dict, inputs: dict) -> None:
     An output cannot be written if it names a directory or its directory
     does not exist. Two paths name the same file if they resolve to one path
     or, when both exist, are links to one inode. A device such as
-    /dev/null may take every output. An output that is None was not asked
-    for; an empty one is refused. This runs before any input is read, so a
-    refused command changes no file.
+    /dev/null may take every output. A path that is None was not given; an
+    empty one, input or output, is refused. This runs before any input is
+    read, so a refused command changes no file.
     """
-    named = [(option, os.path.realpath(path)) for option, path in inputs.items() if path]
+    for option, path in [*inputs.items(), *outputs.items()]:
+        if path == "":
+            raise ValueError(f"{option} is empty; give a file path")
+    named = [(option, os.path.realpath(path)) for option, path in inputs.items() if path is not None]
     for option, path in outputs.items():
         if path is None:
             continue
-        if not path:
-            raise ValueError(f"{option} is empty; give a file path")
         real = os.path.realpath(path)
         if os.path.isdir(path) or path.endswith(os.sep):
             raise ValueError(f"{option} names a directory, {path}")
@@ -214,7 +217,7 @@ def cmd_cluster(args) -> int:
         {"--output": config.output, "--manifest": manifest_path}, {"--input": config.input, "--labels": config.labels}
     )
     input_sha256 = _sha256(config.input)
-    labels_sha256 = _sha256(config.labels) if config.labels else None
+    labels_sha256 = None if config.labels is None else _sha256(config.labels)
     if recorded and input_sha256 != recorded:
         raise ValueError(f"input file {config.input} does not match the manifest checksum")
     print(f"seed: {config.seed}" + (" (generated)" if seed_generated and not args.from_manifest else ""))
@@ -308,7 +311,7 @@ def cmd_baseline_kmedoids(args) -> int:
     thresholds = _parse_thresholds(args.purity_thresholds)
     _check_outputs({"--output": args.output}, {"--input": args.input, "--labels": args.labels})
     emb = load_embeddings(args.input, args.format)
-    if args.labels:
+    if args.labels is not None:
         labels = load_labels(args.labels, has_header=args.labels_header)
     elif emb.labels:
         labels = emb.labels

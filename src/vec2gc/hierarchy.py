@@ -71,9 +71,9 @@ class NonCommunityBucket:
 
 @dataclass
 class _BuildNode:
-    members: list[int] | None
-    children: list["_BuildNode"]
-    split_modularity: float | None
+    corpus: np.ndarray  # the node's ascending corpus indices
+    children: list["_BuildNode"] = field(default_factory=list)
+    split_modularity: float | None = None
 
 
 def vec2gc_cluster(
@@ -113,46 +113,39 @@ def vec2gc_cluster(
         bucket.members = sorted(bucket.reasons)
         return ClusterTree(), bucket
 
-    root = _BuildNode(None, [], None)
-    split_nodes: list[_BuildNode] = []
-    # corpus_idx ascends at every level: active does, and so does each members_by_community group
-    level = [(induced_subgraph(g, active) if active.size < g.n else g, active, seed, root)]
+    root = _BuildNode(active)
+    # corpus ascends at every level: active does, and so does each members_by_community group
+    level = [(induced_subgraph(g, active) if active.size < g.n else g, seed, root)]
     with RestartPool() as pool:
         while level:
-            calls = []
-            for task in level:
-                sub_g, corpus_idx, _, bnode = task
-                if sub_g.two_m <= 0.0 or sub_g.n <= CERTIFY_MAX_NODES and modularity_bound(sub_g) < mod_threshold:
-                    bnode.members = corpus_idx.tolist()
-                else:
-                    calls.append(task)
-            started = pool.start([(sub_g, node_seed) for sub_g, _, node_seed, _ in calls], restarts)
+            calls = [
+                (sub_g, node_seed, bnode)
+                for sub_g, node_seed, bnode in level
+                if not (sub_g.two_m <= 0.0 or sub_g.n <= CERTIFY_MAX_NODES and modularity_bound(sub_g) < mod_threshold)
+            ]
+            started = pool.start([(sub_g, node_seed) for sub_g, node_seed, _ in calls], restarts)
             next_level = []
-            for (sub_g, corpus_idx, node_seed, bnode), handle in zip(calls, started):
+            for (sub_g, node_seed, bnode), handle in zip(calls, started):
                 part = louvain(sub_g, node_seed, restarts, handle)
                 if part.community_count == 1 or part.modularity < mod_threshold:
-                    bnode.members = corpus_idx.tolist()
                     continue
                 bnode.split_modularity = part.modularity
-                split_nodes.append(bnode)
                 for ci, local in enumerate(members_by_community(part.assignment)):
-                    corpus = corpus_idx[local]
+                    corpus = bnode.corpus[local]
                     if corpus.size < min_community_size:
                         for a in corpus.tolist():
                             bucket.reasons[a] = REASON_SINGLETON
-                    elif corpus.size <= max_size:
-                        bnode.children.append(_BuildNode(corpus.tolist(), [], None))
-                    else:
-                        child = _BuildNode(None, [], None)
-                        bnode.children.append(child)
-                        next_level.append((induced_subgraph(sub_g, local), corpus, derive_seed(node_seed, ci), child))
+                        continue
+                    child = _BuildNode(corpus)
+                    bnode.children.append(child)
+                    if corpus.size > max_size:
+                        next_level.append((induced_subgraph(sub_g, local), derive_seed(node_seed, ci), child))
             level = next_level
     bucket.members = sorted(bucket.reasons)
-    _prune(split_nodes)
-    if root.members is None:
+    tree = _flatten(root, bucket)
+    if not tree.nodes:
         warnings.warn("every community fell below min_community_size; tree is empty")
-        return ClusterTree(), bucket
-    return _flatten(root), bucket
+    return tree, bucket
 
 
 def _check_cluster_parameters(mod_threshold: float, max_size: int, min_community_size: int, restarts: int) -> None:
@@ -167,34 +160,26 @@ def _check_cluster_parameters(mod_threshold: float, max_size: int, min_community
         raise ValueError(f"restarts must be at least 1, got {restarts!r}")
 
 
-def _prune(split_nodes: list[_BuildNode]) -> None:
-    """Drop split nodes left without children and give the others their members.
+def _flatten(root: _BuildNode, bucket: NonCommunityBucket) -> ClusterTree:
+    """Number the nodes in depth-first preorder, root first.
 
-    split_nodes lists every split node after its ancestors, so walking it
-    backwards settles each node's children before the node. A dropped
-    node keeps members None.
+    A node's members are its corpus items outside the bucket. Each item
+    of a split node ends in a leaf below it or in the bucket, so a node
+    without members has none below it either; it is skipped with its
+    subtree.
     """
-    for bnode in reversed(split_nodes):
-        bnode.children = [child for child in bnode.children if child.members is not None]
-        if bnode.children:
-            merged: list[int] = []
-            for child in bnode.children:
-                merged.extend(child.members)
-            merged.sort()
-            bnode.members = merged
-
-
-def _flatten(root: _BuildNode) -> ClusterTree:
-    """Number the nodes in depth-first preorder, root first."""
-    tree = ClusterTree(nodes=[], root=0)
+    tree = ClusterTree()
     stack: list[tuple[_BuildNode, TreeNode | None]] = [(root, None)]
     while stack:
         bnode, parent = stack.pop()
+        members = [a for a in bnode.corpus.tolist() if a not in bucket.reasons]
+        if not members:
+            continue
         node = TreeNode(
             id=len(tree.nodes),
             parent=None if parent is None else parent.id,
             children=[],
-            members=bnode.members,
+            members=members,
             split_modularity=bnode.split_modularity,
             is_leaf=not bnode.children,
         )
@@ -202,6 +187,7 @@ def _flatten(root: _BuildNode) -> ClusterTree:
         if parent is not None:
             parent.children.append(node.id)
         stack.extend((child, node) for child in reversed(bnode.children))
+    tree.root = 0 if tree.nodes else None
     return tree
 
 

@@ -899,6 +899,7 @@ class TestEvaluateSettings:
 
 # Each command's output options.
 OUTPUTS = {"graph": ["--output"], "cluster": ["--output", "--manifest"], "evaluate": ["--output"], "baseline": ["--output"]}
+INPUTS = {"graph": ["--input"], "cluster": ["--input", "--labels"], "evaluate": ["--tree", "--labels"], "baseline": ["--input", "--labels"]}
 
 
 def output_command_argv(emb_path, labels_path, tree_path):
@@ -1028,6 +1029,29 @@ class TestOutputPaths:
         assert main(argv(command, {option: ""})) == 1
         assert capsys.readouterr() == ("", f"error: {option} is empty; give a file path\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option", [(c, o) for c, options in INPUTS.items() for o in options])
+    def test_an_empty_input_is_refused_before_any_input_is_read(self, tmp_path, monkeypatch, capsys, command, option):
+        # the other inputs are missing, so a command that read one first would report it instead
+        monkeypatch.chdir(tmp_path)
+        argv = output_command_argv("missing.jsonl", "missing.tsv", "missing.json")
+        argv = argv(command, {output: f"new{output}" for output in OUTPUTS[command]})
+        argv[argv.index(option) + 1] = ""
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {option} is empty; give a file path\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("field", ["input", "labels"])
+    def test_a_rerun_refuses_an_empty_recorded_input(self, tmp_path, files, capsys, field):
+        manifest = tmp_path / "tree.manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["parameters"][field] = ""
+        manifest.write_text(json.dumps(doc))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(tmp_path / "new.json")]) == 1
+        assert capsys.readouterr() == ("", f"error: {manifest}: parameter '{field}' is empty; give a file path\n")
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_an_output_without_a_file_name_is_refused_as_a_directory(self, tmp_path, monkeypatch, capsys):
         # cluster derives its default manifest path from --output, which has no file name here

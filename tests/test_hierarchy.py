@@ -12,6 +12,7 @@ from oracles import graph_from_edges, planted_groups, reference_cluster, referen
 import oracles
 from vec2gc import (
     MAX_EDGE_WEIGHT,
+    ClusterTree,
     EmbeddingSet,
     Partition,
     SimilarityGraph,
@@ -77,6 +78,17 @@ class TestVec2gcCluster:
         assert bucket.members == [0, 1, 2]
         assert set(bucket.reasons.values()) == {"isolated"}
         assert flat_clusters(tree) == []
+
+    def test_every_community_below_min_size_yields_empty_tree_with_warning(self):
+        emb, _ = planted_groups([4, 4, 4], intra_cs=0.95)
+        g = build_graph(emb, 0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tree, bucket = vec2gc_cluster(g, 0.0, 2, seed=1, min_community_size=5)
+        assert tree == ClusterTree(nodes=[], root=None)
+        assert bucket.members == list(range(12))
+        assert set(bucket.reasons.values()) == {"singleton_community"}
+        assert [str(w.message) for w in caught] == ["every community fell below min_community_size; tree is empty"]
 
     def test_min_community_size_routes_to_bucket(self):
         # two big groups plus a pair; with min_community_size=3 the pair
