@@ -275,6 +275,21 @@ def _parse_thresholds(text: str) -> list[float]:
     return values
 
 
+def _report(scored: str, clusters, labels, thresholds, noise_size: int, output) -> int:
+    """Score clusters against labels, naming the scored files in an error; warn, write output if given, print the table."""
+    try:  # an empty clustering, or one with no labeled member, is valid but has nothing to score
+        report = purity_report(clusters, labels, thresholds=thresholds, noise_size=noise_size)
+    except ValueError as exc:
+        raise ValueError(f"{scored}: {exc}") from None
+    if report.unlabeled_members or report.clusters_without_labels:
+        lack = f"{report.unlabeled_members} members lack labels ({report.clusters_without_labels} clusters skipped entirely)"
+        print(f"warning: {lack}; evaluated the rest", file=sys.stderr)
+    if output:
+        _write_json(output, report_to_json_dict(report))
+    print(format_report_table(report))
+    return 0
+
+
 def cmd_evaluate(args) -> int:
     thresholds = _parse_thresholds(args.purity_thresholds)
     _check_outputs({"--output": args.output}, {"--tree": args.tree, "--labels": args.labels})
@@ -284,21 +299,7 @@ def cmd_evaluate(args) -> int:
         clusters, noise = leaf_clusters_from_document(doc)
     except ValueError as exc:
         raise ValueError(f"{args.tree}: {exc}") from None
-    try:  # an empty tree, or one with no labeled member, is valid but has nothing to score
-        report = purity_report(clusters, labels, thresholds=thresholds, noise_size=len(noise))
-    except ValueError as exc:
-        raise ValueError(f"{args.tree} against {args.labels}: {exc}") from None
-    if report.unlabeled_members or report.clusters_without_labels:
-        print(
-            f"warning: {report.unlabeled_members} members lack labels"
-            f" ({report.clusters_without_labels} clusters skipped entirely);"
-            " evaluated the rest",
-            file=sys.stderr,
-        )
-    if args.output:
-        _write_json(args.output, report_to_json_dict(report))
-    print(format_report_table(report))
-    return 0
+    return _report(f"{args.tree} against {args.labels}", clusters, labels, thresholds, len(noise), args.output)
 
 
 def cmd_baseline_kmedoids(args) -> int:
@@ -321,11 +322,8 @@ def cmd_baseline_kmedoids(args) -> int:
     print(f"seed: {seed}" + (" (generated)" if generated else ""))
     clusters = kmedoids(emb, args.k, seed, max_iters=args.max_iters).clusters
     id_clusters = [[emb.ids[i] for i in members] for members in clusters]
-    report = purity_report(id_clusters, labels, thresholds=thresholds, noise_size=0)
-    if args.output:
-        _write_json(args.output, report_to_json_dict(report))
-    print(format_report_table(report))
-    return 0
+    scored = args.input if args.labels is None else f"{args.input} against {args.labels}"
+    return _report(scored, id_clusters, labels, thresholds, 0, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,6 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input_args(p, default=CLUSTER_DEFAULTS["format"]):
         p.add_argument("--input", help="embedding file")
         p.add_argument("--format", choices=sorted(EMBEDDING_FORMATS), default=default, help="embedding file format")
+
+    def add_report_args(p):
+        p.add_argument("--labels-header", action="store_true", help="skip the first line of the label file")
+        p.add_argument("--purity-thresholds", default=",".join(map(str, DEFAULT_THRESHOLDS)), help="comma-separated thresholds in (0, 1]")
+        p.add_argument("--output", help="optional report JSON path")
 
     graph = sub.add_parser("graph", help="export the thresholded similarity graph as TSV edges")
     add_input_args(graph)
@@ -363,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="purity report for a tree JSON against gold labels")
     evaluate.add_argument("--tree", required=True, help="tree JSON produced by the cluster command")
     evaluate.add_argument("--labels", required=True, help="id<TAB>label file")
-    evaluate.add_argument("--labels-header", action="store_true", help="skip the first line of the label file")
-    evaluate.add_argument("--purity-thresholds", default=",".join(map(str, DEFAULT_THRESHOLDS)), help="comma-separated thresholds in (0, 1]")
-    evaluate.add_argument("--output", help="optional report JSON path")
+    add_report_args(evaluate)
     evaluate.set_defaults(func=cmd_evaluate)
 
     baseline = sub.add_parser("baseline", help="reference clustering methods")
@@ -373,12 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     kmed = baseline_sub.add_parser("kmedoids", help="k-medoids on cosine distance with spread-out seeding")
     add_input_args(kmed)
     kmed.add_argument("--labels", help="id<TAB>label file (optional for jsonl with inline labels)")
-    kmed.add_argument("--labels-header", action="store_true", help="skip the first line of the label file")
+    add_report_args(kmed)
     kmed.add_argument("--k", type=int, required=True, help="number of clusters")
     kmed.add_argument("--seed", type=int, help="random seed; generated and printed when omitted")
     kmed.add_argument("--max-iters", type=int, default=100, help="medoid update iterations")
-    kmed.add_argument("--purity-thresholds", default=",".join(map(str, DEFAULT_THRESHOLDS)), help="comma-separated thresholds in (0, 1]")
-    kmed.add_argument("--output", help="optional report JSON path")
     kmed.set_defaults(func=cmd_baseline_kmedoids)
 
     return parser

@@ -367,12 +367,11 @@ class _SweepGraph:
     _restarts builds it once for its input level, whose first and final
     move phase every restart runs, and _restart once per aggregated level.
     The sweep and the stay certificate (see _stays) read one set of
-    entries, the level's without self-loops: the sweep as the plain CSR
-    lists ptr, nbr and wt, where element access dominates, the certificate
-    as the numpy arrays rows, cols and weights. Lists also for the degrees
-    k (each row summed left to right, see SimilarityGraph.from_csr) and
-    two_m, each block's 2m; arrays for each node's block 2m and per-node
-    rounding margins.
+    arrays, the level's entries without self-loops (rows, cols, weights)
+    and the degrees (each row summed left to right, see
+    SimilarityGraph.from_csr): the sweep through the memoryviews ptr, nbr,
+    wt and k, whose items are Python ints and floats, as a list's are.
+    two_m, each block's 2m, is a list; node_two_m and margin are arrays.
     """
 
     def __init__(self, g: SimilarityGraph, sizes: list[int]):
@@ -392,10 +391,10 @@ class _SweepGraph:
         self.rows = rows[loop_free]
         self.cols = g.indices[loop_free]
         self.weights = g.weights[loop_free]
-        self.ptr = [0, *np.cumsum(np.bincount(self.rows, minlength=g.n)).tolist()]
-        self.nbr = self.cols.tolist()
-        self.wt = self.weights.tolist()
-        self.k = g.degrees.tolist()
+        self.ptr = memoryview(np.concatenate([[0], np.cumsum(np.bincount(self.rows, minlength=g.n))]))
+        self.nbr = memoryview(self.cols)
+        self.wt = memoryview(self.weights)
+        self.k = memoryview(g.degrees)
         self.margin = (5.0 * lengths + (3.0 * np.repeat(sizes, sizes) + 32.0)) * _U * g.degrees
 
 

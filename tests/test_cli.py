@@ -870,6 +870,25 @@ class TestBaselineCommand:
         assert main([*argv, "--k", "3", "--seed", "11", "--max-iters", "0"]) == 0
         assert "Fraction of clusters @ k% purity" in capsys.readouterr().out
 
+    def test_unlabeled_members_warn_as_in_evaluate(self, tmp_path, planted_files, capsys):
+        _, emb_path, labels_path = planted_files
+        some = tmp_path / "some_labels.tsv"
+        some.write_text("".join(line + "\n" for line in open(labels_path).read().splitlines()[:4]), encoding="utf-8")
+        argv = ["baseline", "kmedoids", "--input", emb_path, "--format", "jsonl", "--labels", str(some)]
+        assert main([*argv, "--k", "3", "--seed", "11"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: 26 members lack labels (")
+        assert captured.err.endswith(" clusters skipped entirely); evaluated the rest\n")
+        assert "unlabeled members: 26," in captured.out
+
+    def test_a_scoring_error_names_the_input_and_the_labels(self, tmp_path, planted_files, capsys):
+        _, emb_path, _ = planted_files
+        none = tmp_path / "none.tsv"
+        none.write_text("unknown\tx\n", encoding="utf-8")
+        argv = ["baseline", "kmedoids", "--input", emb_path, "--format", "jsonl", "--labels", str(none)]
+        assert main([*argv, "--k", "3", "--seed", "11"]) == 1
+        assert capsys.readouterr().err == f"error: {emb_path} against {none}: no cluster has labeled members\n"
+
 
 class TestEvaluateSettings:
     @pytest.mark.parametrize("thresholds", ["2", "0", "0.5,1.5", "-0.1", "nan"])

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -544,6 +545,25 @@ class TestLoopOnlyNode:
                 part, ref = louvain(g, seed, 4), reference_restart_chunk(g, seed, 0, 4)
                 assert np.array_equal(part.assignment, ref.assignment)
                 assert part.modularity.hex() == ref.modularity.hex()
+
+
+class TestOptimizerMemory:
+    def test_the_traced_peak_follows_the_arrays(self):
+        # Each level holds its entries once, as arrays of 16 bytes an entry (column
+        # and weight) that the sweep reads in place: 88 bytes an entry at the peak.
+        # Python list copies of the sweep's entries, an object and a pointer an
+        # entry, read 157, so the bound tells the two apart with margin.
+        n = 1500
+        rng = np.random.default_rng(5)
+        g = build_graph(EmbeddingSet([f"i{i}" for i in range(n)], rng.standard_normal((n, 16))), 0.5)
+        assert g.indices.size == 46_216
+        tracemalloc.start()
+        try:
+            louvain(g, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / g.indices.size < 120
 
 
 class TestDenseRelabel:
