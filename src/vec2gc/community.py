@@ -367,10 +367,11 @@ class _SweepGraph:
     _restarts builds it once for its input level, whose first and final
     move phase every restart runs, and _restart once per aggregated level.
     The sweep and the stay certificate (see _stays) read one set of
-    arrays, the level's entries without self-loops (rows, cols, weights)
-    and the degrees (each row summed left to right, see
-    SimilarityGraph.from_csr): the sweep through the memoryviews ptr, nbr,
-    wt and k, whose items are Python ints and floats, as a list's are.
+    arrays, the level's entries without self-loops (rows, cols, weights:
+    views of g's arrays on a level without loops, as every input level)
+    and the degrees (each row summed left to right, see from_csr): the
+    sweep through the memoryviews ptr, nbr, wt and k, whose items are
+    Python ints and floats, as a list's are.
     two_m, each block's 2m, is a list; node_two_m and margin are arrays.
     """
 
@@ -388,9 +389,8 @@ class _SweepGraph:
         lengths = np.diff(g.indptr)
         rows = np.repeat(np.arange(g.n), lengths)
         loop_free = rows != g.indices
-        self.rows = rows[loop_free]
-        self.cols = g.indices[loop_free]
-        self.weights = g.weights[loop_free]
+        keep = slice(None) if loop_free.all() else loop_free  # a slice takes views, not copies
+        self.rows, self.cols, self.weights = rows[keep], g.indices[keep], g.weights[keep]
         self.ptr = memoryview(np.concatenate([[0], np.cumsum(np.bincount(self.rows, minlength=g.n))]))
         self.nbr = memoryview(self.cols)
         self.wt = memoryview(self.weights)

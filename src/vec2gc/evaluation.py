@@ -123,11 +123,12 @@ def format_report_table(report: PurityReport) -> str:
 
 
 def report_to_json_dict(report: PurityReport) -> dict:
-    """JSON-ready form of a report; key order is stable."""
+    """JSON-ready form of a report; key order is stable, and no two thresholds share a key."""
+    keys = {t: f"{t:g}" if float(f"{t:g}") == t else repr(float(t)) for t in report.fractions}
     return {
         "n_clusters": report.n_clusters,
         "noise_size": report.noise_size,
-        "fractions": {f"{t:g}": report.fractions[t] for t in sorted(report.fractions)},
+        "fractions": {keys[t]: report.fractions[t] for t in sorted(report.fractions)},
         "unlabeled_members": report.unlabeled_members,
         "clusters_without_labels": report.clusters_without_labels,
         "per_cluster": [

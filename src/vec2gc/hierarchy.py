@@ -108,11 +108,6 @@ def vec2gc_cluster(
         bucket.reasons[a] = REASON_ISOLATED
 
     active = np.nonzero(degree_counts > 0)[0]
-    if active.size == 0:
-        warnings.warn("similarity graph has no edges; every item is non-community")
-        bucket.members = sorted(bucket.reasons)
-        return ClusterTree(), bucket
-
     root = _BuildNode(active)
     # corpus ascends at every level: active does, and so does each members_by_community group
     level = [(induced_subgraph(g, active) if active.size < g.n else g, seed, root)]
@@ -144,7 +139,8 @@ def vec2gc_cluster(
     bucket.members = sorted(bucket.reasons)
     tree = _flatten(root, bucket)
     if not tree.nodes:
-        warnings.warn("every community fell below min_community_size; tree is empty")
+        reason = "every community fell below min_community_size; tree is empty"
+        warnings.warn(reason if active.size else "similarity graph has no edges; every item is non-community")
     return tree, bucket
 
 
@@ -238,10 +234,10 @@ def leaf_clusters_from_document(doc: dict) -> tuple[list[list[str]], list[str]]:
     """Leaf member-id lists (depth-first child order) and bucket ids from a tree document.
 
     The document is validated before it is walked: integer ids that are
-    unique, one root, children that exist and name their parent, no node
-    reached twice or left unreached, and string members, none of them in
-    two leaves or in a leaf and the bucket. A violation is a ValueError
-    naming the node.
+    unique, integer or null parents, one root, children that exist and
+    name their parent, no node reached twice or left unreached, and string
+    members, none of them in two leaves or in a leaf and the bucket. A
+    violation is a ValueError naming the node.
     """
     if not isinstance(doc, dict):
         raise ValueError("tree document must be a JSON object")
@@ -257,6 +253,8 @@ def leaf_clusters_from_document(doc: dict) -> tuple[list[list[str]], list[str]]:
             raise ValueError(f"tree node {node_id!r}: id must be an integer")
         if node_id in by_id:
             raise ValueError(f"tree node {node_id}: duplicate id")
+        if type(node.get("parent")) not in (int, type(None)):
+            raise ValueError(f"tree node {node_id}: parent must be an integer or null")
         by_id[node_id] = node
         children = node.get("children", [])
         if not isinstance(children, list):

@@ -746,6 +746,18 @@ class TestEvaluateCommand:
                 [],
                 "tree document needs exactly one root node, found [0, 1]",
             ),
+            *(
+                (
+                    [
+                        {"id": root, "parent": None, "children": [2], "members": ["a"]},
+                        {"id": 2, "parent": parent, "children": [], "members": ["a"]},
+                    ],
+                    [],
+                    "tree node 2: parent must be an integer or null",
+                )
+                # each parent compares equal to the root's id
+                for root, parent in ((1, True), (0, False), (1, 1.0))
+            ),
         ],
         ids=[
             "cycle",
@@ -759,6 +771,9 @@ class TestEvaluateCommand:
             "node-not-an-object",
             "no-root",
             "two-roots",
+            "parent-true",
+            "parent-false",
+            "parent-float",
         ],
     )
     def test_inconsistent_tree_fails_naming_the_node(self, tmp_path, planted_files, capsys, nodes, bucket, message):

@@ -550,7 +550,8 @@ class TestLoopOnlyNode:
 class TestOptimizerMemory:
     def test_the_traced_peak_follows_the_arrays(self):
         # Each level holds its entries once, as arrays of 16 bytes an entry (column
-        # and weight) that the sweep reads in place: 88 bytes an entry at the peak.
+        # and weight) that the sweep reads in place, and a level without self-loops
+        # reads the graph's own arrays: 72 bytes an entry at the peak (88 with copies).
         # Python list copies of the sweep's entries, an object and a pointer an
         # entry, read 157, so the bound tells the two apart with margin.
         n = 1500
@@ -564,6 +565,17 @@ class TestOptimizerMemory:
         finally:
             tracemalloc.stop()
         assert peak / g.indices.size < 120
+
+
+class TestSweepGraph:
+    def test_a_level_without_loops_reads_the_graph_arrays_in_place(self):
+        g = graph_from_edges(6, TRIANGLES + [(2, 3, 0.5)])
+        sg = community._SweepGraph(g, [g.n])
+        assert np.shares_memory(sg.cols, g.indices) and np.shares_memory(sg.weights, g.weights)
+        # each super-node's loop is left out, its edge to the other kept
+        agg = aggregate_graph(g, [0, 0, 0, 1, 1, 1])
+        sa = community._SweepGraph(agg, [agg.n])
+        assert (sa.rows.tolist(), sa.cols.tolist(), sa.weights.tolist()) == ([0, 1], [1, 0], [0.5, 0.5])
 
 
 class TestDenseRelabel:

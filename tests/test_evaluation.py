@@ -160,6 +160,12 @@ class TestReportFormats:
         ]
         assert doc["fractions"] == {"0.5": 1.0, "0.7": 1.0, "0.9": 1.0}
 
+    def test_json_dict_keeps_thresholds_that_agree_to_six_digits(self):
+        clusters = [["a", "b"], ["c", "d"]]
+        labels = {"a": "x", "b": "x", "c": "x", "d": "y"}
+        doc = report_to_json_dict(purity_report(clusters, labels, thresholds=[0.5, 0.5000001, 0.9999999, 1.0]))
+        assert doc["fractions"] == {"0.5": 1.0, "0.5000001": 0.5, "0.9999999": 0.5, "1": 0.5}
+
 
 class TestKMedoids:
     def test_recovers_planted_blobs(self):

@@ -79,6 +79,19 @@ class TestVec2gcCluster:
         assert set(bucket.reasons.values()) == {"isolated"}
         assert flat_clusters(tree) == []
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_an_input_without_edges_runs_no_optimizer_call(self, monkeypatch, n):
+        def fail(*args):
+            raise AssertionError("louvain called on an input without edges")
+
+        monkeypatch.setattr(hierarchy, "louvain", fail)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tree, bucket = vec2gc_cluster(graph_from_edges(n, []), 0.3, 500, seed=1)
+        assert tree == ClusterTree(nodes=[], root=None)
+        assert bucket == hierarchy.NonCommunityBucket(list(range(n)), dict.fromkeys(range(n), "isolated"))
+        assert [str(w.message) for w in caught] == ["similarity graph has no edges; every item is non-community"]
+
     def test_every_community_below_min_size_yields_empty_tree_with_warning(self):
         emb, _ = planted_groups([4, 4, 4], intra_cs=0.95)
         g = build_graph(emb, 0.5)
