@@ -27,24 +27,24 @@ from .hierarchy import _check_cluster_parameters, dumps_tree, leaf_clusters_from
 from .simgraph import _check_theta, build_graph, write_edges_tsv
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    """Everything a clustering run depends on; the manifest serializes it."""
+    """Everything a clustering run depends on; the manifest serializes it.
+
+    The defaults are cluster's. Its parser leaves every option None, so
+    beside --from-manifest a given one can be told from one left out.
+    """
 
     input: str
-    format: str
-    labels: str | None
+    format: str = "jsonl"
+    labels: str | None = None
     theta: float
-    mod_threshold: float
-    max_size: int
-    min_community_size: int
+    mod_threshold: float = 0.3
+    max_size: int = 500
+    min_community_size: int = 2
     seed: int
-    restarts: int
-    output: str
-
-# cluster's defaulted options. Their parser default is None, so beside
-# --from-manifest a given one can be told from one left out.
-CLUSTER_DEFAULTS = {"format": "jsonl", "mod_threshold": 0.3, "max_size": 500, "min_community_size": 2, "restarts": RESTARTS}
+    restarts: int = RESTARTS
+    output: str = "tree.json"
 
 
 def _sha256(path) -> str:
@@ -128,7 +128,7 @@ def _load_manifest(path: str) -> tuple[RunConfig, bool, str]:
         kind, accepts = _PARAMETER_TYPES[field.type]
         if not accepts(value):
             raise ValueError(f"{path}: parameter '{field.name}' must be {kind}, got {json.dumps(value)}")
-        if value == "" and field.name in ("input", "labels"):
+        if value == "" and field.name in ("input", "labels", "output"):
             raise ValueError(f"{path}: parameter '{field.name}' is empty; give a file path")
         values[field.name] = float(value) if field.type == "float" else value
     if params:
@@ -188,9 +188,9 @@ def cmd_graph(args) -> int:
 
 def cmd_cluster(args) -> int:
     if args.from_manifest:
-        for name in ("input", "labels", "theta", "seed", *CLUSTER_DEFAULTS):
-            if getattr(args, name) is not None:
-                option = "--" + name.replace("_", "-")
+        for field in fields(RunConfig):
+            if field.name != "output" and getattr(args, field.name) is not None:
+                option = "--" + field.name.replace("_", "-")
                 raise ValueError(f"{option} cannot be given with --from-manifest, which records it")
         config, seed_generated, recorded = _load_manifest(args.from_manifest)
         if args.output is not None:
@@ -198,11 +198,10 @@ def cmd_cluster(args) -> int:
     else:
         if args.input is None or args.theta is None:
             raise ValueError("cluster requires --input and --theta (or --from-manifest)")
-        # the option dests are the field names
+        seed, seed_generated = _resolve_seed(args.seed)
+        # the option dests are the field names; an option left out takes the field's default
         given = {field.name: getattr(args, field.name) for field in fields(RunConfig)}
-        config = RunConfig(**{name: CLUSTER_DEFAULTS.get(name) if v is None else v for name, v in given.items()})
-        config.seed, seed_generated = _resolve_seed(args.seed)
-        config.output = "tree.json" if args.output is None else args.output
+        config = RunConfig(**{name: v for name, v in given.items() if v is not None} | {"seed": seed})
         recorded = None
 
     try:  # before the input is read
@@ -331,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"vec2gc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_args(p, default=CLUSTER_DEFAULTS["format"]):
+    def add_input_args(p, default=RunConfig.format):
         p.add_argument("--input", help="embedding file")
         p.add_argument("--format", choices=sorted(EMBEDDING_FORMATS), default=default, help="embedding file format")
 

@@ -39,8 +39,8 @@ class FormatError(ValueError):
 
 
 def open_utf8(path):
-    """A UTF-8 text file opened for reading; an undecodable byte 0xNN reads as U+DCNN (see _utf8_error)."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    """A UTF-8 text file opened for reading, past a leading byte order mark; an undecodable byte 0xNN reads as U+DCNN (see _utf8_error)."""
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
 @contextlib.contextmanager

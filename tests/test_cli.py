@@ -5,7 +5,7 @@ import os
 import stat
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -40,6 +40,18 @@ def run_cluster(tmp_path, emb_path, extra=()):
         ]
     )
     return code, out
+
+
+# Every RunConfig field but output is refused beside --from-manifest, at its
+# default value where it has one; a field without one takes a value of its type.
+RECORDED_OPTIONS = [
+    (
+        "--" + f.name.replace("_", "-"),
+        str(f.default) if f.default not in (MISSING, None) else {"float": "0.6", "int": "5"}.get(f.type, "emb.jsonl"),
+    )
+    for f in fields(cli.RunConfig)
+    if f.name != "output"
+]
 
 
 class TestClusterCommand:
@@ -162,15 +174,17 @@ class TestClusterCommand:
     def test_optimizer_defaults_are_louvain_configs(self):
         # the parser leaves the option unset; cmd_cluster applies the default
         assert cli.build_parser().parse_args(["cluster"]).restarts is None
-        assert cli.CLUSTER_DEFAULTS["restarts"] == community.RESTARTS
+        assert cli.RunConfig.restarts == community.RESTARTS
 
-    def test_omitted_options_take_their_defaults(self, tmp_path, planted_files):
+    def test_omitted_options_take_their_defaults(self, tmp_path, planted_files, monkeypatch):
         _, emb_path, _ = planted_files
-        out = tmp_path / "tree.json"
-        assert main(["cluster", "--input", emb_path, "--theta", "0.5", "--seed", "1", "--output", str(out)]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["cluster", "--input", emb_path, "--theta", "0.5", "--seed", "1"]) == 0
         parameters = json.loads((tmp_path / "tree.manifest.json").read_text())["parameters"]
-        assert {name: parameters[name] for name in cli.CLUSTER_DEFAULTS} == {
-            "format": "jsonl", "mod_threshold": 0.3, "max_size": 500, "min_community_size": 2, "restarts": community.RESTARTS
+        defaults = {f.name: f.default for f in fields(cli.RunConfig) if f.default is not MISSING}
+        assert {name: parameters[name] for name in defaults} == defaults == {
+            "format": "jsonl", "labels": None, "mod_threshold": 0.3, "max_size": 500, "min_community_size": 2,
+            "restarts": community.RESTARTS, "output": "tree.json",
         }
 
     def test_every_optimizer_setting_is_a_run_parameter(self):
@@ -255,6 +269,15 @@ class TestClusterCommand:
         assert printed.out == ""
         assert not rerun.exists() and not (tmp_path / "rerun.manifest.json").exists()
 
+    def test_a_leading_byte_order_mark_in_a_manifest_is_ignored(self, tmp_path, planted_files):
+        _, emb_path, _ = planted_files
+        _, out = run_cluster(tmp_path, emb_path)
+        manifest = tmp_path / "tree.manifest.json"
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        rerun = tmp_path / "rerun.json"
+        assert main(["cluster", "--from-manifest", str(manifest), "--output", str(rerun)]) == 0
+        assert rerun.read_bytes() == out.read_bytes()
+
     def test_a_manifest_of_this_version_reruns_silently(self, tmp_path, planted_files, capsys):
         _, emb_path, _ = planted_files
         _, out = run_cluster(tmp_path, emb_path)
@@ -264,15 +287,7 @@ class TestClusterCommand:
         assert capsys.readouterr().err == ""
         assert rerun.read_bytes() == out.read_bytes()
 
-    @pytest.mark.parametrize(
-        "option, value",
-        [
-            ("--input", "emb.jsonl"), ("--labels", "l.tsv"), ("--theta", "0.6"), ("--seed", "5"),
-            # defaulted options, refused also at their default value
-            ("--format", "jsonl"), ("--format", "csv"), ("--mod-threshold", "0.3"), ("--max-size", "3"),
-            ("--min-community-size", "2"), ("--restarts", "8"),
-        ],
-    )
+    @pytest.mark.parametrize("option, value", [*RECORDED_OPTIONS, ("--format", "csv"), ("--max-size", "3")])
     def test_a_recorded_option_beside_from_manifest_is_refused(self, tmp_path, planted_files, capsys, monkeypatch, option, value):
         # the rerun would use the recorded value; refused before the manifest is read
         _, emb_path, _ = planted_files
@@ -284,6 +299,11 @@ class TestClusterCommand:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {option} cannot be given with --from-manifest, which records it\n"
         assert not out.exists() and not (tmp_path / "rerun.manifest.json").exists()
+
+    def test_of_two_recorded_options_the_first_field_is_named(self, tmp_path, capsys):
+        argv = ["cluster", "--from-manifest", str(tmp_path / "tree.manifest.json"), "--seed", "5", "--input", "emb.jsonl"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --input cannot be given with --from-manifest, which records it\n"
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(
@@ -648,6 +668,17 @@ class TestEvaluateCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
+
+    def test_a_leading_byte_order_mark_in_a_tree_is_ignored(self, tmp_path, planted_files, capsys):
+        _, emb_path, labels_path = planted_files
+        _, out = run_cluster(tmp_path, emb_path)
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+        capsys.readouterr()
+        assert main(["evaluate", "--tree", str(out), "--labels", labels_path]) == 0
+        plain = capsys.readouterr()
+        assert main(["evaluate", "--tree", str(marked), "--labels", labels_path]) == 0
+        assert capsys.readouterr() == plain
 
     @pytest.mark.parametrize("command", ["evaluate", "rerun"])
     def test_undecodable_json_names_file_and_line(self, tmp_path, planted_files, capsys, command):
@@ -1075,7 +1106,7 @@ class TestOutputPaths:
         assert capsys.readouterr() == ("", f"error: {option} is empty; give a file path\n")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("field", ["input", "labels"])
+    @pytest.mark.parametrize("field", ["input", "labels", "output"])
     def test_a_rerun_refuses_an_empty_recorded_input(self, tmp_path, files, capsys, field):
         manifest = tmp_path / "tree.manifest.json"
         doc = json.loads(manifest.read_text())

@@ -373,6 +373,28 @@ def test_undecodable_label_file_names_its_line(tmp_path):
         load_labels(str(path))
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, fmt):
+    text, offset = render(fmt, [("a", ["1.0", "0.5"]), ("b", ["0.5", "1.0"]), ("c", ["1.0"])])
+    path = tmp_path / f"emb.{fmt}"
+    path.write_bytes(BOM + text.encode("utf-8"))
+    # the mark starts no id, and the line numbers stay the file's
+    with pytest.raises(FormatError, match=rf"line {3 + offset}: dimension mismatch"):
+        load_embeddings(str(path), fmt)
+    text, _ = render(fmt, [("a", ["1.0", "0.5"]), ("b", ["0.5", "1.0"])])
+    path.write_bytes(BOM + text.encode("utf-8"))
+    assert load_embeddings(str(path), fmt).ids == ["a", "b"]
+
+
+def test_a_leading_byte_order_mark_in_a_label_file_is_ignored(tmp_path):
+    path = tmp_path / "labels.tsv"
+    path.write_bytes(BOM + b"a\tx\nb\ty\n")
+    assert load_labels(str(path)) == {"a": "x", "b": "y"}
+
+
 def test_undecodable_byte_loses_to_an_earlier_bad_row(tmp_path):
     path = tmp_path / "emb.csv"
     path.write_bytes(b"a,nan,1\nb,1,2\nc,\xff,3\n")
