@@ -209,6 +209,8 @@ def cmd_cluster(args) -> int:
         _check_cluster_parameters(config.mod_threshold, config.max_size, config.min_community_size, config.restarts)
     except ValueError as exc:
         raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest else str(exc)) from None
+    if args.from_manifest:  # --manifest may rewrite the manifest it reruns; the tree may not
+        _check_outputs({"--output": config.output}, {"--from-manifest": args.from_manifest})
     manifest_path = args.manifest
     if manifest_path is None and Path(config.output).name:  # an output without a file name is refused below
         manifest_path = str(Path(config.output).with_suffix(".manifest.json"))

@@ -22,7 +22,7 @@ DEFAULT_THRESHOLDS = (0.5, 0.7, 0.9)
 
 @dataclass
 class ClusterPurityRow:
-    index: int
+    cluster: int
     size: int
     labeled: int
     majority_label: str
@@ -37,12 +37,12 @@ class PurityReport:
     the noise bucket is excluded from it and surfaced as noise_size.
     """
 
-    per_cluster: list[ClusterPurityRow]
     n_clusters: int
-    fractions: dict[float, float]
     noise_size: int
+    fractions: dict[float, float]
     unlabeled_members: int
     clusters_without_labels: int
+    per_cluster: list[ClusterPurityRow]
 
 
 def cluster_purity(members, labels: dict[str, str]) -> tuple[float, str]:
@@ -92,27 +92,34 @@ def purity_report(
             continue
         purity, majority = cluster_purity(members, labels)
         rows.append(
-            ClusterPurityRow(index=idx, size=len(members), labeled=labeled, majority_label=majority, purity=purity)
+            ClusterPurityRow(cluster=idx, size=len(members), labeled=labeled, majority_label=majority, purity=purity)
         )
     if not rows:
         raise ValueError("no cluster has labeled members")
     n = len(rows)
     fractions = {t: sum(1 for r in rows if r.purity >= t) / n for t in sorted(thresholds)}
     return PurityReport(
-        per_cluster=rows,
         n_clusters=n,
-        fractions=fractions,
         noise_size=noise_size,
+        fractions=fractions,
         unlabeled_members=unlabeled,
         clusters_without_labels=skipped,
+        per_cluster=rows,
     )
 
 
 def format_report_table(report: PurityReport) -> str:
-    """Plain-text table: one row per threshold, comparison-table style."""
+    """Plain-text table: one row per threshold, comparison-table style.
+
+    A threshold's label is the exact decimal of its shortest repr times
+    100, so distinct thresholds never share a label (0.995 is 99.5%).
+    """
+    from decimal import Decimal  # here, so commands that print no table never import it
+
     lines = ["Purity Value  Fraction of clusters @ k% purity"]
     for t in sorted(report.fractions):
-        lines.append(f"{round(t * 100):>3d}%          {report.fractions[t]:.2f}")
+        label = f"{format(Decimal(repr(t)).scaleb(2).normalize(), 'f'):>3}%"
+        lines.append(f"{label:<13} {report.fractions[t]:.2f}")
     lines.append(
         f"N = {report.n_clusters} clusters evaluated"
         f" (noise excluded: {report.noise_size},"
@@ -123,24 +130,11 @@ def format_report_table(report: PurityReport) -> str:
 
 
 def report_to_json_dict(report: PurityReport) -> dict:
-    """JSON-ready form of a report; key order is stable, and no two thresholds share a key."""
+    """JSON-ready copy of a report: its keys are the dataclass fields, in order, and no two thresholds share a key."""
     keys = {t: f"{t:g}" if float(f"{t:g}") == t else repr(float(t)) for t in report.fractions}
-    return {
-        "n_clusters": report.n_clusters,
-        "noise_size": report.noise_size,
+    return vars(report) | {
         "fractions": {keys[t]: report.fractions[t] for t in sorted(report.fractions)},
-        "unlabeled_members": report.unlabeled_members,
-        "clusters_without_labels": report.clusters_without_labels,
-        "per_cluster": [
-            {
-                "cluster": row.index,
-                "size": row.size,
-                "labeled": row.labeled,
-                "majority_label": row.majority_label,
-                "purity": row.purity,
-            }
-            for row in report.per_cluster
-        ],
+        "per_cluster": [dict(vars(row)) for row in report.per_cluster],
     }
 
 

@@ -50,7 +50,10 @@ class TreeNode:
     children: list[int]
     members: list[int]
     split_modularity: float | None
-    is_leaf: bool
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
 
 
 @dataclass
@@ -177,7 +180,6 @@ def _flatten(root: _BuildNode, bucket: NonCommunityBucket) -> ClusterTree:
             children=[],
             members=members,
             split_modularity=bnode.split_modularity,
-            is_leaf=not bnode.children,
         )
         tree.nodes.append(node)
         if parent is not None:
@@ -206,22 +208,13 @@ def dumps_tree(
     max_size: int,
     seed: int,
 ) -> str:
-    """JSON text of a clustering run's tree document; key order is stable."""
+    """JSON text of a clustering run's tree document; each node's keys are TreeNode's fields, in order."""
     doc = {
         "theta": theta,
         "mod_threshold": mod_threshold,
         "max_size": max_size,
         "seed": seed,
-        "nodes": [
-            {
-                "id": node.id,
-                "parent": node.parent,
-                "children": list(node.children),
-                "members": [ids[i] for i in node.members],
-                "split_modularity": node.split_modularity,
-            }
-            for node in tree.nodes
-        ],
+        "nodes": [vars(node) | {"members": [ids[i] for i in node.members]} for node in tree.nodes],
         "non_community": {
             "members": [ids[i] for i in bucket.members],
             "reasons": {ids[i]: bucket.reasons[i] for i in bucket.members},

@@ -424,7 +424,6 @@ def _reference_flatten(root):
             children=[],
             members=bnode.members,
             split_modularity=bnode.split_modularity,
-            is_leaf=not bnode.children,
         )
         tree.nodes.append(node)
         for child in bnode.children:

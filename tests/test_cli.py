@@ -1026,6 +1026,17 @@ class TestOutputPaths:
         manifest = str(tmp_path / "tree.manifest.json")
         self.refused(["cluster", "--from-manifest", manifest, "--output", files["--input"]], capsys, files, "--output", "--input")
 
+    @pytest.mark.parametrize("link", [None, "symlink_to", "hardlink_to"])
+    def test_a_rerun_tree_may_not_replace_its_manifest(self, tmp_path, files, capsys, link):
+        manifest = tmp_path / "tree.manifest.json"
+        output = manifest if link is None else tmp_path / "link.json"
+        if link is not None:
+            getattr(output, link)(manifest)
+        files = {**files, "--from-manifest": str(manifest)}
+        argv = ["cluster", "--from-manifest", str(manifest), "--output", str(output)]
+        self.refused(argv, capsys, files, "--output", "--from-manifest")
+        assert not os.path.exists(tmp_path / "tree.manifest.manifest.json")
+
     def test_a_symlink_is_the_file_it_names(self, tmp_path, files, capsys):
         link = tmp_path / "link.jsonl"
         link.symlink_to(files["--input"])

@@ -1,3 +1,6 @@
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -81,7 +84,7 @@ class TestPurityReport:
         report = purity_report(clusters, labels)
         for row in report.per_cluster:
             majority_count = sum(
-                1 for m in clusters[row.index] if labels.get(m) == row.majority_label
+                1 for m in clusters[row.cluster] if labels.get(m) == row.majority_label
             )
             assert row.purity == majority_count / row.labeled
 
@@ -141,15 +144,33 @@ class TestReportFormats:
     def test_table_has_comparison_columns(self):
         clusters = [["a", "b"], ["c", "d"]]
         labels = {"a": "x", "b": "x", "c": "x", "d": "y"}
-        table = format_report_table(purity_report(clusters, labels, noise_size=3))
-        assert "Fraction of clusters @ k% purity" in table
-        assert "50%" in table and "70%" in table and "90%" in table
-        assert "noise excluded: 3" in table
+        assert format_report_table(purity_report(clusters, labels, noise_size=3)) == (
+            "Purity Value  Fraction of clusters @ k% purity\n"
+            " 50%          1.00\n"
+            " 70%          0.50\n"
+            " 90%          0.50\n"
+            "N = 2 clusters evaluated (noise excluded: 3, unlabeled members: 0, clusters without labels: 0)"
+        )
+
+    def test_table_labels_tell_thresholds_apart(self):
+        clusters = [["a", "b"], ["c", "d"]]
+        labels = {"a": "x", "b": "x", "c": "x", "d": "y"}
+        report = purity_report(clusters, labels, thresholds=[0.5, 0.5000001, 0.995, 0.9999999, 1])
+        rows = format_report_table(report).splitlines()[1:-1]
+        assert rows == [
+            " 50%          1.00",
+            "50.00001%     0.50",
+            "99.5%         0.50",
+            "99.99999%     0.50",
+            "100%          0.50",
+        ]
 
     def test_json_dict_key_order(self):
-        clusters = [["a", "b"]]
+        clusters = [["a", "b"], ["c"]]
         labels = {"a": "x", "b": "x"}
-        doc = report_to_json_dict(purity_report(clusters, labels))
+        report = purity_report(clusters, labels)
+        before = copy.deepcopy(report)
+        doc = report_to_json_dict(report)
         assert list(doc) == [
             "n_clusters",
             "noise_size",
@@ -158,7 +179,16 @@ class TestReportFormats:
             "clusters_without_labels",
             "per_cluster",
         ]
+        assert list(doc) == [f.name for f in fields(evaluation.PurityReport)]
         assert doc["fractions"] == {"0.5": 1.0, "0.7": 1.0, "0.9": 1.0}
+        for row in doc["per_cluster"]:
+            assert list(row) == ["cluster", "size", "labeled", "majority_label", "purity"]
+        # the result is a copy: editing it, its fractions or a row leaves the report as it was
+        doc["n_clusters"] = 9
+        doc["fractions"]["0.5"] = 0.0
+        doc["per_cluster"][0]["purity"] = 0.0
+        doc["per_cluster"].append({})
+        assert report == before
 
     def test_json_dict_keeps_thresholds_that_agree_to_six_digits(self):
         clusters = [["a", "b"], ["c", "d"]]

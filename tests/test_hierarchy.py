@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -16,6 +17,7 @@ from vec2gc import (
     EmbeddingSet,
     Partition,
     SimilarityGraph,
+    TreeNode,
     build_graph,
     derive_seed,
     dumps_tree,
@@ -505,13 +507,22 @@ class TestSerialization:
         emb, g, tree, bucket = cluster_planted([8, 8], intra_cs=0.95, max_size=50)
         doc = json.loads(dumps_tree(tree, bucket, emb.ids, theta=0.5, mod_threshold=0.3, max_size=50, seed=99))
         assert list(doc) == ["theta", "mod_threshold", "max_size", "seed", "nodes", "non_community"]
-        assert list(doc["nodes"][0]) == ["id", "parent", "children", "members", "split_modularity"]
+        assert len(doc["nodes"]) > 1
+        for node in doc["nodes"]:
+            assert list(node) == ["id", "parent", "children", "members", "split_modularity"]
         assert list(doc["non_community"]) == ["members", "reasons"]
         assert doc["nodes"][0]["id"] == 0
         assert doc["nodes"][0]["parent"] is None
         # members serialize as id strings sorted by corpus index
         for node in doc["nodes"]:
             assert all(isinstance(m, str) for m in node["members"])
+
+    def test_is_leaf_is_derived_from_children(self):
+        _, _, tree, _ = cluster_planted([12, 12, 12], intra_cs=0.95, max_size=13, seed=31415)
+        assert any(node.is_leaf for node in tree.nodes) and not all(node.is_leaf for node in tree.nodes)
+        for node in tree.nodes:
+            assert node.is_leaf == (not node.children)
+        assert "is_leaf" not in [f.name for f in dataclasses.fields(TreeNode)]
 
     def test_byte_identical_across_runs(self):
         kwargs = dict(sizes=[12, 12, 12], intra_cs=0.95, max_size=13, seed=31415)
