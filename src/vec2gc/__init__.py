@@ -48,7 +48,7 @@ from .evaluation import (
     report_to_json_dict,
 )
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"
 
 __all__ = [
     "EmbeddingSet",

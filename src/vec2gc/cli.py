@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .community import RESTARTS, _available_cpus
+from .community import RESTARTS, SMALL_GRAPH_NODES, _available_cpus
 from .embedding_io import EMBEDDING_FORMATS, FormatError, _utf8_error, load_embeddings, load_labels, open_utf8, rewrite_utf8
 from .evaluation import DEFAULT_THRESHOLDS, format_report_table, kmedoids, purity_report, report_to_json_dict
 from .hierarchy import _check_cluster_parameters, dumps_tree, leaf_clusters_from_document, vec2gc_cluster
@@ -187,7 +187,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    if args.from_manifest:
+    _check_outputs({}, {"--from-manifest": args.from_manifest})  # "" is refused, not taken as left out
+    if args.from_manifest is not None:
         for field in fields(RunConfig):
             if field.name != "output" and getattr(args, field.name) is not None:
                 option = "--" + field.name.replace("_", "-")
@@ -208,8 +209,8 @@ def cmd_cluster(args) -> int:
         _check_theta(config.theta)
         _check_cluster_parameters(config.mod_threshold, config.max_size, config.min_community_size, config.restarts)
     except ValueError as exc:
-        raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest else str(exc)) from None
-    if args.from_manifest:  # --manifest may rewrite the manifest it reruns; the tree may not
+        raise ValueError(f"{args.from_manifest}: parameter {exc}" if args.from_manifest is not None else str(exc)) from None
+    if args.from_manifest is not None:  # --manifest may rewrite the manifest it reruns; the tree may not
         _check_outputs({"--output": config.output}, {"--from-manifest": args.from_manifest})
     manifest_path = args.manifest
     if manifest_path is None and Path(config.output).name:  # an output without a file name is refused below
@@ -221,7 +222,7 @@ def cmd_cluster(args) -> int:
     labels_sha256 = None if config.labels is None else _sha256(config.labels)
     if recorded and input_sha256 != recorded:
         raise ValueError(f"input file {config.input} does not match the manifest checksum")
-    print(f"seed: {config.seed}" + (" (generated)" if seed_generated and not args.from_manifest else ""))
+    print(f"seed: {config.seed}" + (" (generated)" if seed_generated and args.from_manifest is None else ""))
     emb = load_embeddings(config.input, config.format)
     g = build_graph(emb, config.theta)
     tree, bucket = vec2gc_cluster(
@@ -358,7 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--max-size", type=int, help="communities above this size are split again")
     cluster.add_argument("--min-community-size", type=int, help="smaller communities become non-community items")
     cluster.add_argument("--seed", type=int, help="random seed; generated and printed when omitted")
-    cluster.add_argument("--restarts", type=int, help="seeded optimizer runs per split; the best wins")
+    cluster.add_argument(
+        "--restarts", type=int, metavar="N",
+        help=f"seeded optimizer runs per split of more than {SMALL_GRAPH_NODES} items, 2N at or below (default {RESTARTS}); the best wins",
+    )
     cluster.add_argument("--output", help="tree JSON path (default tree.json)")
     cluster.add_argument("--manifest", help="manifest path (default: output with .manifest.json suffix)")
     cluster.add_argument("--from-manifest", help="rerun byte-for-byte the configuration of a manifest written by this version")

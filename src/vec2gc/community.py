@@ -5,10 +5,11 @@ moves until none improves modularity by more than GAIN_EPSILON, then
 aggregation of communities into super-nodes, repeated until a level
 stops improving. A final move phase runs against the original graph so
 the returned partition is locally optimal node-by-node, not only
-super-node-by-super-node. The calls of one tree level run as one pass
-over their graphs laid side by side, each graph's result the bits of a
-call of its own, and the pass's seeded restarts can run on the worker
-processes of a RestartPool.
+super-node-by-super-node. A call runs more seeded restarts on a small
+graph than on a large one (restart_count). The calls of one tree level
+with one restart count run as one pass over their graphs laid side by
+side, each graph's result the bits of a call of its own, and the pass's
+restarts can run on the worker processes of a RestartPool.
 """
 
 from __future__ import annotations
@@ -31,15 +32,27 @@ GAIN_EPSILON = 1e-9
 # phases of the six benchmark runs (3 workloads, seeds 1 and 7) need at most 14.
 MAX_SWEEPS = 100
 
-# Seeded restarts of one louvain call. Dense weighted graphs have local
-# maxima that a single greedy pass lands in; restarts escape them. 8 write
-# the same trees as the 16 of versions before 0.2 on all three benchmark
-# corpora at seeds 1 to 8, in 56 to 57% of the optimizer time. On tiny
-# graphs they trade some quality: the exhaustive-optimum acceptance test
-# needs at least 6, and on 2,040 random graphs of 3 to 8 nodes from its
-# generator the best of 8 falls below 0.9 times the optimal Q on 4, the
-# best of 16 on none.
-RESTARTS = 8
+# Seeded restarts of one louvain call on a graph of more than
+# SMALL_GRAPH_NODES nodes; smaller graphs run twice as many (restart_count).
+# Dense weighted graphs have local maxima that a single greedy pass lands
+# in; restarts escape them. Restart r is seeded (seed, r), so a large
+# graph's 4 are the first 4 of the 8 every call ran before 0.6.0: on the
+# three benchmark corpora at seeds 1 to 16 they write the same trees in 45
+# of 48 runs. Small graphs keep 8, where restarts cost almost nothing and
+# quality needs them: the exhaustive-optimum acceptance test needs at least
+# 6, and on 2,040 random graphs of 3 to 8 nodes from its generator the best
+# of 8 falls below 0.9 times the optimal Q on 4, the best of 16 on none.
+RESTARTS = 4
+
+# Largest graph that runs 2 * restarts: at the default, the 8 restarts and
+# the bits of every call before 0.6.0. Not hierarchy.CERTIFY_MAX_NODES,
+# which is the same number for another reason.
+SMALL_GRAPH_NODES = 64
+
+
+def restart_count(n: int, restarts: int) -> int:
+    """Restarts of a louvain call on a graph of n nodes: restarts above SMALL_GRAPH_NODES nodes, 2 * restarts at or below."""
+    return restarts if n > SMALL_GRAPH_NODES else 2 * restarts
 
 
 @dataclass
@@ -144,11 +157,12 @@ def aggregate_graph(g: SimilarityGraph, assignment) -> SimilarityGraph:
 def louvain(g, seed: int = 0, restarts: int = RESTARTS, started=None) -> Partition:
     """Modularity-maximizing partition of a weighted graph.
 
-    The best of restarts runs of the whole multi-level pass (see
-    RESTARTS), the first from singletons, the rest from seeded random
-    partitions. Deterministic for a fixed seed: node visit order is a
-    seeded shuffle per sweep, equal-gain targets resolve to the smallest
-    community id, and restart ties to the earliest restart. Without
+    The best of restart_count(g.n, restarts) runs of the whole
+    multi-level pass (see RESTARTS), the first from singletons, the rest
+    from seeded random partitions. Deterministic for a fixed seed: node
+    visit order is a seeded shuffle per sweep, equal-gain targets resolve
+    to the smallest community id, and restart ties to the earliest
+    restart. Without
     started the restarts run here. started is this call's handle from
     RestartPool.start, which returns the call's best partition; its
     restarts are compared in restart order, so the result is the same at
@@ -159,33 +173,35 @@ def louvain(g, seed: int = 0, restarts: int = RESTARTS, started=None) -> Partiti
     if g.two_m <= 0.0:
         raise ValueError("community detection requires a graph with at least one edge")
     if started is None:
-        return _best([functools.partial(_restarts, [g], [seed], 0, restarts)], 0)
+        return _best([functools.partial(_restarts, [g], [seed], 0, restart_count(g.n, restarts))], 0)
     return started()
 
 
 _MASK64 = (1 << 64) - 1  # a seed's low 64 bits, as its generator and hierarchy.derive_seed read it
 
-# Smallest work (CSR entries x restarts, summed over the calls of one
-# level) that opens the worker processes, which serve every later level.
-# A level's graphs are induced subgraphs of communities of the level
-# above, so its work never exceeds that one's: the root level opens the
-# pool or none does. Measured on 2 CPUs, Python 3.11, 8 restarts: the
-# first pool of a process costs 20 to 31 ms (median 25 of 9 runs) to
-# import multiprocessing, fork two workers, run a first task and close
-# them. Once open, two workers save, per unit and after pickling, 0.3 to
+# Smallest work (CSR entries x the call's restart_count, summed over the
+# calls of one level) that opens the worker processes, which serve every
+# later level. A level's graphs are induced subgraphs of communities of the
+# level above, so its entries never exceed that one's and its work is at
+# most twice that one's (a graph of SMALL_GRAPH_NODES nodes or fewer runs
+# twice the restarts): the root level opens the pool, a later level only
+# when the root's work is at least half of POOL_MIN_WORK, or none does.
+# Measured on 2 CPUs, Python 3.11, 8 restarts: the first pool of a process
+# costs 20 to 31 ms (median 25 of 9 runs) to import multiprocessing, fork
+# two workers, run a first task and close them. Once open, two workers save, per unit and after pickling, 0.3 to
 # 0.75 us (median 0.54) on single calls of 18k to 28k units (the
 # nested-deep benchmark's level-1 calls, medians of 5, in 3 of 4 runs; the
 # fourth, on a busy host, saved nothing) and 0.8 to 1.45 us on
 # dedup-wide's 24k-unit root call, so a run whose largest level is one
 # call breaks even near 25 ms / 0.54 us = 47k units, with 17k to 100k
 # inside the range. 40k stays, inside that range. Levels at seed 1:
-# topics-dense 988k (1 call); nested-deep 140k (root, which opens the
-# pool), 140k (6 calls), 52k (26 calls) and 2.7k (2 calls); dedup-wide 24k
-# (1 call, in-process, saving at most what opening the pool costs: 24k x
-# 1.1 us = 26 ms). Small levels stay on an open pool: nested-deep's
-# 2.7k-unit level took 8.1 to 8.7 ms in-process after the fork, most of
-# it copy-on-write faults on pages shared with the workers, and 2.4 to 2.6
-# ms on the workers.
+# topics-dense 494k (1 call); nested-deep 70k (root, which opens the
+# pool), 70k (6 calls), 52k (26 calls of 64 nodes or fewer) and 2.7k (2
+# calls); dedup-wide 12k (1 call, in-process, saving at most what opening
+# the pool costs: 12k x 1.1 us = 13 ms). Small levels stay on an open
+# pool: nested-deep's 2.7k-unit level took 8.1 to 8.7 ms in-process after
+# the fork, most of it copy-on-write faults on pages shared with the
+# workers, and 2.4 to 2.6 ms on the workers.
 POOL_MIN_WORK = 40_000
 
 
@@ -193,16 +209,16 @@ class RestartPool:
     """Worker processes that run the restarts of louvain calls.
 
     One pool serves the calls of one clustering run, which starts each
-    level of its recursion at once. start() lays the level's graphs side
-    by side as the blocks of one graph and runs the restarts over all of
-    them in one pass (_restarts), each block drawing and stopping as its
-    graph's own call would. On the workers the pass is split into one
-    contiguous chunk of restarts per worker, so every call's restarts run
-    on every worker. The first level whose work reaches POOL_MIN_WORK, the
-    root level or none, forks the workers; they serve every later level
+    level of its recursion at once. start() lays the level's graphs of one
+    restart count (restart_count) side by side as the blocks of one graph
+    and runs their restarts in one pass (_restarts), each block drawing
+    and stopping as its graph's own call would. On the workers each pass
+    is split into one contiguous chunk of restarts per worker, so every
+    call's restarts run on every worker. The first level whose work
+    reaches POOL_MIN_WORK forks the workers; they serve every later level
     until close(). Without them, with one CPU, without the fork start
-    method or inside a daemonic process, a level's pass runs in-process,
-    inside its first louvain call.
+    method or inside a daemonic process, a level's passes run in-process,
+    each inside the first louvain call of its graphs.
     """
 
     def __init__(self):
@@ -216,29 +232,36 @@ class RestartPool:
         self.close()
 
     def start(self, calls, restarts: int) -> list:
-        """Start the (graph, seed) louvain calls of one level as one pass; one handle per call.
+        """Start the (graph, seed) louvain calls of one level; one handle per call.
 
-        Calling a handle returns its call's best partition, the earliest
-        restart's of a tie (_best). On the workers, which the root level
-        opens or none does, the restart chunks run now; in-process, the
-        level's one chunk runs on its first handle's call.
+        The calls run as one pass per restart count (restart_count), each
+        over the graphs of the calls with that count. Calling a handle
+        returns its call's best partition, the earliest restart's of a tie
+        (_best). On the workers the restart chunks run now; in-process, a
+        pass runs on the first call of its handles.
         """
-        graphs, seeds = [g for g, _ in calls], [seed for _, seed in calls]
-        work = sum(g.indices.size for g in graphs) * restarts
+        counts = [restart_count(g.n, restarts) for g, _ in calls]
+        work = sum(g.indices.size * count for (g, _), count in zip(calls, counts))
         if self._workers is None and work and work >= POOL_MIN_WORK:
-            self._open(restarts)
-        if self._pool is None:
-            chunks = [functools.cache(functools.partial(_restarts, graphs, seeds, 0, restarts))]
-        else:
-            count = min(self._workers, restarts)
-            cuts = [restarts * i // count for i in range(count + 1)]
-            chunks = [self._pool.apply_async(_restarts, (graphs, seeds, lo, hi)).get for lo, hi in zip(cuts, cuts[1:])]
-        return [functools.partial(_best, chunks, block) for block in range(len(calls))]
+            self._open(max(counts))
+        handles = [None] * len(calls)
+        for count in sorted(set(counts)):
+            group = [i for i, c in enumerate(counts) if c == count]
+            graphs, seeds = [calls[i][0] for i in group], [calls[i][1] for i in group]
+            if self._pool is None:
+                chunks = [functools.cache(functools.partial(_restarts, graphs, seeds, 0, count))]
+            else:
+                parts = min(self._workers, count)
+                cuts = [count * i // parts for i in range(parts + 1)]
+                chunks = [self._pool.apply_async(_restarts, (graphs, seeds, lo, hi)).get for lo, hi in zip(cuts, cuts[1:])]
+            for block, i in enumerate(group):
+                handles[i] = functools.partial(_best, chunks, block)
+        return handles
 
-    def _open(self, restarts: int) -> None:
+    def _open(self, count: int) -> None:
         import multiprocessing  # here, so runs without a call this large never import it
 
-        self._workers = min(_available_cpus(), restarts)
+        self._workers = min(_available_cpus(), count)
         if (
             self._workers < 2
             or multiprocessing.current_process().daemon

@@ -1144,6 +1144,17 @@ class TestOutputPaths:
         assert capsys.readouterr() == ("", "error: --output is empty; give a file path\n")
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("fresh_options", [[], ["--input", "emb.jsonl", "--theta", "0.5"]])
+    def test_an_empty_manifest_to_rerun_is_refused_before_any_input_is_read(self, tmp_path, files, monkeypatch, capsys, fresh_options):
+        # with --input and --theta, a command that took "" as --from-manifest left out would cluster afresh
+        monkeypatch.chdir(tmp_path)
+        assert files["--input"] == str(tmp_path / "emb.jsonl")
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["cluster", "--from-manifest", "", *fresh_options, "--output", "x.json"]) == 1
+        assert capsys.readouterr() == ("", "error: --from-manifest is empty; give a file path\n")
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("command", OUTPUTS)
     def test_a_device_may_take_every_output(self, files, command):
         argv = output_command_argv(files["--input"], files["--labels"], files["--tree"])

@@ -362,7 +362,7 @@ class TestRestartPool:
         rng = np.random.default_rng(15)
         graphs = [random_weighted_graph(rng, int(rng.integers(10, 40)), p=0.3) for _ in range(4)]
         seeds = [5, 6, 7, 8]
-        restarts = community.RESTARTS
+        [restarts] = {community.restart_count(g.n, community.RESTARTS) for g in graphs}  # the count each call runs
         sg = community._SweepGraph(community._side_by_side(graphs), [g.n for g in graphs])
         runs = [self.coin_restart(sg, graphs, seeds, r) for r in range(restarts)]
         force_pool(monkeypatch, workers)
@@ -413,7 +413,8 @@ class TestRestartPool:
             with community.RestartPool() as pool:
                 submitted.clear()
                 started = pool.start(calls, restarts)
-                assert len(submitted) == min(3, restarts) and len(started) == len(calls)
+                counts = {community.restart_count(g.n, restarts) for g, _ in calls}
+                assert len(submitted) == sum(min(3, count) for count in counts) and len(started) == len(calls)
                 for (g, s), handle, want in zip(calls, started, expected):
                     part = louvain(g, seed=s, restarts=restarts, started=handle)
                     assert np.array_equal(part.assignment, want.assignment) and part.modularity == want.modularity
@@ -498,7 +499,9 @@ class TestLevelPass:
         for count in [1, 30, *rng.integers(1, 31, size=6).tolist()]:
             graphs = level_graphs(rng, count)
             levels.append(([(g, int(s)) for g, s in zip(graphs, rng.integers(2**63, size=count))], int(rng.integers(1, 5))))
-        expected = [[reference_restart_chunk(g, s, 0, restarts) for g, s in calls] for calls, restarts in levels]
+        expected = [
+            [reference_restart_chunk(g, s, 0, community.restart_count(g.n, restarts)) for g, s in calls] for calls, restarts in levels
+        ]
         assert any(want.community_count == 1 for level in expected for want in level)
         submitted = record_submissions(monkeypatch)
         for workers in (None, 1, 2, 3):
@@ -511,7 +514,8 @@ class TestLevelPass:
                     submitted.clear()
                     started = pool.start(calls, restarts)
                     assert (pool._pool is not None) == (workers not in (None, 1))
-                    assert len(submitted) == (0 if pool._pool is None else min(pool._workers, restarts))
+                    counts = {community.restart_count(g.n, restarts) for g, _ in calls}
+                    assert len(submitted) == (0 if pool._pool is None else sum(min(pool._workers, count) for count in counts))
                     assert len(started) == len(calls)
                     for (g, seed), handle, ref in zip(calls, started, want):
                         part = louvain(g, seed, restarts, handle)
@@ -519,6 +523,87 @@ class TestLevelPass:
                         assert part.community_count == ref.community_count
                         assert part.modularity.hex() == ref.modularity.hex()
             assert multiprocessing.active_children() == []
+
+
+class TestRestartCount:
+    """A graph of more than SMALL_GRAPH_NODES nodes runs restarts restarts; a smaller one runs twice as many."""
+
+    @pytest.mark.parametrize("restarts", [1, 3, community.RESTARTS])
+    def test_a_64_node_graph_runs_twice_the_restarts_of_a_65_node_graph(self, monkeypatch, restarts):
+        assert community.SMALL_GRAPH_NODES == 64
+        monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+        seen = []  # (block sizes, restart) of every restart run
+        real = community._restart
+
+        def recording(sg, graphs, seeds, restart):
+            seen.append(([g.n for g in graphs], restart))
+            return real(sg, graphs, seeds, restart)
+
+        monkeypatch.setattr(community, "_restart", recording)
+        rng = np.random.default_rng(61)
+        for n, count in ((64, 2 * restarts), (65, restarts)):
+            g = random_weighted_graph(rng, n, p=0.1)
+            assert community.restart_count(n, restarts) == count
+            seen.clear()
+            louvain(g, n, restarts)
+            assert seen == [([n], r) for r in range(count)]
+            with community.RestartPool() as pool:
+                seen.clear()
+                [handle] = pool.start([(g, n)], restarts)
+                louvain(g, n, restarts, handle)
+                assert seen == [([n], r) for r in range(count)]
+
+    def test_a_large_graph_keeps_the_earliest_best_of_the_first_restarts_of_a_longer_run(self):
+        # restart r is seeded (seed, r) at every count, so a large graph's 4 restarts are the first 4 of 8
+        rng = np.random.default_rng(62)
+        for _ in range(6):
+            g = random_weighted_graph(rng, int(rng.integers(65, 120)), p=0.1)
+            seed = int(rng.integers(2**63))
+            runs = [parts[0] for parts in community._restarts([g], [seed], 0, 8)]
+            want = max(runs[:4], key=lambda p: p.modularity)
+            part = louvain(g, seed, 4)
+            assert np.array_equal(part.assignment, want.assignment)
+            assert part.community_count == want.community_count
+            assert part.modularity.hex() == want.modularity.hex()
+
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3])
+    def test_each_call_of_a_level_of_small_and_large_graphs_has_the_bits_of_its_separate_call(self, monkeypatch, workers):
+        rng = np.random.default_rng(63)
+        sizes = [20, 90, 64, 65, 8, 130, 40]
+        calls = [(random_weighted_graph(rng, n, p=min(1.0, 6 / n)), int(rng.integers(2**63))) for n in sizes]
+        restarts = 3
+        expected = [reference_restart_chunk(g, s, 0, community.restart_count(g.n, restarts)) for g, s in calls]
+        chunks = []  # (block sizes, start, stop) of every restart chunk submitted to the workers
+        real = multiprocessing.pool.Pool.apply_async
+
+        def recording(self, func, args=(), *rest, **kwargs):
+            graphs, _, start, stop = args
+            chunks.append(([g.n for g in graphs], start, stop))
+            return real(self, func, args, *rest, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording)
+        if workers is None:
+            monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
+        else:
+            force_pool(monkeypatch, workers)
+        with community.RestartPool() as pool:
+            started = pool.start(calls, restarts)
+            for (g, seed), handle, ref in zip(calls, started, expected):
+                part = louvain(g, seed, restarts, handle)
+                assert np.array_equal(part.assignment, ref.assignment)
+                assert part.community_count == ref.community_count
+                assert part.modularity.hex() == ref.modularity.hex()
+            assert (pool._pool is not None) == (workers not in (None, 1))
+        # each count's restarts are split across the workers: one pass per count, min(workers, count) chunks
+        large, small = [n for n in sizes if n > 64], [n for n in sizes if n <= 64]
+        want = [] if workers in (None, 1) else [
+            (group, count * i // parts, count * (i + 1) // parts)
+            for group, count in ((large, restarts), (small, 2 * restarts))
+            for parts in [min(workers, count)]
+            for i in range(parts)
+        ]
+        assert chunks == want
+        assert multiprocessing.active_children() == []
 
 
 def graph_with_a_loop_only_node(rng):
@@ -542,7 +627,7 @@ class TestLoopOnlyNode:
         for _ in range(40):
             g = graph_with_a_loop_only_node(rng)
             for seed in range(3):
-                part, ref = louvain(g, seed, 4), reference_restart_chunk(g, seed, 0, 4)
+                part, ref = louvain(g, seed, 4), reference_restart_chunk(g, seed, 0, community.restart_count(g.n, 4))
                 assert np.array_equal(part.assignment, ref.assignment)
                 assert part.modularity.hex() == ref.modularity.hex()
 

@@ -270,14 +270,16 @@ class TestRestartWorkers:
 
     def test_no_level_has_more_pool_work_than_the_one_above(self, monkeypatch):
         # a level's graphs are induced subgraphs of communities of the level above, so the
-        # work each level hands RestartPool.start never grows: the root level opens the
-        # pool or no level does
+        # entries each level hands RestartPool.start never grow, and its work, entries times
+        # each call's restart count, is at most twice the level above's: a graph of 64 nodes
+        # or fewer runs twice the restarts of a larger one
         monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
-        works = []
+        works, counted = [], []
         start = community.RestartPool.start
 
         def recording(pool, calls, restarts):
             works.append(sum(g.indices.size for g, _ in calls) * restarts)
+            counted.append(sum(g.indices.size * community.restart_count(g.n, restarts) for g, _ in calls))
             return start(pool, calls, restarts)
 
         monkeypatch.setattr(community.RestartPool, "start", recording)
@@ -288,10 +290,12 @@ class TestRestartWorkers:
         deep = 0
         for g, mod_threshold, max_size, seed in graphs:
             works.clear()
+            counted.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 vec2gc_cluster(g, mod_threshold, max_size, seed, restarts=int(rng.integers(1, 5)))
             assert works == sorted(works, reverse=True)
+            assert all(below <= 2 * above for above, below in zip(counted, counted[1:]))
             deep += sum(work > 0 for work in works) >= 3
         assert deep >= 10
 
