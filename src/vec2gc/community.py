@@ -38,15 +38,21 @@ MAX_SWEEPS = 100
 # in; restarts escape them. Restart r is seeded (seed, r), so a large
 # graph's 4 are the first 4 of the 8 every call ran before 0.6.0: on the
 # three benchmark corpora at seeds 1 to 16 they write the same trees in 45
-# of 48 runs. Small graphs keep 8, where restarts cost almost nothing and
-# quality needs them: the exhaustive-optimum acceptance test needs at least
-# 6, and on 2,040 random graphs of 3 to 8 nodes from its generator the best
-# of 8 falls below 0.9 times the optimal Q on 4, the best of 16 on none.
+# of 48 runs. Small graphs keep 8: the exhaustive-optimum acceptance test
+# needs at least 6 on graphs of 3 to 8 nodes, and on 2,040 random graphs of
+# that size from its generator the best of 8 falls below 0.9 times the
+# optimal Q on 4, the best of 16 on none.
 RESTARTS = 4
 
-# Largest graph that runs 2 * restarts: at the default, the 8 restarts and
-# the bits of every call before 0.6.0. Not hierarchy.CERTIFY_MAX_NODES,
-# which is the same number for another reason.
+# Largest graph that runs 2 * restarts. 64 keeps, at the default, the 8
+# restarts and the bits of every call of 64 nodes or fewer from before
+# 0.6.0; it is not where restarts stop paying. A cut-off of 8 writes the
+# same 48 benchmark trees and takes about 12% off nested-deep's cluster
+# time (its 26 small calls are 52k units of work, its root 70k; see
+# POOL_MIN_WORK). On random graphs of 33 to 64 nodes the best of 4
+# restarts is below the best of 8 about as often (41 to 46%) as on 65 to
+# 128 (44 to 52%). Not hierarchy.CERTIFY_MAX_NODES, which is the same
+# number for another reason.
 SMALL_GRAPH_NODES = 64
 
 
@@ -215,8 +221,8 @@ class RestartPool:
     and stopping as its graph's own call would. On the workers each pass
     is split into one contiguous chunk of restarts per worker, so every
     call's restarts run on every worker. The first level whose work
-    reaches POOL_MIN_WORK forks the workers; they serve every later level
-    until close(). Without them, with one CPU, without the fork start
+    reaches POOL_MIN_WORK forks the workers, one per CPU up to a small
+    graph's restart count; they serve every later level until close(). Without them, with one CPU, without the fork start
     method or inside a daemonic process, a level's passes run in-process,
     each inside the first louvain call of its graphs.
     """
@@ -243,7 +249,7 @@ class RestartPool:
         counts = [restart_count(g.n, restarts) for g, _ in calls]
         work = sum(g.indices.size * count for (g, _), count in zip(calls, counts))
         if self._workers is None and work and work >= POOL_MIN_WORK:
-            self._open(max(counts))
+            self._open(restart_count(0, restarts))  # the most restarts a call of a later level can run
         handles = [None] * len(calls)
         for count in sorted(set(counts)):
             group = [i for i, c in enumerate(counts) if c == count]

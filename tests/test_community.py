@@ -329,6 +329,20 @@ def record_submissions(monkeypatch) -> list:
     return submitted
 
 
+def record_chunks(monkeypatch) -> list:
+    """(block sizes, start, stop) of every restart chunk submitted to a worker pool from now on, in submission order."""
+    chunks = []
+    real = multiprocessing.pool.Pool.apply_async
+
+    def recording(self, func, args=(), *rest, **kwargs):
+        graphs, _, start, stop = args
+        chunks.append(([g.n for g in graphs], start, stop))
+        return real(self, func, args, *rest, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording)
+    return chunks
+
+
 class TestRestartPool:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pooled_partition_is_bit_identical(self, monkeypatch, workers):
@@ -362,15 +376,18 @@ class TestRestartPool:
         rng = np.random.default_rng(15)
         graphs = [random_weighted_graph(rng, int(rng.integers(10, 40)), p=0.3) for _ in range(4)]
         seeds = [5, 6, 7, 8]
-        [restarts] = {community.restart_count(g.n, community.RESTARTS) for g in graphs}  # the count each call runs
+        [count] = {community.restart_count(g.n, community.RESTARTS) for g in graphs}  # the restarts each call runs
         sg = community._SweepGraph(community._side_by_side(graphs), [g.n for g in graphs])
-        runs = [self.coin_restart(sg, graphs, seeds, r) for r in range(restarts)]
+        runs = [self.coin_restart(sg, graphs, seeds, r) for r in range(count)]
         force_pool(monkeypatch, workers)
+        chunks = record_chunks(monkeypatch)
         with community.RestartPool() as pool:
-            started = pool.start(list(zip(graphs, seeds)), restarts)
+            started = pool.start(list(zip(graphs, seeds)), community.RESTARTS)
             assert pool._pool is not None
-            parts = [louvain(g, seed, restarts, handle) for g, seed, handle in zip(graphs, seeds, started)]
-        first_chunk_end = restarts // workers
+            parts = [louvain(g, seed, started=handle) for g, seed, handle in zip(graphs, seeds, started)]
+        cuts = [count * i // workers for i in range(workers + 1)]
+        assert chunks == [([g.n for g in graphs], lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        first_chunk_end = cuts[1]
         spans = 0
         for b, part in enumerate(parts):
             best = max(run[b].modularity for run in runs)
@@ -573,15 +590,7 @@ class TestRestartCount:
         calls = [(random_weighted_graph(rng, n, p=min(1.0, 6 / n)), int(rng.integers(2**63))) for n in sizes]
         restarts = 3
         expected = [reference_restart_chunk(g, s, 0, community.restart_count(g.n, restarts)) for g, s in calls]
-        chunks = []  # (block sizes, start, stop) of every restart chunk submitted to the workers
-        real = multiprocessing.pool.Pool.apply_async
-
-        def recording(self, func, args=(), *rest, **kwargs):
-            graphs, _, start, stop = args
-            chunks.append(([g.n for g in graphs], start, stop))
-            return real(self, func, args, *rest, **kwargs)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording)
+        chunks = record_chunks(monkeypatch)
         if workers is None:
             monkeypatch.setattr(community, "POOL_MIN_WORK", float("inf"))
         else:
@@ -603,6 +612,26 @@ class TestRestartCount:
             for i in range(parts)
         ]
         assert chunks == want
+        assert multiprocessing.active_children() == []
+
+    def test_a_pool_opened_by_large_graphs_has_a_worker_for_each_restart_of_a_small_one(self, monkeypatch):
+        # the first level's calls run restarts restarts; a later level's small graphs run twice as many
+        rng = np.random.default_rng(64)
+        restarts = 2
+        large = (random_weighted_graph(rng, 100, p=0.06), 1)
+        small = [(random_weighted_graph(rng, n, p=0.3), seed) for n, seed in ((30, 2), (12, 3))]
+        force_pool(monkeypatch, 4)
+        chunks = record_chunks(monkeypatch)
+        with community.RestartPool() as pool:
+            [handle] = pool.start([large], restarts)
+            louvain(*large, restarts, handle)
+            assert pool._workers == 4 == 2 * restarts
+            started = pool.start(small, restarts)
+            for (g, seed), handle in zip(small, started):
+                want = reference_restart_chunk(g, seed, 0, 2 * restarts)
+                part = louvain(g, seed, restarts, handle)
+                assert np.array_equal(part.assignment, want.assignment) and part.modularity.hex() == want.modularity.hex()
+        assert chunks == [([100], 0, 1), ([100], 1, 2)] + [([30, 12], r, r + 1) for r in range(4)]
         assert multiprocessing.active_children() == []
 
 
