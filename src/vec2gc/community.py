@@ -9,14 +9,16 @@ super-node-by-super-node. A call runs more seeded restarts on a small
 graph than on a large one (restart_count). The calls of one tree level
 with one restart count run as one pass over their graphs laid side by
 side, each graph's result the bits of a call of its own, and the pass's
-restarts can run on the worker processes of a RestartPool.
+restarts can run on worker processes that a RestartPool forks for it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import heapq
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,51 +187,41 @@ def louvain(g, seed: int = 0, restarts: int = RESTARTS, started=None) -> Partiti
 
 _MASK64 = (1 << 64) - 1  # a seed's low 64 bits, as its generator and hierarchy.derive_seed read it
 
-# Smallest work (CSR entries x the call's restart_count, summed over the
-# calls of one level) that opens the worker processes, which serve every
-# later level. A level's graphs are induced subgraphs of communities of the
-# level above, so its entries never exceed that one's and its work is at
-# most twice that one's (a graph of SMALL_GRAPH_NODES nodes or fewer runs
-# twice the restarts): the root level opens the pool, a later level only
-# when the root's work is at least half of POOL_MIN_WORK, or none does.
-# Measured on 2 CPUs, Python 3.11, 8 restarts: the first pool of a process
-# costs 20 to 31 ms (median 25 of 9 runs) to import multiprocessing, fork
-# two workers, run a first task and close them. Once open, two workers save, per unit and after pickling, 0.3 to
-# 0.75 us (median 0.54) on single calls of 18k to 28k units (the
-# nested-deep benchmark's level-1 calls, medians of 5, in 3 of 4 runs; the
-# fourth, on a busy host, saved nothing) and 0.8 to 1.45 us on
-# dedup-wide's 24k-unit root call, so a run whose largest level is one
-# call breaks even near 25 ms / 0.54 us = 47k units, with 17k to 100k
-# inside the range. 40k stays, inside that range. Levels at seed 1:
-# topics-dense 494k (1 call); nested-deep 70k (root, which opens the
-# pool), 70k (6 calls), 52k (26 calls of 64 nodes or fewer) and 2.7k (2
-# calls); dedup-wide 12k (1 call, in-process, saving at most what opening
-# the pool costs: 12k x 1.1 us = 13 ms). Small levels stay on an open
-# pool: nested-deep's 2.7k-unit level took 8.1 to 8.7 ms in-process after
-# the fork, most of it copy-on-write faults on pages shared with the
-# workers, and 2.4 to 2.6 ms on the workers.
+# Smallest work (CSR entries x restart_count, summed over the graphs of one
+# pass) that forks the pass's workers. Measured on a shared 2-CPU machine,
+# Python 3.11, in processes of 39 to 56 MiB holding a benchmark graph
+# (medians of 21): a bare os.fork takes 0.5 to 1.2 ms, but a forked pass of
+# two workers costs 10.6 to 22 ms (median about 13) more than half its
+# in-process time, most of it copy-on-write faults while the parent forks
+# the second worker. On nested-deep's three large passes (65k to 70k units,
+# medians of 11) two workers saved 0.13 to 0.46 us per unit, less than two
+# CPUs promise, as the second was often busy with other work. 13 ms /
+# 0.3 us breaks even near 43k units, with 23k to 160k inside the range.
+# 40k stays. The passes of the seed-3 benchmark corpora at seed 1 are
+# topics-dense 495k (1 call); nested-deep 70k (root), 69k (7 calls) and 65k
+# (35 calls of 64 nodes or fewer); dedup-wide 12k. Forking dedup-wide's
+# pass (a threshold of 10k) made its cluster_s worse in 5 of 6 perfbench
+# pairs, and keeping nested-deep's passes in-process (100k) in 8 of 8.
 POOL_MIN_WORK = 40_000
 
 
 class RestartPool:
-    """Worker processes that run the restarts of louvain calls.
+    """Runs the restarts of the louvain calls of each level of a clustering run.
 
-    One pool serves the calls of one clustering run, which starts each
-    level of its recursion at once. start() lays the level's graphs of one
-    restart count (restart_count) side by side as the blocks of one graph
-    and runs their restarts in one pass (_restarts), each block drawing
-    and stopping as its graph's own call would. On the workers each pass
-    is split into one contiguous chunk of restarts per worker, so every
-    call's restarts run on every worker. The first level whose work
-    reaches POOL_MIN_WORK forks the workers, one per CPU up to a small
-    graph's restart count; they serve every later level until close(). Without them, with one CPU, without the fork start
-    method or inside a daemonic process, a level's passes run in-process,
-    each inside the first louvain call of its graphs.
+    start() lays the level's graphs of one restart count (restart_count)
+    side by side as the blocks of one graph and runs their restarts in one
+    pass (_restarts), each block drawing and stopping as its graph's own
+    call would. A pass whose work reaches POOL_MIN_WORK forks one worker
+    per CPU up to its restart count, each running one contiguous chunk of
+    the restarts on the graphs it inherited, so every call's restarts run
+    on every worker; the parent waits for them. Other passes, and every
+    pass with one CPU or without os.fork, run in-process, each inside the
+    first louvain call of its graphs. close() kills and reaps the workers
+    whose results were never read.
     """
 
     def __init__(self):
-        self._pool = None
-        self._workers: int | None = None  # decided on first use
+        self._workers: dict[int, object] = {}  # pid -> the read end of its result pipe, until reaped
 
     def __enter__(self) -> RestartPool:
         return self
@@ -243,61 +235,95 @@ class RestartPool:
         The calls run as one pass per restart count (restart_count), each
         over the graphs of the calls with that count. Calling a handle
         returns its call's best partition, the earliest restart's of a tie
-        (_best). On the workers the restart chunks run now; in-process, a
-        pass runs on the first call of its handles.
+        (_best). A forked pass's workers start now; an in-process pass
+        runs on the first call of its handles.
         """
         counts = [restart_count(g.n, restarts) for g, _ in calls]
-        work = sum(g.indices.size * count for (g, _), count in zip(calls, counts))
-        if self._workers is None and work and work >= POOL_MIN_WORK:
-            self._open(restart_count(0, restarts))  # the most restarts a call of a later level can run
         handles = [None] * len(calls)
         for count in sorted(set(counts)):
             group = [i for i, c in enumerate(counts) if c == count]
             graphs, seeds = [calls[i][0] for i in group], [calls[i][1] for i in group]
-            if self._pool is None:
+            work = sum(g.indices.size for g in graphs) * count
+            parts = min(_available_cpus(), count) if work >= POOL_MIN_WORK and hasattr(os, "fork") else 1
+            if parts == 1:
                 chunks = [functools.cache(functools.partial(_restarts, graphs, seeds, 0, count))]
             else:
-                parts = min(self._workers, count)
                 cuts = [count * i // parts for i in range(parts + 1)]
-                chunks = [self._pool.apply_async(_restarts, (graphs, seeds, lo, hi)).get for lo, hi in zip(cuts, cuts[1:])]
+                chunks = [self._fork(graphs, seeds, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
             for block, i in enumerate(group):
                 handles[i] = functools.partial(_best, chunks, block)
         return handles
 
-    def _open(self, count: int) -> None:
-        import multiprocessing  # here, so runs without a call this large never import it
+    def _fork(self, graphs, seeds, start: int, stop: int):
+        """Fork a worker that runs _restarts(graphs, seeds, start, stop); returns the handle that reads its result."""
+        import signal
 
-        self._workers = min(_available_cpus(), count)
-        if (
-            self._workers < 2
-            or multiprocessing.current_process().daemon
-            or "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            return
-        # fork, not spawn: workers inherit the loaded modules instead of
-        # importing numpy again, and they do no BLAS work, so BLAS threads
-        # in the parent cannot deadlock them.
-        self._pool = multiprocessing.get_context("fork").Pool(self._workers, initializer=_ignore_sigint)
+        import numpy.random  # noqa: F401  numpy loads it lazily: once here, not again in every worker
+
+        read, write = os.pipe()
+        # Ctrl-C reaches the whole process group. The worker never takes it:
+        # it keeps SIGINT blocked, and the parent handles it and kills the
+        # workers, which it can once the worker is in self._workers.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:
+            pid = os.fork()
+            if pid == 0:
+                # fork, not spawn: the worker inherits the level's graphs and
+                # the loaded modules, and does no BLAS work, so BLAS threads in
+                # the parent cannot deadlock it. It leaves through os._exit, so
+                # it flushes none of the parent's buffers and runs no exit hook.
+                status = 1
+                try:
+                    os.close(read)
+                    try:
+                        result = (True, _restarts(graphs, seeds, start, stop))
+                    except Exception as exc:
+                        result = (False, exc)
+                    with open(write, "wb") as fh:
+                        pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            self._workers[pid] = open(read, "rb")
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return functools.cache(functools.partial(self._collect, pid))
+
+    def _collect(self, pid: int):
+        """The chunk of restarts worker pid ran; raises its exception, or an error naming how it ended without a result."""
+        fh = self._workers[pid]
+        data = fh.read()
+        fh.close()
+        status = os.waitpid(pid, 0)[1]
+        del self._workers[pid]
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            import signal
+
+            raise ChildProcessError(f"restart worker {pid} was killed by signal {signal.Signals(-code).name}")
+        if code:
+            raise ChildProcessError(f"restart worker {pid} exited with status {code} and no result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
 
     def close(self) -> None:
-        """End the workers and wait for them; the pool then runs everything in-process."""
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.terminate()
-            pool.join()
+        """Kill and reap every worker whose result was never read."""
+        if self._workers:
+            import signal
+
+            for pid, fh in list(self._workers.items()):
+                fh.close()
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped by _collect just before an interrupt
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                del self._workers[pid]
 
 
 def _available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _ignore_sigint() -> None:
-    # Ctrl-C reaches the whole process group; the parent handles it and
-    # terminates the pool, so workers print no traceback of their own.
-    # Imported here, in the worker, to keep it out of the package import.
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _side_by_side(graphs) -> SimilarityGraph:

@@ -96,11 +96,11 @@ def vec2gc_cluster(
     The tree is built one level at a time. The edgeless calls and those
     that modularity_bound proves leaves are settled first; the level's
     other optimizer calls are handed together to the run's RestartPool,
-    whose worker processes may run their restarts side by side; each
-    louvain call then takes its result from the handle the pool returned
-    for it. Each result is placed by its node's slot and every child seed
-    comes from derive_seed, so the tree bytes do not depend on the order
-    in which calls finish, nor on the worker count.
+    which may fork worker processes that run their restarts side by side;
+    each louvain call then takes its result from the handle the pool
+    returned for it. Each result is placed by its node's slot and every
+    child seed comes from derive_seed, so the tree bytes do not depend on
+    the order in which calls finish, nor on the worker count.
     """
     _check_cluster_parameters(mod_threshold, max_size, min_community_size, restarts)
 

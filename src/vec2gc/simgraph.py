@@ -209,14 +209,18 @@ def _assemble(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> Simila
 
 
 def induced_subgraph(g: SimilarityGraph, nodes) -> SimilarityGraph:
-    """Restrict the graph to `nodes`, renumbering them 0..len(nodes)-1.
+    """Restrict the graph to the distinct `nodes`, renumbering them 0, 1, ... in ascending order.
 
     Edge weights are reused as-is; the construction threshold is never
-    re-applied. `nodes` must be unique; order is normalized to ascending.
+    re-applied. The order of `nodes` and repeats in it do not matter.
     """
-    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-    if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.n):
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= g.n):
         raise ValueError("subgraph nodes outside node range")
+    # a mask, not np.unique: numpy 2's np.unique imports numpy.ma on its first call
+    keep = np.zeros(g.n, dtype=bool)
+    keep[nodes] = True
+    nodes = np.flatnonzero(keep)
     newid = np.full(g.n, -1, dtype=np.int64)
     newid[nodes] = np.arange(nodes.size)
     rows_all = np.repeat(np.arange(g.n), np.diff(g.indptr))

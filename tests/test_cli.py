@@ -2,6 +2,7 @@ import collections
 import inspect
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -344,24 +345,33 @@ class TestClusterWorkers:
         # own result after it: nothing may follow from an exit hook, a finalizer or a worker
         src = os.path.dirname(os.path.dirname(community.__file__))
         code = """
-import math, multiprocessing, sys
+import math, os, sys
 sys.path.insert(0, sys.argv[1])
 from vec2gc import cli, community, hierarchy
 community.POOL_MIN_WORK = 0
 community._available_cpus = lambda: 2
-scores, pooled = [], []
+scores, pooled, forked = [], [], []
+fork = community.RestartPool._fork
+def forking(pool, graphs, *rest):
+    forked.extend(graphs)
+    return fork(pool, graphs, *rest)
+community.RestartPool._fork = forking
 louvain = hierarchy.louvain
 def recorded(*args, **kwargs):
     part = louvain(*args, **kwargs)
     scores.append(part.modularity)
-    pooled.append(bool(multiprocessing.active_children()))
+    pooled.append(any(g is args[0] for g in forked))
     return part
 hierarchy.louvain = recorded
 argv = ["cluster", "--input", sys.argv[2], "--format", "jsonl", "--theta", "0.6", "--max-size", "20"]
 assert cli.main(argv + ["--seed", "8", "--output", sys.argv[3]]) == 0
 assert len(scores) > 1 and all(pooled), pooled
 assert all(type(q) is float and math.isfinite(q) for q in scores), scores
-assert multiprocessing.active_children() == []
+try:
+    os.waitpid(-1, os.WNOHANG)
+    raise AssertionError("a restart worker outlived the run")
+except ChildProcessError:
+    pass
 print("end of caller output")
 """
         # a surviving child that holds the pipes open would run into the timeout
@@ -371,7 +381,79 @@ print("end of caller output")
         )
         assert run.stderr == ""
         assert run.returncode == 0
-        assert run.stdout.splitlines()[-1] == "end of caller output"
+        lines = run.stdout.splitlines()
+        assert lines[-1] == "end of caller output"
+        # stdout is a pipe, so block-buffered: a worker that flushed the parent's buffer would repeat its lines
+        assert [line.split()[0] for line in lines] == ["seed:", "wrote", "end"]
+
+    def test_a_pooled_cluster_run_never_imports_numpy_ma(self, tmp_path, noise_file):
+        # numpy 2's np.unique imports numpy.ma on its first call, which costs every run that reaches it
+        src = os.path.dirname(os.path.dirname(community.__file__))
+        code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from vec2gc import cli, community, hierarchy
+community.POOL_MIN_WORK = 0
+community._available_cpus = lambda: 2
+forks, induced = [], []
+fork = community.RestartPool._fork
+community.RestartPool._fork = lambda pool, *args: forks.append(args) or fork(pool, *args)
+induced_subgraph = hierarchy.induced_subgraph
+def recorded(g, nodes):
+    induced.append((g.n, len(nodes)))
+    return induced_subgraph(g, nodes)
+hierarchy.induced_subgraph = recorded
+argv = ["cluster", "--input", sys.argv[2], "--format", "jsonl", "--theta", "0.6", "--max-size", "20"]
+assert cli.main(argv + ["--seed", "8", "--output", sys.argv[3]]) == 0
+assert forks and len(induced) > 1, (forks, induced)
+assert induced[0][0] == 300 > induced[0][1]  # the root drops isolated items
+assert "numpy.ma" not in sys.modules
+"""
+        run = subprocess.run(
+            [sys.executable, "-c", code, src, noise_file, str(tmp_path / "tree.json")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.stderr == ""
+        assert run.returncode == 0
+
+    def test_ctrl_c_leaves_no_worker(self, tmp_path, noise_file):
+        # Ctrl-C signals the whole process group: the workers ignore it and the parent kills them
+        src = os.path.dirname(os.path.dirname(community.__file__))
+        code = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+from vec2gc import cli, community
+community.POOL_MIN_WORK = 0
+community._available_cpus = lambda: 2
+def stuck(*args):
+    os.write(1, f"worker {os.getpid()}\\n".encode())  # unbuffered: the parent's buffer is not the worker's to flush
+    time.sleep(120)
+community._restart = stuck
+argv = ["cluster", "--input", sys.argv[2], "--format", "jsonl", "--theta", "0.6", "--max-size", "20"]
+cli.main(argv + ["--seed", "8", "--output", sys.argv[3]])
+"""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, src, noise_file, str(tmp_path / "tree.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            workers = []
+            while len(workers) < 2:
+                line = proc.stdout.readline()
+                assert line, "the run ended before it forked two workers"
+                if line.startswith("worker "):
+                    workers.append(int(line.split()[1]))
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == -signal.SIGINT
+        assert err.count("Traceback") == 1 and err.rstrip().endswith("KeyboardInterrupt")
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_threads_manifest_is_refused_by_version(self, tmp_path, noise_file, capsys):
         # 0.1.0 recorded the graph kernel's thread count and no restart count;

@@ -1,9 +1,8 @@
 import collections
 import heapq
 import math
-import multiprocessing
-import multiprocessing.pool
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -317,30 +316,42 @@ def force_pool(monkeypatch, workers):
 
 
 def record_submissions(monkeypatch) -> list:
-    """The AsyncResult of every apply_async on a worker pool from now on, in submission order: one per restart chunk."""
+    """(worker pid, handle) of every restart chunk forked from now on, in fork order."""
     submitted = []
-    real = multiprocessing.pool.Pool.apply_async
+    real = community.RestartPool._fork
 
-    def recording(self, *args, **kwargs):
-        submitted.append(real(self, *args, **kwargs))
-        return submitted[-1]
+    def recording(self, *args):
+        before = set(self._workers)
+        handle = real(self, *args)
+        [pid] = set(self._workers) - before
+        submitted.append((pid, handle))
+        return handle
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording)
+    monkeypatch.setattr(community.RestartPool, "_fork", recording)
     return submitted
 
 
 def record_chunks(monkeypatch) -> list:
-    """(block sizes, start, stop) of every restart chunk submitted to a worker pool from now on, in submission order."""
+    """(block sizes, start, stop) of every restart chunk forked from now on, in fork order."""
     chunks = []
-    real = multiprocessing.pool.Pool.apply_async
+    real = community.RestartPool._fork
 
-    def recording(self, func, args=(), *rest, **kwargs):
-        graphs, _, start, stop = args
+    def recording(self, graphs, seeds, start, stop):
         chunks.append(([g.n for g in graphs], start, stop))
-        return real(self, func, args, *rest, **kwargs)
+        return real(self, graphs, seeds, start, stop)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording)
+    monkeypatch.setattr(community.RestartPool, "_fork", recording)
     return chunks
+
+
+def has_exited(pid: int) -> bool:
+    """Whether child pid has ended, without reaping it."""
+    return os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRestartPool:
@@ -350,6 +361,7 @@ class TestRestartPool:
         graphs = [random_weighted_graph(rng, int(rng.integers(20, 80)), p=0.15) for _ in range(4)]
         expected = [louvain(g, seed=21 + i) for i, g in enumerate(graphs)]
         force_pool(monkeypatch, workers)
+        chunks = record_chunks(monkeypatch)
         with community.RestartPool() as pool:
             for i, g in enumerate(graphs):
                 [handle] = pool.start([(g, 21 + i)], community.RESTARTS)
@@ -357,8 +369,8 @@ class TestRestartPool:
                 assert np.array_equal(part.assignment, expected[i].assignment)
                 assert part.community_count == expected[i].community_count
                 assert part.modularity == expected[i].modularity
-            assert (pool._pool is not None) == (workers > 1)
-        assert multiprocessing.active_children() == []
+            assert bool(chunks) == (workers > 1)
+        assert_no_child_left()
 
     @staticmethod
     def coin_restart(sg, graphs, seeds, restart):
@@ -383,7 +395,7 @@ class TestRestartPool:
         chunks = record_chunks(monkeypatch)
         with community.RestartPool() as pool:
             started = pool.start(list(zip(graphs, seeds)), community.RESTARTS)
-            assert pool._pool is not None
+            assert len(chunks) == workers
             parts = [louvain(g, seed, started=handle) for g, seed, handle in zip(graphs, seeds, started)]
         cuts = [count * i // workers for i in range(workers + 1)]
         assert chunks == [([g.n for g in graphs], lo, hi) for lo, hi in zip(cuts, cuts[1:])]
@@ -411,12 +423,15 @@ class TestRestartPool:
         submitted = record_submissions(monkeypatch)
         with community.RestartPool() as pool:
             started = pool.start(calls, community.RESTARTS)
-            first, second = submitted
-            second.wait(timeout=60)
-            assert second.ready() and not first.ready()
+            (first_pid, first), (second_pid, second) = submitted
+            deadline = time.monotonic() + 60
+            while not has_exited(second_pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert has_exited(second_pid) and not has_exited(first_pid)
             parts = [louvain(g, seed, started=handle) for (g, seed), handle in zip(calls, started)]
         for block, part in enumerate(parts):
-            assert part is first.get()[0][block]  # restart 0's partition
+            assert part is first()[0][block]  # restart 0's partition
+        assert_no_child_left()
 
     def test_each_call_of_a_mixed_level_gets_a_chunk_per_worker_and_its_separate_result(self, monkeypatch):
         rng = np.random.default_rng(18)
@@ -445,8 +460,8 @@ class TestRestartPool:
             [handle] = pool.start([(g, 1)], community.RESTARTS)
             part = louvain(g, seed=1, started=handle)
             assert np.array_equal(part.assignment, expected.assignment)
-            assert pool._pool is None and submitted == []
-            assert multiprocessing.active_children() == []
+            assert pool._workers == {} and submitted == []
+            assert_no_child_left()
 
     def test_an_in_process_level_runs_in_its_first_louvain_call(self, monkeypatch):
         # start() does no optimizer work, so a caller that never reduces a call pays for none
@@ -470,12 +485,52 @@ class TestRestartPool:
         for (g, seed), part in zip(calls, parts):
             assert np.array_equal(part.assignment, louvain(g, seed).assignment)
 
+    def test_an_exception_in_a_worker_reaches_the_parent(self, monkeypatch):
+        def failing_restart(sg, graphs, seeds, restart):
+            raise ValueError(f"restart {restart} failed in process {os.getpid()}")
+
+        monkeypatch.setattr(community, "_restart", failing_restart)
+        g = random_weighted_graph(np.random.default_rng(20), 30, p=0.3)
+        force_pool(monkeypatch, 2)
+        submitted = record_submissions(monkeypatch)
+        with community.RestartPool() as pool:
+            [handle] = pool.start([(g, 1)], community.RESTARTS)
+            with pytest.raises(ValueError, match=r"^restart 0 failed in process (\d+)$") as raised:
+                louvain(g, 1, started=handle)
+        assert raised.type is ValueError
+        assert int(raised.value.args[0].split()[-1]) == submitted[0][0] != os.getpid()
+        assert_no_child_left()
+
+    def test_a_killed_worker_raises_an_error_that_names_the_signal(self, monkeypatch):
+        # the second chunk's worker dies without a result; the first chunk's is read as usual
+        real = community._restart
+
+        def dying_restart(sg, graphs, seeds, restart):
+            if restart == community.restart_count(sg.n, community.RESTARTS) - 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(sg, graphs, seeds, restart)
+
+        monkeypatch.setattr(community, "_restart", dying_restart)
+        g = random_weighted_graph(np.random.default_rng(21), 30, p=0.3)
+        force_pool(monkeypatch, 2)
+        submitted = record_submissions(monkeypatch)
+        began = time.monotonic()
+        with community.RestartPool() as pool:
+            [handle] = pool.start([(g, 1)], community.RESTARTS)
+            with pytest.raises(ChildProcessError, match=f"restart worker {submitted[1][0]} was killed by signal SIGKILL"):
+                louvain(g, 1, started=handle)
+            assert submitted[0][1]()  # the first chunk's restarts, read before the second
+        assert time.monotonic() - began < 60
+        assert_no_child_left()
+
     def test_package_import_loads_no_process_modules(self):
-        # a pool imports multiprocessing, and its workers signal, only when a level is large enough
+        # signal is imported by a forked worker and numpy.random before the first fork, only when a
+        # pass is large enough; numpy.random and numpy.ma cost every run's setup when imported early
         src = os.path.dirname(os.path.dirname(community.__file__))
+        modules = ("multiprocessing", "concurrent.futures", "signal", "numpy.random", "numpy.ma")
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); import vec2gc; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures', 'signal') if m in sys.modules])"
+            f"print([m for m in {modules!r} if m in sys.modules])"
         )
         run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
         assert run.stdout == "[]\n"
@@ -530,16 +585,18 @@ class TestLevelPass:
                 for (calls, restarts), want in zip(levels, expected):
                     submitted.clear()
                     started = pool.start(calls, restarts)
-                    assert (pool._pool is not None) == (workers not in (None, 1))
                     counts = {community.restart_count(g.n, restarts) for g, _ in calls}
-                    assert len(submitted) == (0 if pool._pool is None else sum(min(pool._workers, count) for count in counts))
+                    # a pass of one restart runs in-process: there is nothing to split
+                    parts = [min(workers or 1, count) for count in counts]
+                    assert bool(submitted) == (workers not in (None, 1) and max(counts) > 1)
+                    assert len(submitted) == sum(p for p in parts if p > 1)
                     assert len(started) == len(calls)
                     for (g, seed), handle, ref in zip(calls, started, want):
                         part = louvain(g, seed, restarts, handle)
                         assert np.array_equal(part.assignment, ref.assignment)
                         assert part.community_count == ref.community_count
                         assert part.modularity.hex() == ref.modularity.hex()
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
 
 
 class TestRestartCount:
@@ -602,7 +659,7 @@ class TestRestartCount:
                 assert np.array_equal(part.assignment, ref.assignment)
                 assert part.community_count == ref.community_count
                 assert part.modularity.hex() == ref.modularity.hex()
-            assert (pool._pool is not None) == (workers not in (None, 1))
+            assert bool(chunks) == (workers not in (None, 1))
         # each count's restarts are split across the workers: one pass per count, min(workers, count) chunks
         large, small = [n for n in sizes if n > 64], [n for n in sizes if n <= 64]
         want = [] if workers in (None, 1) else [
@@ -612,10 +669,11 @@ class TestRestartCount:
             for i in range(parts)
         ]
         assert chunks == want
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    def test_a_pool_opened_by_large_graphs_has_a_worker_for_each_restart_of_a_small_one(self, monkeypatch):
-        # the first level's calls run restarts restarts; a later level's small graphs run twice as many
+    def test_a_pass_of_small_graphs_after_large_ones_forks_a_worker_for_each_restart(self, monkeypatch):
+        # each pass forks a worker per CPU up to its own restart count: the first level's calls
+        # run restarts restarts, a later level's small graphs twice as many
         rng = np.random.default_rng(64)
         restarts = 2
         large = (random_weighted_graph(rng, 100, p=0.06), 1)
@@ -625,14 +683,14 @@ class TestRestartCount:
         with community.RestartPool() as pool:
             [handle] = pool.start([large], restarts)
             louvain(*large, restarts, handle)
-            assert pool._workers == 4 == 2 * restarts
+            assert len(chunks) == restarts and pool._workers == {}  # reaped once read
             started = pool.start(small, restarts)
             for (g, seed), handle in zip(small, started):
                 want = reference_restart_chunk(g, seed, 0, 2 * restarts)
                 part = louvain(g, seed, restarts, handle)
                 assert np.array_equal(part.assignment, want.assignment) and part.modularity.hex() == want.modularity.hex()
         assert chunks == [([100], 0, 1), ([100], 1, 2)] + [([30, 12], r, r + 1) for r in range(4)]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
 
 def graph_with_a_loop_only_node(rng):

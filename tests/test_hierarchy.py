@@ -4,6 +4,7 @@ import functools
 import json
 import multiprocessing
 import os
+import time
 import warnings
 
 import numpy as np
@@ -222,6 +223,39 @@ def noise_tree_text(seed=17, max_size=20):
     return dumps_tree(tree, bucket, emb.ids, theta=0.6, mod_threshold=0.2, max_size=max_size, seed=seed)
 
 
+def record_forks(monkeypatch) -> list:
+    """(worker pid, graphs) of every restart chunk forked from now on, in fork order."""
+    forks = []
+    fork = community.RestartPool._fork
+
+    def recording(pool, graphs, *rest):
+        before = set(pool._workers)
+        handle = fork(pool, graphs, *rest)
+        [pid] = set(pool._workers) - before
+        forks.append((pid, graphs))
+        return handle
+
+    monkeypatch.setattr(community.RestartPool, "_fork", recording)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def daemonic_tree_text() -> tuple[str, int]:
+    """noise_tree_text() run inside a daemonic process, with the number of restart workers it forked."""
+    assert multiprocessing.current_process().daemon
+    forks = []
+    fork = community.RestartPool._fork
+    community.RestartPool._fork = lambda pool, *args: forks.append(args) or fork(pool, *args)
+    try:
+        return noise_tree_text(), len(forks)
+    finally:
+        community.RestartPool._fork = fork
+
+
 class TestRestartWorkers:
     def force_pool(self, monkeypatch, on):
         monkeypatch.setattr(community, "_available_cpus", lambda: 2)
@@ -231,42 +265,47 @@ class TestRestartWorkers:
         self.force_pool(monkeypatch, on=False)
         off = noise_tree_text()
         self.force_pool(monkeypatch, on=True)
+        forks = record_forks(monkeypatch)
         opened = []
         original = hierarchy.louvain
 
         def watch(*args, **kwargs):
             part = original(*args, **kwargs)
-            opened.append(bool(multiprocessing.active_children()))
+            opened.append(any(g is args[0] for _, graphs in forks for g in graphs))  # its restarts ran on workers
             return part
 
         monkeypatch.setattr(hierarchy, "louvain", watch)
         assert noise_tree_text() == off
         assert len(opened) > 1 and all(opened)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    def test_daemonic_caller_runs_in_process(self, monkeypatch):
+    def test_daemonic_caller_forks_and_writes_the_same_bytes(self, monkeypatch):
         self.force_pool(monkeypatch, on=False)
         expected = noise_tree_text()
         self.force_pool(monkeypatch, on=True)
-        # pool workers are daemonic, and a daemonic process may not fork workers
+        # pool workers are daemonic; os.fork works in one all the same
         with multiprocessing.get_context("fork").Pool(1) as outer:
-            result = outer.apply_async(noise_tree_text)
-            assert result.get(timeout=120) == expected
+            result = outer.apply_async(daemonic_tree_text)
+            text, forked = result.get(timeout=120)
+        assert text == expected and forked > 1
 
-    def test_no_worker_outlives_an_error(self, monkeypatch):
+    def test_an_error_while_a_pass_runs_leaves_no_worker(self, monkeypatch):
         self.force_pool(monkeypatch, on=True)
-        seen = []
+        monkeypatch.setattr(community, "_restart", lambda *args: time.sleep(120))  # on the workers only
+        forks = record_forks(monkeypatch)
+        running = []
 
         def fail(*args, **kwargs):
-            seen.extend(multiprocessing.active_children())
-            raise RuntimeError("stop after the root call")
+            running.extend(os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None for pid, _ in forks)
+            raise RuntimeError("stop while the root pass runs")
 
-        monkeypatch.setattr(hierarchy, "induced_subgraph", fail)
-        with pytest.raises(RuntimeError, match="stop after the root call"):
+        monkeypatch.setattr(hierarchy, "louvain", fail)
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="stop while the root pass runs"):
             noise_tree_text()
-        assert seen
-        assert multiprocessing.active_children() == []
-        assert not any(p.is_alive() for p in seen)
+        assert time.monotonic() - began < 60
+        assert len(running) == 2 and all(running)
+        assert_no_child_left()
 
     def test_no_level_has_more_pool_work_than_the_one_above(self, monkeypatch):
         # a level's graphs are induced subgraphs of communities of the level above, so the
@@ -368,7 +407,7 @@ class TestFrontier:
         for workers in (1, 2, 3):
             monkeypatch.setattr(community, "_available_cpus", lambda: workers)
             assert noise_tree_text(max_size=5) == expected
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_one_parent_louvain_call_per_optimizer_call(self, monkeypatch):
         # wrapped as perfbench/tracing.py wraps them: the module-level names hierarchy calls

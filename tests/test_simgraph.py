@@ -202,6 +202,16 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, [1, 2])
         assert graph_edges(sub) == {(0, 1): graph_edges(g)[(1, 2)]}
 
+    def test_unsorted_nodes_with_repeats_give_the_sorted_distinct_call(self):
+        emb, _ = planted_groups([4, 5, 3], intra_cs=0.9, isolated=2)
+        g = build_graph(emb, 0.5)
+        want = induced_subgraph(g, [1, 2, 5, 7, 8, 13])
+        got = induced_subgraph(g, np.array([8, 2, 13, 1, 8, 7, 5, 2, 13]))
+        assert got.n == want.n == 6 and got.edge_count > 0
+        for name in ("indptr", "indices", "weights", "degrees"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.two_m.hex() == want.two_m.hex()
+
     @pytest.mark.parametrize("nodes", [[0, 3], [-1, 0]], ids=["past-the-end", "negative"])
     def test_nodes_outside_the_graph_are_refused(self, nodes):
         emb, _ = planted_groups([3], intra_cs=0.9)
